@@ -418,247 +418,11 @@ let pipeline () =
           insertion; corner sign-off overdesigns every pipeline by the \
           paper's ~55%%)@."
 
-(* ------------------------------------------------------------------ *)
-(* Parallel scaling: the whole methodology at several worker counts.   *)
-
-(* Wall-clock and speedup per benchmark at jobs in {1, 2, 4, 8}, with a
-   byte-identity check of the deterministic JSON report across worker
-   counts, written to BENCH_parallel.json.  Speedups are honest numbers
-   for the host this ran on: on a single-core machine every speedup is
-   ~1.0 by construction (extra domains just time-share the core). *)
-let parallel_jobs = [ 1; 2; 4; 8 ]
-
-let parallel () =
-  section
-    (Printf.sprintf
-       "Parallel scaling at jobs in {1, 2, 4, 8} (host: %d core(s))"
-       (Pool.default_jobs ()));
-  let max_paths = 2000 in
-  Fmt.pr "  %-7s" "name";
-  List.iter (fun j -> Fmt.pr " %8s" (Printf.sprintf "j=%d (s)" j))
-    parallel_jobs;
-  Fmt.pr " %8s %13s@." "speedup4" "deterministic";
-  let rows =
-    List.map
-      (fun (spec : Iscas85.spec) ->
-        let circuit, placement = Iscas85.build_placed spec in
-        let config =
-          Config.with_confidence Config.default
-            spec.Iscas85.paper.Iscas85.confidence
-        in
-        let config = { config with Config.max_paths } in
-        let runs =
-          List.map
-            (fun jobs ->
-              Pool.with_pool ~jobs (fun pool ->
-                  let t0 = Unix.gettimeofday () in
-                  let m = Methodology.run ~config ~placement ~pool circuit in
-                  let wall = Unix.gettimeofday () -. t0 in
-                  (jobs, wall, Report.json_report m)))
-            parallel_jobs
-        in
-        let _, wall1, report1 = List.hd runs in
-        let deterministic =
-          List.for_all (fun (_, _, r) -> String.equal r report1) runs
-        in
-        let speedup wall = if wall > 0.0 then wall1 /. wall else 1.0 in
-        Fmt.pr "  %-7s" spec.Iscas85.name;
-        List.iter (fun (_, w, _) -> Fmt.pr " %8.3f" w) runs;
-        let speedup4 =
-          match List.find_opt (fun (j, _, _) -> j = 4) runs with
-          | Some (_, w, _) -> speedup w
-          | None -> 1.0
-        in
-        Fmt.pr " %7.2fx %13s@." speedup4
-          (if deterministic then "yes" else "NO");
-        (spec.Iscas85.name, runs, deterministic))
-      Iscas85.all
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  let out fmt = Printf.ksprintf (output_string oc) fmt in
-  out "{\"host_cores\":%d,\"max_paths\":%d,\"benchmarks\":[\n"
-    (Pool.default_jobs ()) max_paths;
-  List.iteri
-    (fun i (name, runs, deterministic) ->
-      let _, wall1, _ = List.hd runs in
-      out "  {\"name\":\"%s\",\"deterministic\":%b,\"runs\":[%s]}%s\n" name
-        deterministic
-        (String.concat ","
-           (List.map
-              (fun (j, w, _) ->
-                Printf.sprintf
-                  "{\"jobs\":%d,\"wall_s\":%.4f,\"speedup\":%.3f}" j w
-                  (if w > 0.0 then wall1 /. w else 1.0))
-              runs))
-        (if i = List.length rows - 1 then "" else ",");
-      ())
-    rows;
-  out "]}\n";
-  close_out oc;
-  Fmt.pr "  wrote BENCH_parallel.json@.";
-  if List.exists (fun (_, _, d) -> not d) rows then
-    failwith "parallel runs diverged from the sequential report"
-
-(* ------------------------------------------------------------------ *)
-(* Hot path: the inter-kernel cache A/B harness.                       *)
-
-(* jobs=1 walls recorded in BENCH_parallel.json by the PR that added the
-   parallel harness — the fixed baseline this and future perf PRs
-   measure against (host-dependent; same single-core class of machine). *)
-let seed_walls =
-  [ ("c432", 0.0236); ("c499", 3.8724); ("c880", 0.0393);
-    ("c1355", 6.7144); ("c1908", 0.1969); ("c2670", 0.3463);
-    ("c3540", 0.2768); ("c5315", 0.0409); ("c6288", 8.5582);
-    ("c7552", 0.0633) ]
-
-let hotpath_only : string list ref = ref []
-let hotpath_assert = ref false
-
-(* A/B of the scale-covariant inter-kernel cache at jobs=1: wall clock
-   cached vs uncached, cache traffic (from the health counters), one
-   cold-vs-warm kernel timing, the worst per-path statistic divergence,
-   and the speedup against the recorded seed walls.  Written to
-   BENCH_hotpath.json as the perf trajectory artifact. *)
-let hotpath () =
-  section "Hot path: scale-covariant inter-kernel cache A/B (jobs=1)";
-  let max_paths = 2000 in
-  let specs =
-    match !hotpath_only with
-    | [] -> Iscas85.all
-    | names -> List.filter_map Iscas85.by_name names
-  in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  Fmt.pr "  %-7s %11s %11s %8s %8s %9s %11s@." "name" "uncached(s)"
-    "cached(s)" "speedup" "hitrate" "vs-seed" "maxreldiff";
-  let rows =
-    List.map
-      (fun (spec : Iscas85.spec) ->
-        let name = spec.Iscas85.name in
-        let circuit, placement = Iscas85.build_placed spec in
-        let config =
-          Config.with_confidence Config.default
-            spec.Iscas85.paper.Iscas85.confidence
-        in
-        let config = { config with Config.max_paths } in
-        let timed_run cfg =
-          let t0 = Unix.gettimeofday () in
-          let m = Methodology.run ~config:cfg ~placement circuit in
-          (m, Unix.gettimeofday () -. t0)
-        in
-        let m_off, wall_off =
-          timed_run { config with Config.inter_cache = false }
-        in
-        let m_on, wall_on =
-          timed_run { config with Config.inter_cache = true }
-        in
-        (* Per-path statistics must agree within 1e-9 relative.  Paths
-           are matched by det_rank (set by the cache-independent
-           enumeration): confidence ties may order ranked arrays
-           differently under 1e-12-level perturbations. *)
-        let by_det = Hashtbl.create 256 in
-        Array.iter
-          (fun (r : Ranking.ranked) ->
-            Hashtbl.replace by_det r.Ranking.det_rank r.Ranking.analysis)
-          m_off.Methodology.ranked;
-        let max_rel = ref 0.0 in
-        let rel a b =
-          Float.abs (a -. b)
-          /. Float.max 1e-300 (Float.max (Float.abs a) (Float.abs b))
-        in
-        Array.iter
-          (fun (r : Ranking.ranked) ->
-            match Hashtbl.find_opt by_det r.Ranking.det_rank with
-            | None -> fail "%s: ranked path sets differ across A/B" name
-            | Some off ->
-                let on = r.Ranking.analysis in
-                List.iter
-                  (fun (a, b) -> max_rel := Float.max !max_rel (rel a b))
-                  [ (on.Path_analysis.mean, off.Path_analysis.mean);
-                    (on.Path_analysis.std, off.Path_analysis.std);
-                    (on.Path_analysis.confidence_point,
-                     off.Path_analysis.confidence_point) ])
-          m_on.Methodology.ranked;
-        let counter n =
-          Ssta_runtime.Health.counter m_on.Methodology.health n
-        in
-        let lookups = counter "inter-cache-lookups" in
-        let distinct = counter "inter-cache-distinct" in
-        let hits = counter "inter-cache-hits" in
-        let hit_rate =
-          if lookups > 0 then float_of_int hits /. float_of_int lookups
-          else 0.0
-        in
-        (* One cold (uncached) vs warm (cache hit) kernel call on the
-           critical path's coefficients. *)
-        let sta = m_on.Methodology.sta in
-        let tables = Inter.tables config in
-        let coeffs =
-          Ssta_correlation.Path_coeffs.of_path sta.Sta.graph placement
-            (Config.layers_for config placement)
-            sta.Sta.critical_path
-        in
-        let time_us f =
-          let t0 = Unix.gettimeofday () in
-          ignore (f ());
-          (Unix.gettimeofday () -. t0) *. 1e6
-        in
-        let cold_us = time_us (fun () -> Inter.of_coeffs tables coeffs) in
-        let cache = Inter.cache_create tables in
-        ignore (Inter.of_coeffs ~cache tables coeffs);
-        let warm_us = time_us (fun () -> Inter.of_coeffs ~cache tables coeffs) in
-        let speedup = if wall_on > 0.0 then wall_off /. wall_on else 1.0 in
-        let seed = List.assoc_opt name seed_walls in
-        let vs_seed =
-          match seed with
-          | Some s when wall_on > 0.0 -> s /. wall_on
-          | _ -> 1.0
-        in
-        if !max_rel > 1e-9 then
-          fail "%s: cached statistics diverge by %.3g relative (tol 1e-9)"
-            name !max_rel;
-        if !hotpath_assert then begin
-          if lookups > 0 && hits = 0 then
-            fail "%s: cache hit rate is zero" name;
-          if wall_on > wall_off *. 1.05 then
-            fail "%s: cached run slower than uncached (%.3fs vs %.3fs)" name
-              wall_on wall_off
-        end;
-        Fmt.pr "  %-7s %11.3f %11.3f %7.2fx %7.1f%% %8.2fx %11.2e@." name
-          wall_off wall_on speedup (hit_rate *. 100.0) vs_seed !max_rel;
-        (name, wall_off, wall_on, speedup, seed, vs_seed, lookups, distinct,
-         hits, hit_rate, cold_us, warm_us, !max_rel))
-      specs
-  in
-  let oc = open_out "BENCH_hotpath.json" in
-  let out fmt = Printf.ksprintf (output_string oc) fmt in
-  out "{\"host_cores\":%d,\"max_paths\":%d,\"benchmarks\":[\n"
-    (Pool.default_jobs ()) max_paths;
-  List.iteri
-    (fun i
-         (name, wall_off, wall_on, speedup, seed, vs_seed, lookups, distinct,
-          hits, hit_rate, cold_us, warm_us, max_rel) ->
-      out
-        "  {\"name\":\"%s\",\"wall_uncached_s\":%.4f,\"wall_cached_s\":%.4f,\
-         \"speedup\":%.3f,%s\"speedup_vs_seed\":%.3f,\
-         \"cache\":{\"lookups\":%d,\"distinct\":%d,\"hits\":%d,\
-         \"hit_rate\":%.4f},\"kernel_cold_us\":%.1f,\"kernel_warm_us\":%.1f,\
-         \"max_rel_diff\":%.3e}%s\n"
-        name wall_off wall_on speedup
-        (match seed with
-        | Some s -> Printf.sprintf "\"seed_wall_s\":%.4f," s
-        | None -> "")
-        vs_seed lookups distinct hits hit_rate cold_us warm_us max_rel
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "]}\n";
-  close_out oc;
-  Fmt.pr "  wrote BENCH_hotpath.json@.";
-  match !failures with
-  | [] -> ()
-  | fs ->
-      List.iter (fun f -> Fmt.epr "  FAIL: %s@." f) fs;
-      failwith "hotpath assertions failed"
+(* Shared flags of the A/B sections below: [--only=c432,c499] restricts
+   the circuits, [--assert] turns their relative invariants into hard
+   failures. *)
+let only : string list ref = ref []
+let assert_ = ref false
 
 (* ------------------------------------------------------------------ *)
 (* Screening: the affine path-screener A/B harness.                    *)
@@ -692,7 +456,7 @@ let screening () =
   let module Paths = Ssta_timing.Paths in
   let max_paths = 2000 in
   let specs =
-    match !hotpath_only with
+    match !only with
     | [] -> Iscas85.all
     | names -> List.filter_map Iscas85.by_name names
   in
@@ -744,7 +508,7 @@ let screening () =
         in
         if not equal then
           fail "%s: pruned enumeration diverges from the unpruned one" name;
-        if !hotpath_assert && fraction <= 0.0 then
+        if !assert_ && fraction <= 0.0 then
           fail "%s: screener pruned nothing (fraction %.4f)" name fraction;
         Fmt.pr "  %-7s %7d %7d %8.1f%% %12.3f %11.3f %6d %5s@." name
           sc.Affine.nodes_visited sc.Affine.nodes_pruned (fraction *. 100.0)
@@ -795,7 +559,7 @@ let incremental () =
   let module Netlist = Ssta_circuit.Netlist in
   let max_paths = 2000 in
   let specs =
-    match !hotpath_only with
+    match !only with
     | [] -> Iscas85.all
     | names -> List.filter_map Iscas85.by_name names
   in
@@ -888,7 +652,7 @@ let incremental () =
         if not identical then
           fail "%s: incremental report diverges from the from-scratch run"
             name;
-        if !hotpath_assert && incr_s >= full_s then
+        if !assert_ && incr_s >= full_s then
           fail "%s: incremental (%.4fs) not faster than full rerun (%.4fs)"
             name incr_s full_s;
         Fmt.pr "  %-7s %8.3f %8.3f %8.3f %7.2fx %6d %7d %7d %6s@." name
@@ -941,7 +705,7 @@ let blockcross () =
   let module Block_engine = Ssta_block.Engine in
   let max_paths = 2000 in
   let specs =
-    match !hotpath_only with
+    match !only with
     | [] -> Iscas85.all
     | names -> List.filter_map Iscas85.by_name names
   in
@@ -982,7 +746,7 @@ let blockcross () =
            (the circuit max dominates every path), so the one-sided
            check is a soundness gate, the relative ones a quality
            gate. *)
-        if !hotpath_assert then begin
+        if !assert_ then begin
           if r.Block_engine.mean < path_mean *. 0.98 then
             fail "%s: block mean %.4g below path mean %.4g" name
               r.Block_engine.mean path_mean;
@@ -1003,7 +767,7 @@ let blockcross () =
          r.Block_engine.confidence_point, wins))
       specs
   in
-  if !hotpath_assert
+  if !assert_
      && not (List.exists (fun (_, _, _, _, _, _, _, _, _, _, _, w) -> w) rows)
   then fail "no benchmark where the block engine beats the path engine";
   let oc = open_out "BENCH_blockcross.json" in
@@ -1064,8 +828,8 @@ let dim_counter_names =
   [ "inter-cache-lookups"; "inter-cache-hits"; "inter-cache-distinct";
     "arena-buffers-created"; "arena-bytes-reused"; "arena-peak-bytes" ]
 
-(* Cached jobs=1 walls recorded in BENCH_hotpath.json by the PR that
-   added the inter-kernel cache — the fixed baseline the strict floors
+(* Cached jobs=1 walls measured on a single-core host when the
+   inter-kernel cache landed — the fixed baseline the strict floors
    regress against.  SSTA_DIM_STRICT=1 turns the >= 1.5x floors into
    hard failures; without it the speedups are recorded but not asserted
    (CI walls are machine-dependent). *)
@@ -1173,7 +937,7 @@ let dim () =
        (Pool.default_jobs ()) dim_repeats (if strict then "on" else "off"));
   let max_paths = 2000 in
   let specs =
-    match !hotpath_only with
+    match !only with
     | [] -> Iscas85.all
     | names -> List.filter_map Iscas85.by_name names
   in
@@ -1281,7 +1045,7 @@ let dim () =
              " (path-count axis saturated; paths exponent skipped)"
            else Printf.sprintf ", wall ~ paths^%.2f" paths_exp);
         (* --- relative invariants (always checked with --assert) --- *)
-        if !hotpath_assert then begin
+        if !assert_ then begin
           (* cache on must not lose to cache off at the same settings *)
           List.iter
             (fun q ->
@@ -1358,7 +1122,7 @@ let dim () =
               let speedup = seed /. c.c_wall in
               Fmt.pr "  %-7s vs seed cached wall %.4fs: %.2fx@." name seed
                 speedup;
-              if strict && !hotpath_assert && speedup < dim_strict_floor then
+              if strict && !assert_ && speedup < dim_strict_floor then
                 fail
                   "%s: jobs=1 cached wall %.4fs only %.2fx over the seed \
                    %.4fs (floor %.1fx)"
@@ -1511,8 +1275,7 @@ let artifacts =
     ("mc-validation", mc_validation); ("block-based", block_based);
     ("shapes", shapes); ("wires", wires);
     ("yield-criticality", yield_criticality); ("dual-vt", dual_vt);
-    ("pipeline", pipeline); ("parallel", parallel); ("hotpath", hotpath);
-    ("screening", screening); ("incremental", incremental);
+    ("pipeline", pipeline); ("screening", screening); ("incremental", incremental);
     ("blockcross", blockcross); ("dim", dim) ]
 
 let () =
@@ -1521,10 +1284,10 @@ let () =
   List.iter
     (fun a ->
       if String.length a > 7 && String.sub a 0 7 = "--only=" then
-        hotpath_only :=
+        only :=
           String.split_on_char ','
             (String.sub a 7 (String.length a - 7))
-      else if a = "--assert" then hotpath_assert := true)
+      else if a = "--assert" then assert_ := true)
     args;
   let wanted =
     List.filter

@@ -117,12 +117,24 @@ let def_opt =
   Arg.(value & opt (some file) None & info [ "def" ] ~docv:"FILE"
          ~doc:"Read gate (x,y) coordinates from a DEF file.")
 
+(* An integer flag with a lower bound, checked while parsing so an
+   out-of-range count is a usage error (exit 2), not an analysis
+   failure. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok v when v < lo ->
+        Error (`Msg (Printf.sprintf "must be at least %d, got %d" lo v))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let quality_intra_opt =
-  Arg.(value & opt int 100 & info [ "quality-intra" ] ~docv:"N"
+  Arg.(value & opt (int_at_least 2) 100 & info [ "quality-intra" ] ~docv:"N"
          ~doc:"Intra-PDF discretization (paper: 100).")
 
 let quality_inter_opt =
-  Arg.(value & opt int 50 & info [ "quality-inter" ] ~docv:"N"
+  Arg.(value & opt (int_at_least 2) 50 & info [ "quality-inter" ] ~docv:"N"
          ~doc:"Inter-PDF discretization (paper: 50).")
 
 let confidence_opt =
@@ -135,7 +147,7 @@ let corner_k_opt =
            ~doc:"Worst-case corner multiplier (sigmas).")
 
 let max_paths_opt =
-  Arg.(value & opt int 20_000 & info [ "max-paths" ] ~docv:"N"
+  Arg.(value & opt (int_at_least 1) 20_000 & info [ "max-paths" ] ~docv:"N"
          ~doc:"Safety cap on near-critical path enumeration.")
 
 let inter_fraction_opt =
@@ -1162,7 +1174,7 @@ let mc_cmd =
     0
   in
   let samples =
-    Arg.(value & opt int 20_000 & info [ "n" ] ~docv:"N"
+    Arg.(value & opt (int_at_least 2) 20_000 & info [ "n" ] ~docv:"N"
            ~doc:"Number of Monte-Carlo samples.")
   in
   Cmd.v (Cmd.info "mc" ~doc:"Validate the analytic path PDF against exact \
@@ -1197,7 +1209,7 @@ let block_cmd =
     0
   in
   let samples =
-    Arg.(value & opt int 2_000 & info [ "n" ] ~docv:"N"
+    Arg.(value & opt (int_at_least 2) 2_000 & info [ "n" ] ~docv:"N"
            ~doc:"Number of Monte-Carlo dies.")
   in
   Cmd.v (Cmd.info "block" ~doc:"Block-based SSTA baseline vs Monte-Carlo.")
@@ -1415,7 +1427,7 @@ let figures_cmd =
            ~doc:"Output directory.")
   in
   let mp =
-    Arg.(value & opt int 2_000 & info [ "max-paths" ] ~docv:"N"
+    Arg.(value & opt (int_at_least 1) 2_000 & info [ "max-paths" ] ~docv:"N"
            ~doc:"Near-critical enumeration cap.")
   in
   Cmd.v (Cmd.info "figures" ~doc:"Emit CSV data behind Figs. 3-6.")

@@ -264,18 +264,6 @@ let validate_dual ~alpha_low ~alpha_high ~beta_low ~beta_high =
   if alpha_low +. alpha_high <= 0.0 || beta_low +. beta_high <= 0.0 then
     invalid_arg "Inter.pdf_dual: need positive NMOS and PMOS coefficients"
 
-(* The quantized direction key of a call — the identity under which the
-   cache memoizes kernels.  Exposed so the scheduler's cost model can
-   predict hit/miss deterministically (by simulating a shared seen-set
-   over paths in index order) without consulting any shard's
-   scheduling-dependent state. *)
-let direction_key ~alpha_low ~alpha_high ~beta_low ~beta_high =
-  let s = alpha_low +. alpha_high +. beta_low +. beta_high in
-  ( Int64.bits_of_float (quantize40 (alpha_low /. s)),
-    Int64.bits_of_float (quantize40 (alpha_high /. s)),
-    Int64.bits_of_float (quantize40 (beta_low /. s)),
-    Int64.bits_of_float (quantize40 (beta_high /. s)) )
-
 (* NOTE: kernel builds (cache misses) deliberately do NOT use the
    caller's arena: which calls miss depends on shard layout, so arena
    borrow accounting would become scheduling-dependent and the derived

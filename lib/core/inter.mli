@@ -78,19 +78,6 @@ val caches_stats : caches -> cache_stats
 (** Aggregated statistics: lookups/builds summed, distinct as the union
     of the per-shard direction sets. *)
 
-val direction_key :
-  alpha_low:float ->
-  alpha_high:float ->
-  beta_low:float ->
-  beta_high:float ->
-  int64 * int64 * int64 * int64
-(** The quantized normalized direction of a coefficient quadruple — the
-    exact identity under which the cache memoizes kernels.  A pure
-    function of the coefficients, exposed so the parallel scheduler's
-    cost model can predict cache hits deterministically (simulating a
-    shared seen-set over paths in index order) without reading any
-    shard's scheduling-dependent state. *)
-
 val pdf :
   ?cache:cache ->
   ?arena:Ssta_prob.Arena.t ->

@@ -134,11 +134,12 @@ let run_tracked ~config ~tracker ?placement ?wire ?wire_caps ?pool ?screen
            detail =
              Printf.sprintf "budget capped enumeration at %d paths" max_paths });
   (* Step 5: statistical analysis of each, then confidence ranking.
-     The paths fan out across the pool one per chunk; each gets a
-     private health ledger, merged back in path order, so the ledger —
-     like every analysis — is identical to a sequential run's.  The
-     deadline is polled per chunk: a late breach keeps the contiguous
-     analyzed prefix, exactly as the historical sequential loop did. *)
+     Each path is analyzed on its own (Eqs. 13-14), so the paths fan out
+     one per claim over the pool — a jobs=1 pool running inline when
+     none is given.  Each path gets a private health ledger, merged back
+     in path order, so the ledger — like every analysis — is identical
+     at any worker count.  The deadline is polled before each path: a
+     late breach keeps the contiguous analyzed prefix. *)
   let paths_arr = Array.of_list enumeration.Paths.paths in
   let ledgers = Array.map (fun _ -> Health.create ()) paths_arr in
   let det_nodes = det_critical.Path_analysis.path.Paths.nodes in
@@ -170,72 +171,14 @@ let run_tracked ~config ~tracker ?placement ?wire ?wire_caps ?pool ?screen
       | Some pa -> pa
       | None -> Path_analysis.analyze ~health:ledgers.(i) ctx p
   in
-  (* Per-path cost estimate for the weighted fan-out.  The dominant
-     terms: the O(Q_intra^2) convolution every path pays, the per-gate
-     coefficient accumulation, and — only when the path's quantized
-     inter direction has not appeared before — the O(Q_inter^3) kernel
-     build.  The hit/miss prediction simulates one shared seen-set over
-     paths in index order (via Inter.direction_key, a pure function of
-     the coefficients), so the weights are a pure function of the input
-     path list: identical for every --jobs value, keeping the piece
-     layout — and trivially the results — deterministic. *)
-  let weights =
-    let qi = config.Config.quality_intra in
-    let qe = config.Config.quality_inter in
-    let conv = qi * qi and build = qe * qe * qe in
-    let g = sta.Sta.graph in
-    let seen = Hashtbl.create 64 in
-    Array.map
-      (fun p ->
-        if p.Paths.nodes = det_nodes then 1
-        else begin
-          let asum = ref 0.0 and bsum = ref 0.0 and len = ref 0 in
-          Array.iter
-            (fun id ->
-              if not (Ssta_timing.Graph.is_input g id) then begin
-                let e = Ssta_timing.Graph.electrical_exn g id in
-                asum := !asum +. e.Ssta_tech.Gate.alpha;
-                bsum := !bsum +. e.Ssta_tech.Gate.beta;
-                incr len
-              end)
-            p.Paths.nodes;
-          let miss =
-            (not config.Config.inter_cache)
-            ||
-            let key =
-              Inter.direction_key ~alpha_low:!asum ~alpha_high:0.0
-                ~beta_low:!bsum ~beta_high:0.0
-            in
-            if Hashtbl.mem seen key then false
-            else begin
-              Hashtbl.add seen key ();
-              true
-            end
-          in
-          conv + (20 * !len) + (if miss then build else qe)
-        end)
-      paths_arr
-  in
   let prefix, stopped =
-    match pool with
-    | Some pool ->
-        Pool.map_prefix_weighted pool ~weights
-          ~should_stop:(fun () -> Rbudget.stopped tracker)
-          analyze_one
-          (Array.init (Array.length paths_arr) Fun.id)
-    | None ->
-        let out = ref [] and stopped = ref false in
-        (try
-           Array.iteri
-             (fun i _ ->
-               if Rbudget.stopped tracker then begin
-                 stopped := true;
-                 raise Exit
-               end;
-               out := analyze_one i :: !out)
-             paths_arr
-         with Exit -> ());
-        (Array.of_list (List.rev !out), !stopped)
+    let pool =
+      match pool with Some p -> p | None -> Pool.create ~jobs:1 ()
+    in
+    Pool.map_prefix pool ~chunk:1
+      ~should_stop:(fun () -> Rbudget.stopped tracker)
+      analyze_one
+      (Array.init (Array.length paths_arr) Fun.id)
   in
   Array.iteri (fun i _ -> Health.merge ~into:health ledgers.(i)) prefix;
   (* Record freshly analyzed paths (again on the caller's thread).  The

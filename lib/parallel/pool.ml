@@ -8,7 +8,6 @@
 
 type job = {
   chunks : int;
-  batch : int;  (* chunk indices claimed per fetch-and-add *)
   run_chunk : int -> unit;
   next : int Atomic.t;  (* next chunk index to claim *)
   pending : int Atomic.t;  (* chunks not yet finished *)
@@ -35,29 +34,24 @@ type t = {
 let default_jobs () = Domain.recommended_domain_count ()
 
 (* Claim and execute chunks until the region's counter is exhausted.
-   Called by workers and by the posting caller alike.  A claim takes
-   [job.batch] consecutive chunk indices with one fetch-and-add —
-   claims, and hence chunk execution starts, stay in increasing index
-   order regardless of the batch size. *)
+   Called by workers and by the posting caller alike.  Each
+   fetch-and-add claims one chunk index, so chunk execution starts in
+   increasing index order. *)
 let execute t job =
   let continue_ = ref true in
   while !continue_ do
-    let lo = Atomic.fetch_and_add job.next job.batch in
-    if lo >= job.chunks then continue_ := false
+    let i = Atomic.fetch_and_add job.next 1 in
+    if i >= job.chunks then continue_ := false
     else begin
-      let hi = Int.min job.chunks (lo + job.batch) - 1 in
-      for i = lo to hi do
-        try job.run_chunk i
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          Mutex.lock t.mutex;
-          (match t.failure with
-          | Some (j, _, _) when j <= i -> ()
-          | Some _ | None -> t.failure <- Some (i, e, bt));
-          Mutex.unlock t.mutex
-      done;
-      let finished = hi - lo + 1 in
-      if Atomic.fetch_and_add job.pending (-finished) = finished then begin
+      (try job.run_chunk i
+       with e ->
+         let bt = Printexc.get_raw_backtrace () in
+         Mutex.lock t.mutex;
+         (match t.failure with
+         | Some (j, _, _) when j <= i -> ()
+         | Some _ | None -> t.failure <- Some (i, e, bt));
+         Mutex.unlock t.mutex);
+      if Atomic.fetch_and_add job.pending (-1) = 1 then begin
         Mutex.lock t.mutex;
         Condition.broadcast t.done_cv;
         Mutex.unlock t.mutex
@@ -134,9 +128,8 @@ let with_pool ?jobs f =
   let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let run t ?(batch = 1) ~chunks f =
+let run t ~chunks f =
   if chunks < 0 then invalid_arg "Pool.run: chunks must be >= 0";
-  if batch < 1 then invalid_arg "Pool.run: batch must be >= 1";
   if chunks = 0 then ()
   else if t.jobs = 1 || chunks = 1 then
     for i = 0 to chunks - 1 do
@@ -144,7 +137,7 @@ let run t ?(batch = 1) ~chunks f =
     done
   else begin
     let job =
-      { chunks; batch; run_chunk = f; next = Atomic.make 0;
+      { chunks; run_chunk = f; next = Atomic.make 0;
         pending = Atomic.make chunks }
     in
     Mutex.lock t.mutex;
@@ -167,127 +160,26 @@ let run t ?(batch = 1) ~chunks f =
     | None -> ()
   end
 
-let default_chunk t n = Int.max 1 (n / (t.jobs * 8))
-
-let chunk_bounds ~chunk ~n ci =
-  let lo = ci * chunk in
-  (lo, Int.min n (lo + chunk) - 1)
-
-let map_array t ?chunk ?batch f a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    let chunk =
-      match chunk with Some c -> Int.max 1 c | None -> default_chunk t n
-    in
-    let out = Array.make n None in
-    let chunks = (n + chunk - 1) / chunk in
-    run t ?batch ~chunks (fun ci ->
-        let lo, hi = chunk_bounds ~chunk ~n ci in
-        for i = lo to hi do
-          out.(i) <- Some (f a.(i))
-        done);
-    Array.map (function Some v -> v | None -> assert false) out
-  end
-
-let map_reduce t ?chunk ~map ~combine ~init a =
-  let mapped = map_array t ?chunk map a in
-  Array.fold_left combine init mapped
-
 let map_prefix t ?chunk ~should_stop f a =
   let n = Array.length a in
-  if n = 0 then ([||], false)
-  else begin
-    let chunk =
-      match chunk with Some c -> Int.max 1 c | None -> default_chunk t n
-    in
-    let out = Array.make n None in
-    let stop_flag = Atomic.make false in
-    let chunks = (n + chunk - 1) / chunk in
-    run t ~chunks (fun ci ->
-        if Atomic.get stop_flag || should_stop () then
-          Atomic.set stop_flag true
-        else begin
-          let lo, hi = chunk_bounds ~chunk ~n ci in
-          for i = lo to hi do
-            out.(i) <- Some (f a.(i))
-          done
-        end);
-    if not (Atomic.get stop_flag) then
-      (Array.map (function Some v -> v | None -> assert false) out, false)
-    else begin
-      let k = ref 0 in
-      while !k < n && Option.is_some out.(!k) do
-        incr k
-      done;
-      ( Array.init !k (fun i ->
-            match out.(i) with Some v -> v | None -> assert false),
-        true )
-    end
-  end
-
-(* Contiguous weight-balanced piece boundaries: [starts] has
-   [pieces + 1] entries with [starts.(0) = 0] and [starts.(pieces) = n];
-   piece [ci] covers [starts.(ci) .. starts.(ci+1) - 1].  The cut after
-   item [i] happens when the accumulated weight crosses the next
-   [total/pieces] boundary, except that every remaining piece is
-   guaranteed at least one item.  Pieces beyond the last cut are empty
-   (start = n), which the executor skips. *)
-let weighted_starts ~weights ~pieces n =
-  let starts = Array.make (pieces + 1) n in
-  starts.(0) <- 0;
-  let total = Array.fold_left (fun acc w -> acc + Int.max 1 w) 0 weights in
-  let acc = ref 0 and piece = ref 1 in
-  for i = 0 to n - 1 do
-    acc := !acc + Int.max 1 weights.(i);
-    if !piece < pieces then begin
-      let boundary = !piece * total / pieces in
-      let remaining_items = n - (i + 1) in
-      let remaining_pieces = pieces - !piece in
-      if
-        remaining_items = remaining_pieces
-        || (!acc >= boundary && remaining_items >= remaining_pieces)
-      then begin
-        starts.(!piece) <- i + 1;
-        incr piece
-      end
-    end
+  let chunk =
+    match chunk with
+    | Some c -> Int.max 1 c
+    | None -> Int.max 1 (n / (t.jobs * 8))
+  in
+  let out = Array.make n None in
+  let stop_flag = Atomic.make false in
+  run t ~chunks:((n + chunk - 1) / chunk) (fun ci ->
+      if Atomic.get stop_flag || should_stop () then Atomic.set stop_flag true
+      else
+        for i = ci * chunk to Int.min n ((ci + 1) * chunk) - 1 do
+          out.(i) <- Some (f a.(i))
+        done);
+  (* Chunks are claimed in index order, so the completed slots form a
+     prefix up to the first chunk skipped after the stop; without a
+     stop every slot is filled. *)
+  let k = ref 0 in
+  while !k < n && Option.is_some out.(!k) do
+    incr k
   done;
-  starts
-
-let map_prefix_weighted t ?pieces ~weights ~should_stop f a =
-  let n = Array.length a in
-  if n = 0 then ([||], false)
-  else begin
-    if Array.length weights <> n then
-      invalid_arg "Pool.map_prefix_weighted: weights length mismatch";
-    let pieces =
-      match pieces with
-      | Some p -> Int.min n (Int.max 1 p)
-      | None -> Int.min n (Int.max 1 (t.jobs * 8))
-    in
-    let starts = weighted_starts ~weights ~pieces n in
-    let out = Array.make n None in
-    let stop_flag = Atomic.make false in
-    run t ~chunks:pieces (fun ci ->
-        (* Poll per item (not per piece): deadline granularity matches
-           the historical one-item-per-chunk fan-out. *)
-        let lo = starts.(ci) and hi = starts.(ci + 1) - 1 in
-        let i = ref lo in
-        while !i <= hi && not (Atomic.get stop_flag || should_stop ()) do
-          out.(!i) <- Some (f a.(!i));
-          incr i
-        done;
-        if !i <= hi then Atomic.set stop_flag true);
-    if not (Atomic.get stop_flag) then
-      (Array.map (function Some v -> v | None -> assert false) out, false)
-    else begin
-      let k = ref 0 in
-      while !k < n && Option.is_some out.(!k) do
-        incr k
-      done;
-      ( Array.init !k (fun i ->
-            match out.(i) with Some v -> v | None -> assert false),
-        true )
-    end
-  end
+  (Array.init !k (fun i -> Option.get out.(i)), Atomic.get stop_flag)

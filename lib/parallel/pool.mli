@@ -1,10 +1,10 @@
-(** Fixed-size [Domain]-backed worker pool with deterministic reduction.
+(** Fixed-size [Domain]-backed worker pool with one order-preserving
+    fan-out.
 
     The pool executes chunked work queues on OCaml 5 domains.  Its design
-    contract is {e scheduling independence}: every combinator commits its
-    results by {e input index}, and every reduction folds those slots in
-    a fixed left-to-right order, so the value a combinator returns is a
-    pure function of its inputs — never of the worker count, chunk
+    contract is {e scheduling independence}: {!map_prefix} commits its
+    results by {e input index}, so the value it returns is a pure
+    function of its inputs — never of the worker count, chunk
     interleaving or relative domain speed.  A run with [--jobs 1] and a
     run with [--jobs 8] therefore produce bit-identical results, which is
     what lets the {!Ssta_check} verifier certify parallel runs against
@@ -57,40 +57,14 @@ val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and guarantees
     {!shutdown} afterwards, whether [f] returns or raises. *)
 
-val run : t -> ?batch:int -> chunks:int -> (int -> unit) -> unit
+val run : t -> chunks:int -> (int -> unit) -> unit
 (** [run t ~chunks f] executes [f 0 .. f (chunks - 1)], each exactly
-    once, distributed over the pool through the shared chunk counter.
-    The caller participates and returns only once every chunk finished.
-    If any [f i] raises, the exception of the {e lowest} chunk index is
-    re-raised in the caller (after all chunks completed or were
-    abandoned), keeping failure reporting deterministic.
-
-    [batch] (default 1) is the streaming claim granularity: each
-    fetch-and-add claims that many consecutive chunk indices, trading
-    contention on the shared counter against load-balance slack.  It
-    cannot affect results — chunks still execute exactly once and
-    claims stay in increasing index order. *)
-
-val map_array : t -> ?chunk:int -> ?batch:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array t f a] is [Array.map f a], evaluated in parallel.
-    [chunk] (default: a size that yields roughly 8 chunks per worker)
-    sets how many consecutive elements one claimed chunk processes;
-    [batch] is the claim granularity (see {!run}).  Result slots are
-    committed by index: the output is identical for any worker count. *)
-
-val map_reduce :
-  t ->
-  ?chunk:int ->
-  map:('a -> 'b) ->
-  combine:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a array ->
-  'acc
-(** [map_reduce t ~map ~combine ~init a] maps every element in parallel,
-    then folds the per-element results {e sequentially in index order}:
-    [combine (... (combine init b0) ...) bn].  The reduction order is
-    therefore independent of scheduling even when [combine] is not
-    associative or commutative (e.g. floating-point accumulation). *)
+    once, distributed over the pool through the shared chunk counter:
+    each fetch-and-add claims one chunk index.  The caller participates
+    and returns only once every chunk finished.  If any [f i] raises,
+    the exception of the {e lowest} chunk index is re-raised in the
+    caller (after all chunks completed or were abandoned), keeping
+    failure reporting deterministic. *)
 
 val map_prefix :
   t ->
@@ -102,34 +76,11 @@ val map_prefix :
 (** [map_prefix t ~should_stop f a] maps [a] in parallel, polling
     [should_stop] once per claimed chunk, and returns
     [(prefix, stopped)]: the longest contiguous prefix of completed
-    results, and whether the stop predicate fired.  Because chunks are
-    claimed in increasing index order, nearly all completed work lands
-    in the prefix; with [jobs = 1] the prefix is exactly the items
-    processed before the predicate fired, matching the historical
-    sequential deadline semantics.  When [stopped] is [false] the prefix
-    is the full map. *)
-
-val map_prefix_weighted :
-  t ->
-  ?pieces:int ->
-  weights:int array ->
-  should_stop:(unit -> bool) ->
-  ('a -> 'b) ->
-  'a array ->
-  'b array * bool
-(** Cost-aware variant of {!map_prefix}: instead of fixed-size chunks,
-    the input is pre-partitioned into [pieces] (default [8 * jobs])
-    {e contiguous} pieces of approximately equal total weight
-    ([weights.(i)] estimates item [i]'s cost; non-positive weights count
-    as 1), and pieces are claimed in increasing index order.  One
-    expensive item no longer drags a whole fixed-size chunk's worth of
-    cheap neighbours into its worker's queue, which matters when per-item
-    cost varies by orders of magnitude (e.g. a cache-missing O(Q^3)
-    kernel build vs a cache-hitting O(Q) rescale).
-
-    [should_stop] is polled {e per item}, matching the historical
-    one-item-per-chunk deadline granularity.
-
-    Weights influence scheduling only: results are committed by input
-    index, so the returned array is bit-identical for any weights, piece
-    count or worker count. *)
+    results, and whether the stop predicate fired.  [chunk] (default: a
+    size that yields roughly 8 chunks per worker) sets how many
+    consecutive elements one claimed chunk processes.  Results are
+    committed by input index, so the output is identical for any worker
+    count.  Because chunks are claimed in increasing index order, nearly
+    all completed work lands in the prefix; with [jobs = 1] the prefix
+    is exactly the items processed before the predicate fired.  When
+    [stopped] is [false] the prefix is the full map. *)

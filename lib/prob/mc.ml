@@ -34,39 +34,20 @@ let run_sharded ?(bins = 100) ?pool ?should_stop ~n ~seed draw =
     let hi = Int.min n (lo + shard_size) - 1 in
     for i = lo to hi do
       samples.(i) <- draw rng
-    done;
-    si
+    done
   in
   (* Cancellation stops between shards, keeping a contiguous prefix;
-     shard 0 always completes so the summary has samples to stand on. *)
-  let completed, stopped =
-    match pool, should_stop with
-    | None, None ->
-        for si = 0 to shards - 1 do
-          ignore (fill si)
-        done;
-        (shards, false)
-    | None, Some stop ->
-        let si = ref 0 and stopped = ref false in
-        while !si < shards && not !stopped do
-          ignore (fill !si);
-          incr si;
-          if !si < shards && stop () then stopped := true
-        done;
-        (!si, !stopped)
-    | Some pool, None -> Pool.run pool ~chunks:shards (fun si -> ignore (fill si));
-        (shards, false)
-    | Some pool, Some stop ->
-        ignore (fill 0);
-        if shards = 1 then (1, false)
-        else
-          let prefix, stopped =
-            Pool.map_prefix pool ~chunk:1 ~should_stop:stop
-              (fun si -> fill si)
-              (Array.init (shards - 1) (fun i -> i + 1))
-          in
-          (1 + Array.length prefix, stopped)
+     shard 0 always completes so the summary has samples to stand on.
+     Without a pool the shards run inline on a jobs=1 pool, which polls
+     [should_stop] before each shard exactly like the parallel path. *)
+  let pool = match pool with Some p -> p | None -> Pool.create ~jobs:1 () in
+  let should_stop = Option.value should_stop ~default:(fun () -> false) in
+  fill 0;
+  let prefix, stopped =
+    Pool.map_prefix pool ~chunk:1 ~should_stop fill
+      (Array.init (shards - 1) (fun i -> i + 1))
   in
+  let completed = 1 + Array.length prefix in
   if completed = shards then of_samples ~bins samples
   else
     of_samples ~stopped ~bins

@@ -5,38 +5,41 @@ module Pool = Ssta_parallel.Pool
 
 (* ---------------- Pool primitives ---------------- *)
 
+let await ?(deadline_s = 5.0) msg cond =
+  let t0 = Unix.gettimeofday () in
+  while (not (cond ())) && Unix.gettimeofday () -. t0 < deadline_s do
+    Unix.sleepf 0.001
+  done;
+  check_true msg (cond ())
+
 let test_default_jobs_positive () =
   check_true "at least one" (Pool.default_jobs () >= 1)
 
 let test_create_rejects_zero () =
   check_raises_invalid "jobs 0" (fun () -> ignore (Pool.create ~jobs:0 ()))
 
-let test_map_array_matches_sequential () =
+let test_map_prefix_empty () =
+  Pool.with_pool ~jobs:2 (fun pool ->
+      let prefix, stopped =
+        Pool.map_prefix pool ~should_stop:(fun () -> false) succ [||]
+      in
+      check_int "empty" 0 (Array.length prefix);
+      check_true "not stopped" (not stopped))
+
+let test_map_prefix_matches_map_any_chunk () =
   Pool.with_pool ~jobs:4 (fun pool ->
       let a = Array.init 1_000 (fun i -> i) in
       let expected = Array.map (fun x -> x * x) a in
-      let got = Pool.map_array pool (fun x -> x * x) a in
-      check_true "squares" (got = expected);
-      (* small chunk forces many claim rounds *)
-      let got = Pool.map_array pool ~chunk:1 (fun x -> x * x) a in
-      check_true "chunk 1" (got = expected))
-
-let test_map_array_empty () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      check_int "empty" 0 (Array.length (Pool.map_array pool succ [||])))
-
-let test_map_reduce_index_order () =
-  (* String concatenation is non-commutative: any scheduling leak in the
-     reduction order changes the result. *)
-  let a = Array.init 257 string_of_int in
-  let expected = Array.fold_left ( ^ ) "" a in
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let got =
-        Pool.map_reduce pool ~chunk:3
-          ~map:(fun s -> s)
-          ~combine:( ^ ) ~init:"" a
-      in
-      check_true "index-order fold" (got = expected))
+      (* default chunk, one item per claim, and a chunk that leaves a
+         partial last chunk *)
+      List.iter
+        (fun chunk ->
+          check_true "squares"
+            (Pool.map_prefix pool ?chunk ~should_stop:(fun () -> false)
+               (fun x -> x * x)
+               a
+            = (expected, false)))
+        [ None; Some 1; Some 7 ])
 
 let test_run_counts_every_chunk_once () =
   Pool.with_pool ~jobs:4 (fun pool ->
@@ -46,10 +49,17 @@ let test_run_counts_every_chunk_once () =
           if n <> 1 then Alcotest.failf "chunk %d ran %d times" i n)
         hits)
 
+let test_run_rejects_negative_chunks () =
+  Pool.with_pool ~jobs:2 (fun pool ->
+      Pool.run pool ~chunks:0 (fun _ -> Alcotest.fail "chunk of an empty run");
+      check_raises_invalid "chunks -1" (fun () ->
+          Pool.run pool ~chunks:(-1) ignore))
+
 let test_exception_propagates () =
   Pool.with_pool ~jobs:4 (fun pool ->
       match
-        Pool.map_array pool ~chunk:1
+        Pool.map_prefix pool ~chunk:1
+          ~should_stop:(fun () -> false)
           (fun i -> if i = 17 then failwith "boom17" else i)
           (Array.init 64 (fun i -> i))
       with
@@ -61,7 +71,8 @@ let test_exception_lowest_index_wins () =
      no matter which worker hit its failure first. *)
   Pool.with_pool ~jobs:4 (fun pool ->
       match
-        Pool.map_array pool ~chunk:1
+        Pool.map_prefix pool ~chunk:1
+          ~should_stop:(fun () -> false)
           (fun i -> if i = 5 || i = 50 then failwith (string_of_int i) else i)
           (Array.init 64 (fun i -> i))
       with
@@ -100,7 +111,9 @@ let test_map_prefix_stop_returns_contiguous_prefix () =
 let test_jobs_one_is_inline () =
   let pool = Pool.create ~jobs:1 () in
   let a = Array.init 100 (fun i -> i) in
-  check_true "map" (Pool.map_array pool succ a = Array.map succ a);
+  check_true "map"
+    (Pool.map_prefix pool ~should_stop:(fun () -> false) succ a
+    = (Array.map succ a, false));
   let seen = ref 0 in
   let prefix, stopped =
     Pool.map_prefix pool ~chunk:1
@@ -115,117 +128,39 @@ let test_jobs_one_is_inline () =
   check_int "exact sequential prefix" 10 (Array.length prefix);
   ignore (Pool.shutdown pool)
 
-(* ---------------- Cost-aware scheduling ---------------- *)
-
-let test_map_prefix_weighted_matches_map () =
-  (* Weights influence scheduling only: any weight vector — uniform, one
-     spike six orders of magnitude up, monotone, or all non-positive —
-     must reproduce Array.map exactly. *)
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let n = 300 in
-      let a = Array.init n (fun i -> i) in
-      let expected = Array.map (fun x -> (x * 7) + 1) a in
-      List.iter
-        (fun weights ->
-          let got, stopped =
-            Pool.map_prefix_weighted pool ~weights
-              ~should_stop:(fun () -> false)
-              (fun x -> (x * 7) + 1)
-              a
-          in
-          check_true "not stopped" (not stopped);
-          check_true "weights cannot change results" (got = expected))
-        [ Array.make n 1;
-          Array.init n (fun i -> if i = n / 2 then 1_000_000 else 1);
-          Array.init n (fun i -> i);
-          Array.make n 0 ])
-
-let test_map_prefix_weighted_rejects_mismatch () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      check_raises_invalid "weights length mismatch" (fun () ->
-          ignore
-            (Pool.map_prefix_weighted pool ~weights:(Array.make 5 1)
-               ~should_stop:(fun () -> false)
-               succ
-               (Array.init 6 (fun i -> i)))))
-
-let test_map_prefix_weighted_jobs1_exact_prefix () =
-  (* jobs = 1 keeps the historical sequential deadline semantics: the
-     predicate is polled per item, so the prefix is exactly the items
-     processed before it fired — piece boundaries are invisible. *)
+let test_map_prefix_polls_once_per_chunk () =
+  (* The deadline granularity of a fan-out is its chunk: 10 items in
+     chunks of 4 poll 3 times, and one item per chunk polls per item. *)
   let pool = Pool.create ~jobs:1 () in
-  let seen = ref 0 in
-  let a = Array.init 100 (fun i -> i) in
-  let prefix, stopped =
-    Pool.map_prefix_weighted pool ~weights:(Array.make 100 5)
-      ~should_stop:(fun () -> !seen >= 10)
-      (fun x ->
-        incr seen;
-        x * 2)
-      a
+  let polls_for chunk =
+    let polls = ref 0 in
+    ignore
+      (Pool.map_prefix pool ~chunk
+         ~should_stop:(fun () -> incr polls; false)
+         Fun.id
+         (Array.init 10 Fun.id));
+    !polls
   in
-  check_true "stopped" stopped;
-  check_int "exact sequential prefix" 10 (Array.length prefix);
-  Array.iteri (fun i v -> check_int "prefix slot" (i * 2) v) prefix;
-  Pool.shutdown pool
+  check_int "chunk 4" 3 (polls_for 4);
+  check_int "chunk 1" 10 (polls_for 1)
 
-let test_map_prefix_weighted_stop_contiguous () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let n = 400 in
-      let consumed = Atomic.make 0 in
-      let a = Array.init n (fun i -> i) in
-      let weights = Array.init n (fun i -> 1 + (i mod 9)) in
-      let prefix, stopped =
-        Pool.map_prefix_weighted pool ~pieces:64 ~weights
-          ~should_stop:(fun () -> Atomic.get consumed >= 25)
-          (fun x ->
-            Atomic.incr consumed;
-            x * 3)
-          a
-      in
-      check_true "stopped" stopped;
-      check_true "proper prefix" (Array.length prefix < n);
-      Array.iteri
-        (fun i v ->
-          if v <> i * 3 then
-            Alcotest.failf "slot %d holds %d, not a contiguous prefix" i v)
-        prefix)
-
-(* ---------------- Batched claiming ---------------- *)
-
-let test_run_batched_counts_every_chunk_once () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      List.iter
-        (fun batch ->
-          let hits = Array.make 100 0 in
-          Pool.run pool ~batch ~chunks:100 (fun i -> hits.(i) <- hits.(i) + 1);
-          Array.iteri
-            (fun i n ->
-              if n <> 1 then
-                Alcotest.failf "batch %d: chunk %d ran %d times" batch i n)
-            hits)
-        [ 1; 2; 7; 101; 1000 ];
-      check_raises_invalid "batch 0" (fun () ->
-          Pool.run pool ~batch:0 ~chunks:4 ignore))
-
-let test_map_array_batched_matches () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let a = Array.init 500 (fun i -> i) in
-      let expected = Array.map (fun x -> x * x) a in
-      List.iter
-        (fun batch ->
-          check_true "batched map matches"
-            (Pool.map_array pool ~chunk:1 ~batch (fun x -> x * x) a = expected))
-        [ 1; 3; 64 ])
+let test_with_pool_shuts_down_on_raise () =
+  let leaked = ref None in
+  (match
+     Pool.with_pool ~jobs:2 (fun pool ->
+         leaked := Some pool;
+         await "worker parks" (fun () -> Pool.idle_workers pool = 1);
+         failwith "body")
+   with
+  | () -> Alcotest.fail "expected Failure"
+  | exception Failure _ -> ());
+  match !leaked with
+  | None -> Alcotest.fail "body never ran"
+  | Some pool ->
+      (* a joined worker has left its park session *)
+      check_int "workers joined" 0 (Pool.idle_workers pool)
 
 (* ---------------- Idle parking ---------------- *)
-
-let await ?(deadline_s = 5.0) msg cond =
-  let t0 = Unix.gettimeofday () in
-  while (not (cond ())) && Unix.gettimeofday () -. t0 < deadline_s do
-    Unix.sleepf 0.001
-  done;
-  check_true msg (cond ())
 
 let test_idle_counters_jobs1 () =
   let pool = Pool.create ~jobs:1 () in
@@ -292,6 +227,117 @@ let qcheck_random_circuit_reports_byte_identical =
         (report_with_jobs ~jobs:1 quick_config circuit)
         (report_with_jobs ~jobs:4 quick_config circuit))
 
+(* ---------------- Pool-less callers ---------------- *)
+
+(* Callers that take an optional pool run on a jobs=1 pool when none is
+   given; these tests pin that the pool-less call and an explicit jobs=1
+   pool give the same answer, stop included, and that a multi-domain
+   pool only ever changes where a stop lands. *)
+
+module Mc = Ssta_prob.Mc
+
+let bits a = Array.map Int64.bits_of_float a
+
+let summary_bits (s : Ssta_prob.Stats.summary) =
+  let open Ssta_prob.Stats in
+  (s.count, bits [| s.mean; s.variance; s.std; s.min; s.max; s.skewness |])
+
+let sharded_n = (6 * Mc.shard_size) + 100  (* 7 shards, the last partial *)
+
+let sharded ?pool ?should_stop () =
+  Mc.run_sharded ?pool ?should_stop ~n:sharded_n ~seed:11 (fun rng ->
+      Ssta_prob.Rng.gaussian rng ~mu:2.0 ~sigma:0.5)
+
+(* Fires on its [k]-th poll.  The driver polls before every shard after
+   shard 0, so a sequential run keeps exactly [k] shards.  Atomic, since
+   a multi-domain pool polls from several domains. *)
+let stop_after k =
+  let polls = Atomic.make 0 in
+  fun () -> Atomic.fetch_and_add polls 1 >= k - 1
+
+let check_same_sharded msg (a : Mc.result) (b : Mc.result) =
+  check_true (msg ^ ": samples bit-identical")
+    (bits a.Mc.samples = bits b.Mc.samples);
+  check_true (msg ^ ": summary bit-identical")
+    (summary_bits a.Mc.summary = summary_bits b.Mc.summary);
+  check_true (msg ^ ": same stopped flag") (a.Mc.stopped = b.Mc.stopped)
+
+let test_sharded_pool_independent () =
+  let bare = sharded () in
+  check_int "every draw kept" sharded_n (Array.length bare.Mc.samples);
+  check_true "not stopped" (not bare.Mc.stopped);
+  check_same_sharded "jobs 1" bare (sharded ~pool:(Pool.create ~jobs:1 ()) ());
+  Pool.with_pool ~jobs:4 (fun pool ->
+      check_same_sharded "jobs 4" bare (sharded ~pool ());
+      check_same_sharded "jobs 4, stop never fires" bare
+        (sharded ~pool ~should_stop:(fun () -> false) ()))
+
+let test_sharded_stop_same_prefix () =
+  let k = 3 in
+  let kept = k * Mc.shard_size in
+  let full = sharded () in
+  let bare = sharded ~should_stop:(stop_after k) () in
+  check_true "stopped" bare.Mc.stopped;
+  check_int "kept exactly k shards" kept (Array.length bare.Mc.samples);
+  check_true "kept samples are the full run's prefix"
+    (bits bare.Mc.samples = bits (Array.sub full.Mc.samples 0 kept));
+  check_same_sharded "jobs 1 stop" bare
+    (sharded ~pool:(Pool.create ~jobs:1 ()) ~should_stop:(stop_after k) ());
+  (* At jobs 4 the predicate races the other domains' claims, so the cut
+     may land elsewhere — but only on a shard boundary, and what is kept
+     is still the full run's bit-identical prefix. *)
+  Pool.with_pool ~jobs:4 (fun pool ->
+      let par = sharded ~pool ~should_stop:(stop_after k) () in
+      let m = Array.length par.Mc.samples in
+      let prefix = Array.sub full.Mc.samples 0 m in
+      check_true "stopped" par.Mc.stopped;
+      check_true "cut on a shard boundary, shard 0 kept"
+        (m >= Mc.shard_size && m mod Mc.shard_size = 0 && m < sharded_n);
+      check_true "samples are the full run's prefix"
+        (bits par.Mc.samples = bits prefix);
+      check_true "summary is the prefix's"
+        (summary_bits par.Mc.summary
+        = summary_bits (Ssta_prob.Stats.summarize prefix)))
+
+let c499 () =
+  match Iscas85.by_name "c499" with
+  | Some s -> Iscas85.build s
+  | None -> assert false
+
+let test_methodology_without_pool_is_jobs_one () =
+  let circuit = c499 () in
+  check_true "report"
+    (String.equal
+       (Report.json_report (Methodology.run ~config:quick_config circuit))
+       (report_with_jobs ~jobs:1 quick_config circuit))
+
+let test_cancelled_methodology_same_prefix () =
+  (* A cancel hook that fires on a fixed poll makes the cut
+     deterministic on one domain.  Firing three polls before the end of
+     a full run lands it in the per-path analysis (polled once per path,
+     last), so the run degrades without its last three paths — and the
+     pool-less run must cut at exactly the same path. *)
+  let circuit = c499 () in
+  let analyze ?pool fire_at =
+    let polls = ref 0 in
+    let cancelled () =
+      incr polls;
+      !polls > fire_at
+    in
+    match Methodology.analyze ~config:quick_config ~cancelled ?pool circuit with
+    | Ok m -> (m, !polls)
+    | Error e -> Alcotest.failf "run failed: %a" Ssta_runtime.Ssta_error.pp e
+  in
+  let full, total = analyze max_int in
+  let bare, _ = analyze (total - 3) in
+  check_true "cut run is degraded" (Methodology.is_degraded bare);
+  check_int "the last three paths are cut"
+    (Methodology.num_critical_paths full - 3)
+    (Methodology.num_critical_paths bare);
+  let jobs1, _ = analyze ~pool:(Pool.create ~jobs:1 ()) (total - 3) in
+  check_true "same degraded report"
+    (String.equal (Report.json_report bare) (Report.json_report jobs1))
+
 (* ---------------- Deadline degradation under parallelism ---------------- *)
 
 let test_deadline_degraded_parallel_prefix_is_exact () =
@@ -353,10 +399,11 @@ let suite =
   ( "parallel",
     [ case "default jobs positive" test_default_jobs_positive;
       case "create rejects jobs 0" test_create_rejects_zero;
-      case "map_array matches sequential" test_map_array_matches_sequential;
-      case "map_array empty" test_map_array_empty;
-      case "map_reduce folds in index order" test_map_reduce_index_order;
+      case "map_prefix empty" test_map_prefix_empty;
+      case "map_prefix matches Array.map at any chunk size"
+        test_map_prefix_matches_map_any_chunk;
       case "run executes every chunk once" test_run_counts_every_chunk_once;
+      case "run rejects negative chunks" test_run_rejects_negative_chunks;
       case "exceptions propagate" test_exception_propagates;
       case "lowest-index exception wins" test_exception_lowest_index_wins;
       case "map_prefix without stop is a full map"
@@ -365,17 +412,18 @@ let suite =
         test_map_prefix_stop_returns_contiguous_prefix;
       case "jobs 1 runs inline with sequential semantics"
         test_jobs_one_is_inline;
-      case "weighted map matches Array.map for any weights"
-        test_map_prefix_weighted_matches_map;
-      case "weighted map rejects length mismatch"
-        test_map_prefix_weighted_rejects_mismatch;
-      case "weighted map at jobs 1 keeps exact prefix semantics"
-        test_map_prefix_weighted_jobs1_exact_prefix;
-      case "weighted map stop returns contiguous prefix"
-        test_map_prefix_weighted_stop_contiguous;
-      case "batched run executes every chunk once"
-        test_run_batched_counts_every_chunk_once;
-      case "batched map_array matches" test_map_array_batched_matches;
+      case "map_prefix polls once per chunk"
+        test_map_prefix_polls_once_per_chunk;
+      case "with_pool shuts down when the body raises"
+        test_with_pool_shuts_down_on_raise;
+      case "run_sharded same samples without a pool and at any jobs"
+        test_sharded_pool_independent;
+      case "run_sharded stop keeps the same prefix without a pool"
+        test_sharded_stop_same_prefix;
+      case "methodology without a pool equals a one-job pool"
+        test_methodology_without_pool_is_jobs_one;
+      case "cancelled methodology cuts at the same path without a pool"
+        test_cancelled_methodology_same_prefix;
       case "jobs 1 pool has no parked workers" test_idle_counters_jobs1;
       case "workers park between regions" test_workers_park_between_regions;
       slow_case "ISCAS85 reports byte-identical at jobs 1 and 4"
