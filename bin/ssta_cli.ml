@@ -33,7 +33,7 @@ module Affine = Ssta_check.Affine
 module Impact = Ssta_check.Impact
 module Edit = Ssta_circuit.Edit
 module Rules_edit = Ssta_lint.Rules_edit
-module Json = Ssta_server.Json
+module Json = Ssta_runtime.Json
 module Err = Ssta_runtime.Ssta_error
 module Rbudget = Ssta_runtime.Budget
 module Fault = Ssta_runtime.Fault
@@ -52,6 +52,9 @@ module Sproto = Ssta_server.Protocol
      4  internal errors (bugs)                                        *)
 
 let ok_or_raise = function Ok v -> v | Error e -> Err.raise_error e
+
+(* Every JSON document goes through the one printer, one line each. *)
+let print_json v = Fmt.pr "%s@." (Json.to_string v)
 
 (* Every command body runs under this wrapper: typed errors (and stray
    exceptions, classified by [Err.of_exn]) are printed to stderr and
@@ -129,6 +132,24 @@ let int_at_least lo =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* A float flag confined to [lo, hi] (use [~hi:Float.infinity] for a
+   lower bound only); nan and infinities are rejected too. *)
+let float_in ~lo ~hi =
+  let range =
+    if hi = Float.infinity then Printf.sprintf "a finite number >= %g" lo
+    else Printf.sprintf "a number in [%g, %g]" lo hi
+  in
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok v when not (Float.is_finite v && lo <= v && v <= hi) ->
+        Error (`Msg (Printf.sprintf "must be %s, got %s" range s))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let non_negative = float_in ~lo:0.0 ~hi:Float.infinity
+let fraction = float_in ~lo:0.0 ~hi:1.0
+
 let quality_intra_opt =
   Arg.(value & opt (int_at_least 2) 100 & info [ "quality-intra" ] ~docv:"N"
          ~doc:"Intra-PDF discretization (paper: 100).")
@@ -138,11 +159,11 @@ let quality_inter_opt =
          ~doc:"Inter-PDF discretization (paper: 50).")
 
 let confidence_opt =
-  Arg.(value & opt float 0.05 & info [ "c"; "confidence" ] ~docv:"C"
+  Arg.(value & opt non_negative 0.05 & info [ "c"; "confidence" ] ~docv:"C"
          ~doc:"Confidence constant: analyze paths within C*sigma_C.")
 
 let corner_k_opt =
-  Arg.(value & opt float Ssta_tech.Corner.default_k
+  Arg.(value & opt non_negative Ssta_tech.Corner.default_k
        & info [ "corner-sigma" ] ~docv:"K"
            ~doc:"Worst-case corner multiplier (sigmas).")
 
@@ -151,7 +172,7 @@ let max_paths_opt =
          ~doc:"Safety cap on near-critical path enumeration.")
 
 let inter_fraction_opt =
-  Arg.(value & opt (some float) None & info [ "inter-fraction" ] ~docv:"F"
+  Arg.(value & opt (some fraction) None & info [ "inter-fraction" ] ~docv:"F"
          ~doc:"Give layer 0 (inter-die) this fraction of the variance; \
                the rest splits equally over the intra layers.")
 
@@ -249,7 +270,7 @@ let deadline_opt =
                  already-analyzed subset, marked degraded.")
 
 let max_cells_opt =
-  Arg.(value & opt (some int) None & info [ "max-cells" ] ~docv:"N"
+  Arg.(value & opt (some (int_at_least 2)) None & info [ "max-cells" ] ~docv:"N"
          ~doc:"Cap on PDF discretization cells; tighter QUALITY settings \
                are used (and reported) when the configured ones exceed \
                it.")
@@ -363,10 +384,11 @@ let lint_cmd =
       let shown = Lint.filter ~min_severity diags in
       (match format with
       | `Text -> Lint_reporter.text ~circuit_name Fmt.stdout shown
-      | `Json -> Lint_reporter.json ~circuit_name Fmt.stdout shown
+      | `Json -> print_json (Lint_reporter.json ~circuit_name shown)
       | `Sarif ->
-          Lint_reporter.sarif ~tool:"ssta-lint" ~rules:Lint.all_rules
-            ~circuit_name Fmt.stdout shown);
+          print_json
+            (Lint_reporter.sarif ~tool:"ssta-lint" ~rules:Lint.all_rules
+               ~circuit_name shown));
       if Lint.exit_code diags <> 0 then 1 else 0
     end
   in
@@ -475,10 +497,11 @@ let check_cmd =
             "certified: %d node label(s), %d path(s); %d PDF op(s) audited@."
             report.Checker.nodes_certified report.Checker.paths_certified
             report.Checker.ops_audited
-      | `Json -> Lint_reporter.json ~circuit_name Fmt.stdout shown
+      | `Json -> print_json (Lint_reporter.json ~circuit_name shown)
       | `Sarif ->
-          Lint_reporter.sarif ~tool:"ssta-check" ~rules:Checker.all_checks
-            ~circuit_name Fmt.stdout shown);
+          print_json
+            (Lint_reporter.sarif ~tool:"ssta-check" ~rules:Checker.all_checks
+               ~circuit_name shown));
       if Lint.exit_code report.Checker.diagnostics <> 0 then 1 else 0
     end
   in
@@ -742,22 +765,21 @@ let diff_cmd =
           .Path_analysis.confidence_point
       in
       if json then begin
-        let jint i = Json.Number (float_of_int i) in
         print_string
           (Json.to_string
              (Json.Obj
                 ([ ("circuit", Json.String circuit.Netlist.name);
                    ("edits", Json.String (Edit.describe edits));
-                   ("dirty_nodes", jint cone.Impact.dirty_count);
-                   ("cone_nodes", jint cone.Impact.cone_nodes);
+                   ("dirty_nodes", Json.int cone.Impact.dirty_count);
+                   ("cone_nodes", Json.int cone.Impact.cone_nodes);
                    ( "affected_endpoints",
                      Json.List (List.map (fun e -> Json.String e) endpoints)
                    );
                    ("full_invalidation", Json.Bool cone.Impact.full);
-                   ("invalidated", jint o.Impact.invalidated);
-                   ("reused", jint o.Impact.reused);
-                   ("reanalyzed", jint o.Impact.reanalyzed);
-                   ("paths", jint (Methodology.num_critical_paths m));
+                   ("invalidated", Json.int o.Impact.invalidated);
+                   ("reused", Json.int o.Impact.reused);
+                   ("reanalyzed", Json.int o.Impact.reanalyzed);
+                   ("paths", Json.int (Methodology.num_critical_paths m));
                    ("critical_delay_s", Json.Number critical_delay);
                    ("sigma_c_s", Json.Number m.Methodology.sigma_c);
                    ("confidence_point_s", Json.Number confidence_point);
@@ -934,10 +956,7 @@ let run_cmd =
                ("criticality report unavailable: " ^ msg))
       | Ok aff ->
           let crits = Affine.criticality aff sta in
-          if json then begin
-            print_string (Affine.criticality_json graph crits);
-            print_newline ()
-          end
+          if json then print_json (Affine.criticality_json graph crits)
           else begin
             Fmt.pr "%a" (Affine.pp_criticality ~top:20 graph) crits;
             if verbose then
@@ -1083,7 +1102,7 @@ let table3_cmd =
     0
   in
   let c =
-    Arg.(value & opt float 0.2 & info [ "c"; "confidence" ] ~docv:"C"
+    Arg.(value & opt non_negative 0.2 & info [ "c"; "confidence" ] ~docv:"C"
            ~doc:"Confidence constant for the path counts.")
   in
   Cmd.v (Cmd.info "table3" ~doc:"Regenerate the inter/intra split study.")
@@ -1268,12 +1287,12 @@ let yield_cmd =
     0
   in
   let samples =
-    Arg.(value & opt int 2_000 & info [ "n" ] ~docv:"N"
+    Arg.(value & opt (int_at_least 1) 2_000 & info [ "n" ] ~docv:"N"
            ~doc:"Monte-Carlo dies for the exact check.")
   in
   let target =
-    Arg.(value & opt float 0.99 & info [ "yield" ] ~docv:"Y"
-           ~doc:"Target timing yield in (0, 1).")
+    Arg.(value & opt fraction 0.99 & info [ "yield" ] ~docv:"Y"
+           ~doc:"Target timing yield in [0, 1].")
   in
   Cmd.v (Cmd.info "yield" ~doc:"Clock targets for a timing yield, vs the \
                                 worst-case corner.")
@@ -1303,7 +1322,7 @@ let dualvt_cmd =
     0
   in
   let headroom =
-    Arg.(value & opt float 0.05 & info [ "headroom" ] ~docv:"H"
+    Arg.(value & opt non_negative 0.05 & info [ "headroom" ] ~docv:"H"
            ~doc:"Allowed 3-sigma degradation fraction (default 0.05).")
   in
   Cmd.v (Cmd.info "dualvt" ~doc:"Dual-Vt leakage optimization under a \

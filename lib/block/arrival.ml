@@ -157,16 +157,6 @@ let tightness pa pb =
   done;
   Float.min 1.0 (Float.max 0.0 !acc)
 
-let blend_terms ~wa ~wb a b =
-  let terms = Hashtbl.create (Hashtbl.length a + Hashtbl.length b) in
-  Hashtbl.iter (fun key v -> Hashtbl.replace terms key (wa *. v)) a;
-  Hashtbl.iter
-    (fun key v ->
-      let prev = try Hashtbl.find terms key with Not_found -> 0.0 in
-      Hashtbl.replace terms key (prev +. (wb *. v)))
-    b;
-  terms
-
 let grid_max (config : Config.t) a b =
   let n = config.Config.quality_intra in
   let ta = total_pdf config a and tb = total_pdf config b in
@@ -175,7 +165,7 @@ let grid_max (config : Config.t) a b =
   let max_mean = mx.Pdf.m_mean and max_var = mx.Pdf.m_var in
   let phi = tightness ta tb in
   let terms =
-    blend_terms ~wa:phi ~wb:(1.0 -. phi) a.canon.Block_based.terms
+    Block_based.merge_terms ~wa:phi ~wb:(1.0 -. phi) a.canon.Block_based.terms
       b.canon.Block_based.terms
   in
   let blended = { Block_based.mean = max_mean; terms; indep = 0.0 } in

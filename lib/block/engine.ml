@@ -120,64 +120,48 @@ let analyze ?(config = Config.default) ?placement ?sta circuit =
    byte-identical — the block-mode [--jobs] determinism tests diff this
    artifact. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Ssta_runtime.Json
 
-let jfloat v = Printf.sprintf "%.17g" v
+let quantile_fields pdf =
+  [ ("q001_s", Json.Number (Pdf.quantile pdf 0.001));
+    ("median_s", Json.Number (Pdf.quantile pdf 0.5));
+    ("q999_s", Json.Number (Pdf.quantile pdf 0.999)) ]
 
-let json_of_pdf (p : Pdf.t) =
-  Printf.sprintf "{\"lo\":%s,\"step\":%s,\"density\":[%s]}" (jfloat p.Pdf.lo)
-    (jfloat p.Pdf.step)
-    (String.concat "," (Array.to_list (Array.map jfloat p.Pdf.density)))
+let endpoint_json ep =
+  Json.Obj
+    ([ ("node", Json.int ep.node);
+       ("name", Json.String ep.name);
+       ("mean_s", Json.Number ep.mean);
+       ("std_s", Json.Number ep.std);
+       ("inter_sigma_s", Json.Number ep.inter_sigma);
+       ("intra_sigma_s", Json.Number ep.intra_sigma);
+       ("confidence_point_s", Json.Number ep.confidence_point) ]
+    @ quantile_fields ep.pdf)
 
-let json_of_endpoint ep =
-  Printf.sprintf
-    "{\"node\":%d,\"name\":\"%s\",\"mean_s\":%s,\"std_s\":%s,\"inter_sigma_s\":%s,\"intra_sigma_s\":%s,\"confidence_point_s\":%s,\"q001_s\":%s,\"median_s\":%s,\"q999_s\":%s}"
-    ep.node (json_escape ep.name) (jfloat ep.mean) (jfloat ep.std)
-    (jfloat ep.inter_sigma) (jfloat ep.intra_sigma)
-    (jfloat ep.confidence_point)
-    (jfloat (Pdf.quantile ep.pdf 0.001))
-    (jfloat (Pdf.quantile ep.pdf 0.5))
-    (jfloat (Pdf.quantile ep.pdf 0.999))
-
-let json_report t =
-  let buf = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+let json t =
   let cfg = t.config in
-  add "{\"circuit\":\"%s\"," (json_escape t.circuit_name);
-  add "\"engine\":\"block\",";
-  add "\"gates\":%d," t.num_gates;
-  add
-    "\"config\":{\"confidence_sigma\":%s,\"quality_intra\":%d,\"truncation\":%s,\"max_policy\":\"%s\"},"
-    (jfloat cfg.Config.confidence_sigma)
-    cfg.Config.quality_intra
-    (jfloat cfg.Config.truncation)
-    (Config.max_policy_name cfg.Config.block_max);
-  add "\"critical_delay_s\":%s," (jfloat t.sta.Sta.critical_delay);
-  add
-    "\"mean_s\":%s,\"std_s\":%s,\"inter_sigma_s\":%s,\"intra_sigma_s\":%s,\"confidence_point_s\":%s,"
-    (jfloat t.mean) (jfloat t.std) (jfloat t.inter_sigma)
-    (jfloat t.intra_sigma)
-    (jfloat t.confidence_point);
-  add "\"q001_s\":%s,\"median_s\":%s,\"q999_s\":%s,"
-    (jfloat (Pdf.quantile t.pdf 0.001))
-    (jfloat (Pdf.quantile t.pdf 0.5))
-    (jfloat (Pdf.quantile t.pdf 0.999));
-  add "\"endpoints\":[%s],"
-    (String.concat "," (List.map json_of_endpoint t.endpoints));
-  add "\"circuit_pdf\":%s}" (json_of_pdf t.pdf);
-  Buffer.contents buf
+  Json.Obj
+    ([ ("circuit", Json.String t.circuit_name);
+       ("engine", Json.String "block");
+       ("gates", Json.int t.num_gates);
+       ( "config",
+         Json.Obj
+           [ ("confidence_sigma", Json.Number cfg.Config.confidence_sigma);
+             ("quality_intra", Json.int cfg.Config.quality_intra);
+             ("truncation", Json.Number cfg.Config.truncation);
+             ( "max_policy",
+               Json.String (Config.max_policy_name cfg.Config.block_max) ) ] );
+       ("critical_delay_s", Json.Number t.sta.Sta.critical_delay);
+       ("mean_s", Json.Number t.mean);
+       ("std_s", Json.Number t.std);
+       ("inter_sigma_s", Json.Number t.inter_sigma);
+       ("intra_sigma_s", Json.Number t.intra_sigma);
+       ("confidence_point_s", Json.Number t.confidence_point) ]
+    @ quantile_fields t.pdf
+    @ [ ("endpoints", Json.List (List.map endpoint_json t.endpoints));
+        ("circuit_pdf", Ssta_core.Report.pdf_json t.pdf) ])
+
+let json_report t = Json.to_string (json t)
 
 let pp_summary fmt t =
   Format.fprintf fmt "circuit %s: %d gates, engine block (%s max)@."

@@ -56,14 +56,18 @@ val analyze :
     [circuit].  Raises [Invalid_argument] if the circuit has no
     outputs. *)
 
-val json_report : t -> string
+val json : t -> Ssta_runtime.Json.t
 (** Machine-readable report: engine name (["block"]), max policy,
     deterministic critical delay, circuit and per-endpoint statistics
     (mean/sigma/inter/intra/confidence point and 0.1%/50%/99.9%
-    quantiles) and the circuit-delay PDF.  Deterministic by
-    construction — round-trip floats, no wall-clock — so identical
-    results are byte-identical; the block-mode [--jobs] determinism
-    tests diff this artifact. *)
+    quantiles) and the circuit-delay PDF (encoded by
+    {!Ssta_core.Report.pdf_json}).  Deterministic by construction —
+    round-trip floats, no wall-clock — so identical results are
+    byte-identical; the block-mode [--jobs] determinism tests diff this
+    artifact. *)
+
+val json_report : t -> string
+(** [Json.to_string (json t)]: the report on one line. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** Human-readable run summary (engine, critical delay, circuit arrival

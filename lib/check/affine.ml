@@ -8,6 +8,7 @@ module Derivatives = Ssta_tech.Derivatives
 module Budget = Ssta_correlation.Budget
 module Config = Ssta_core.Config
 module Erf = Ssta_prob.Erf
+module Json = Ssta_runtime.Json
 
 type form = {
   center : float;
@@ -376,34 +377,19 @@ let pp_criticality ?(top = 20) (g : Graph.t) fmt crits =
           (Elmore.ps c.slack) (Elmore.ps c.sigma) c.z c.prob)
     crits
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let criticality_json (g : Graph.t) crits =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"criticality\": [";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    {\"node\": %d, \"name\": \"%s\", \"through_s\": %.17g, \
-            \"slack_s\": %.17g, \"sigma_s\": %.17g, \"z\": %.17g, \
-            \"prob_ub\": %.17g}"
-           c.node
-           (json_escape (Netlist.node_name g.Graph.circuit c.node))
-           c.through_center c.slack c.sigma c.z c.prob))
-    crits;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  Json.Obj
+    [ ( "criticality",
+        Json.List
+          (List.map
+             (fun c ->
+               Json.Obj
+                 [ ("node", Json.int c.node);
+                   ( "name",
+                     Json.String (Netlist.node_name g.Graph.circuit c.node) );
+                   ("through_s", Json.Number c.through_center);
+                   ("slack_s", Json.Number c.slack);
+                   ("sigma_s", Json.Number c.sigma);
+                   ("z", Json.Number c.z);
+                   ("prob_ub", Json.Number c.prob) ])
+             crits) ) ]

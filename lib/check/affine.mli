@@ -193,5 +193,7 @@ val pp_criticality :
   ?top:int -> Ssta_timing.Graph.t -> Format.formatter -> crit list -> unit
 (** Text report of the [top] (default 20) most critical gates. *)
 
-val criticality_json : Ssta_timing.Graph.t -> crit list -> string
-(** The full ranking as a JSON document (stable field order). *)
+val criticality_json :
+  Ssta_timing.Graph.t -> crit list -> Ssta_runtime.Json.t
+(** The full ranking as a JSON document (stable field order): one
+    [criticality] list of per-gate objects. *)

@@ -164,100 +164,93 @@ let rank_scatter_csv pairs =
    produce byte-identical JSON.  This is the artifact the parallel
    determinism tests diff across worker counts. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Ssta_runtime.Json
 
-let jfloat v = Printf.sprintf "%.17g" v
+let path_analysis_json (a : Path_analysis.t) =
+  Json.Obj
+    [ ( "nodes",
+        Json.List
+          (Array.to_list
+             (Array.map Json.int a.Path_analysis.path.Ssta_timing.Paths.nodes))
+      );
+      ("gate_count", Json.int a.Path_analysis.gate_count);
+      ("det_delay_s", Json.Number a.Path_analysis.det_delay);
+      ("mean_s", Json.Number a.Path_analysis.mean);
+      ("std_s", Json.Number a.Path_analysis.std);
+      ("intra_sigma_s", Json.Number a.Path_analysis.intra_sigma);
+      ("inter_sigma_s", Json.Number a.Path_analysis.inter_sigma);
+      ("confidence_point_s", Json.Number a.Path_analysis.confidence_point);
+      ("worst_case_s", Json.Number a.Path_analysis.worst_case) ]
 
-let json_of_path_analysis (a : Path_analysis.t) =
-  let nodes =
-    a.Path_analysis.path.Ssta_timing.Paths.nodes
-    |> Array.to_list |> List.map string_of_int |> String.concat ","
-  in
-  Printf.sprintf
-    "{\"nodes\":[%s],\"gate_count\":%d,\"det_delay_s\":%s,\"mean_s\":%s,\"std_s\":%s,\"intra_sigma_s\":%s,\"inter_sigma_s\":%s,\"confidence_point_s\":%s,\"worst_case_s\":%s}"
-    nodes a.Path_analysis.gate_count
-    (jfloat a.Path_analysis.det_delay)
-    (jfloat a.Path_analysis.mean)
-    (jfloat a.Path_analysis.std)
-    (jfloat a.Path_analysis.intra_sigma)
-    (jfloat a.Path_analysis.inter_sigma)
-    (jfloat a.Path_analysis.confidence_point)
-    (jfloat a.Path_analysis.worst_case)
+let pdf_json (p : Pdf.t) =
+  Json.Obj
+    [ ("lo", Json.Number p.Pdf.lo);
+      ("step", Json.Number p.Pdf.step);
+      ( "density",
+        Json.List
+          (Array.to_list (Array.map (fun d -> Json.Number d) p.Pdf.density)) )
+    ]
 
-let json_of_pdf (p : Pdf.t) =
-  Printf.sprintf "{\"lo\":%s,\"step\":%s,\"density\":[%s]}" (jfloat p.Pdf.lo)
-    (jfloat p.Pdf.step)
-    (String.concat ","
-       (Array.to_list (Array.map jfloat p.Pdf.density)))
-
-let json_report (m : Methodology.t) =
-  let buf = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+let json (m : Methodology.t) =
   let cfg = m.Methodology.config in
-  add "{\"circuit\":\"%s\"," (json_escape m.Methodology.circuit_name);
-  add "\"engine\":\"%s\"," (Config.engine_name cfg.Config.engine);
-  add "\"gates\":%d," m.Methodology.num_gates;
-  add
-    "\"config\":{\"confidence\":%s,\"quality_intra\":%d,\"quality_inter\":%d,\"confidence_sigma\":%s,\"corner_k\":%s,\"max_paths\":%d,\"inter_cache\":%b},"
-    (jfloat cfg.Config.confidence)
-    cfg.Config.quality_intra cfg.Config.quality_inter
-    (jfloat cfg.Config.confidence_sigma)
-    (jfloat cfg.Config.corner_k) cfg.Config.max_paths cfg.Config.inter_cache;
-  add "\"critical_delay_s\":%s,"
-    (jfloat m.Methodology.sta.Sta.critical_delay);
-  add "\"sigma_c_s\":%s," (jfloat m.Methodology.sigma_c);
-  add "\"slack_s\":%s," (jfloat m.Methodology.slack);
-  add "\"truncated\":%b," m.Methodology.truncated;
-  add "\"degradations\":[%s],"
-    (String.concat ","
-       (List.map
-          (fun d ->
-            Printf.sprintf "\"%s\""
-              (json_escape
-                 (Format.asprintf "%a" Ssta_runtime.Budget.pp_degradation d)))
-          (Methodology.degradations m)));
   let h = m.Methodology.health in
   let worst, worst_op = Ssta_runtime.Health.worst_defect h in
-  add
-    "\"health\":{\"count\":%d,\"renormalizations\":%d,\"worst_defect\":%s,\"worst_op\":\"%s\",\"counters\":{%s}},"
-    (Ssta_runtime.Health.count h)
-    (Ssta_runtime.Health.renormalizations h)
-    (jfloat worst) (json_escape worst_op)
-    (* counters are sorted by name, so this is deterministic; only
-       scheduling-independent counters are ever recorded (see
-       Methodology) *)
-    (String.concat ","
-       (List.map
-          (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v)
-          (Ssta_runtime.Health.counters h)));
-  add "\"det_critical\":%s,"
-    (json_of_path_analysis m.Methodology.det_critical);
-  add "\"prob_critical_pdf\":%s,"
-    (json_of_pdf
-       m.Methodology.prob_critical.Ranking.analysis.Path_analysis.total_pdf);
-  add "\"paths\":[%s]}"
-    (String.concat ","
-       (Array.to_list
-          (Array.map
-             (fun (r : Ranking.ranked) ->
-               Printf.sprintf
-                 "{\"prob_rank\":%d,\"det_rank\":%d,\"analysis\":%s}"
-                 r.Ranking.prob_rank r.Ranking.det_rank
-                 (json_of_path_analysis r.Ranking.analysis))
-             m.Methodology.ranked)));
-  Buffer.contents buf
+  Json.Obj
+    [ ("circuit", Json.String m.Methodology.circuit_name);
+      ("engine", Json.String (Config.engine_name cfg.Config.engine));
+      ("gates", Json.int m.Methodology.num_gates);
+      ( "config",
+        Json.Obj
+          [ ("confidence", Json.Number cfg.Config.confidence);
+            ("quality_intra", Json.int cfg.Config.quality_intra);
+            ("quality_inter", Json.int cfg.Config.quality_inter);
+            ("confidence_sigma", Json.Number cfg.Config.confidence_sigma);
+            ("corner_k", Json.Number cfg.Config.corner_k);
+            ("max_paths", Json.int cfg.Config.max_paths);
+            ("inter_cache", Json.Bool cfg.Config.inter_cache) ] );
+      ("critical_delay_s", Json.Number m.Methodology.sta.Sta.critical_delay);
+      ("sigma_c_s", Json.Number m.Methodology.sigma_c);
+      ("slack_s", Json.Number m.Methodology.slack);
+      ("truncated", Json.Bool m.Methodology.truncated);
+      ( "degradations",
+        Json.List
+          (List.map
+             (fun d ->
+               Json.String
+                 (Format.asprintf "%a" Ssta_runtime.Budget.pp_degradation d))
+             (Methodology.degradations m)) );
+      ( "health",
+        Json.Obj
+          [ ("count", Json.int (Ssta_runtime.Health.count h));
+            ( "renormalizations",
+              Json.int (Ssta_runtime.Health.renormalizations h) );
+            ("worst_defect", Json.Number worst);
+            ("worst_op", Json.String worst_op);
+            (* counters are sorted by name, so this is deterministic;
+               only scheduling-independent counters are ever recorded
+               (see Methodology) *)
+            ( "counters",
+              Json.Obj
+                (List.map
+                   (fun (k, v) -> (k, Json.int v))
+                   (Ssta_runtime.Health.counters h)) ) ] );
+      ("det_critical", path_analysis_json m.Methodology.det_critical);
+      ( "prob_critical_pdf",
+        pdf_json
+          m.Methodology.prob_critical.Ranking.analysis
+            .Path_analysis.total_pdf );
+      ( "paths",
+        Json.List
+          (Array.to_list
+             (Array.map
+                (fun (r : Ranking.ranked) ->
+                  Json.Obj
+                    [ ("prob_rank", Json.int r.Ranking.prob_rank);
+                      ("det_rank", Json.int r.Ranking.det_rank);
+                      ("analysis", path_analysis_json r.Ranking.analysis) ])
+                m.Methodology.ranked)) ) ]
+
+let json_report m = Json.to_string (json m)
 
 let pp_run_status fmt (t : Methodology.t) =
   Format.fprintf fmt "engine: %s@."

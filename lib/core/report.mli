@@ -68,7 +68,7 @@ val pp_run_status : Format.formatter -> Methodology.t -> unit
     distinguishable (block runs print their own summary through
     [Ssta_block.Engine], which names the engine the same way). *)
 
-val json_report : Methodology.t -> string
+val json : Methodology.t -> Ssta_runtime.Json.t
 (** Machine-readable report of a full run: config, critical delay,
     sigma_C, degradations, health counters, the analysis of every
     ranked path and the probabilistic critical path's total PDF.
@@ -76,6 +76,14 @@ val json_report : Methodology.t -> string
     Deterministic by construction — floats are printed with round-trip
     precision and nothing host- or time-dependent (in particular no
     wall-clock) is included — so two runs that computed the same
-    results emit byte-identical strings.  The parallel determinism
+    results emit byte-identical documents.  The parallel determinism
     property tests diff this artifact between [--jobs 1] and
-    [--jobs N] runs. *)
+    [--jobs N] runs.  The server embeds the value in its [run]
+    responses as is. *)
+
+val json_report : Methodology.t -> string
+(** [Json.to_string (json m)]: the report on one line. *)
+
+val pdf_json : Ssta_prob.Pdf.t -> Ssta_runtime.Json.t
+(** A discretized PDF as [{"lo", "step", "density"}] — the encoding of
+    every PDF in the path and block reports. *)

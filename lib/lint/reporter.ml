@@ -17,62 +17,46 @@ let text ~circuit_name fmt ds =
       | None -> ())
     (order ds)
 
-(* Minimal JSON emission; strings are escaped per RFC 8259. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Ssta_runtime.Json
 
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%g" f
-  else Printf.sprintf "\"%g\"" f
-
-let location_json = function
-  | D.Circuit -> "{\"kind\":\"circuit\"}"
+let location_json loc =
+  let kind k fields = Json.Obj (("kind", Json.String k) :: fields) in
+  match loc with
+  | D.Circuit -> kind "circuit" []
   | D.Node { id; name } ->
-      Printf.sprintf "{\"kind\":\"node\",\"id\":%d,\"name\":\"%s\"}" id
-        (json_escape name)
+      kind "node" [ ("id", Json.int id); ("name", Json.String name) ]
   | D.Place { id; x; y } ->
-      Printf.sprintf "{\"kind\":\"place\",\"id\":%d,\"x\":%s,\"y\":%s}" id
-        (json_float x) (json_float y)
-  | D.Net n ->
-      Printf.sprintf "{\"kind\":\"net\",\"name\":\"%s\"}" (json_escape n)
-  | D.Config -> "{\"kind\":\"config\"}"
-  | D.Pdf n ->
-      Printf.sprintf "{\"kind\":\"pdf\",\"name\":\"%s\"}" (json_escape n)
+      kind "place"
+        [ ("id", Json.int id); ("x", Json.Number x); ("y", Json.Number y) ]
+  | D.Net n -> kind "net" [ ("name", Json.String n) ]
+  | D.Config -> kind "config" []
+  | D.Pdf n -> kind "pdf" [ ("name", Json.String n) ]
   | D.File { path; line; col } ->
-      Printf.sprintf "{\"kind\":\"file\",\"path\":\"%s\",\"line\":%d,\"col\":%d}"
-        (json_escape path) line col
+      kind "file"
+        [ ("path", Json.String path);
+          ("line", Json.int line);
+          ("col", Json.int col) ]
 
 let diagnostic_json (d : D.t) =
-  Printf.sprintf
-    "{\"rule\":\"%s\",\"severity\":\"%s\",\"location\":%s,\"message\":\"%s\",\"hint\":%s}"
-    (json_escape d.D.rule)
-    (D.severity_name d.D.severity)
-    (location_json d.D.location)
-    (json_escape d.D.message)
-    (match d.D.hint with
-    | Some h -> Printf.sprintf "\"%s\"" (json_escape h)
-    | None -> "null")
+  Json.Obj
+    [ ("rule", Json.String d.D.rule);
+      ("severity", Json.String (D.severity_name d.D.severity));
+      ("location", location_json d.D.location);
+      ("message", Json.String d.D.message);
+      ( "hint",
+        match d.D.hint with Some h -> Json.String h | None -> Json.Null ) ]
 
-let json ~circuit_name fmt ds =
+let json ~circuit_name ds =
   let s = Engine.summarize ds in
-  Format.fprintf fmt
-    "{\"circuit\":\"%s\",\"summary\":{\"errors\":%d,\"warnings\":%d,\"infos\":%d,\"total\":%d},\"diagnostics\":[%s]}@."
-    (json_escape circuit_name)
-    s.Engine.errors s.Engine.warnings s.Engine.infos (List.length ds)
-    (String.concat "," (List.map diagnostic_json (order ds)))
+  Json.Obj
+    [ ("circuit", Json.String circuit_name);
+      ( "summary",
+        Json.Obj
+          [ ("errors", Json.int s.Engine.errors);
+            ("warnings", Json.int s.Engine.warnings);
+            ("infos", Json.int s.Engine.infos);
+            ("total", Json.int (List.length ds)) ] );
+      ("diagnostics", Json.List (List.map diagnostic_json (order ds))) ]
 
 (* SARIF 2.1.0 (the subset GitHub code scanning ingests): one run, one
    driver, the rule catalogue, one result per diagnostic. *)
@@ -84,16 +68,23 @@ let sarif_level = function
 let sarif_location (loc : D.location) =
   match loc with
   | D.File { path; line; col } ->
-      Printf.sprintf
-        "{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"%s\"},\"region\":{\"startLine\":%d%s}}}"
-        (json_escape path)
-        (Int.max 1 line)
-        (if col > 0 then Printf.sprintf ",\"startColumn\":%d" col else "")
+      Json.Obj
+        [ ( "physicalLocation",
+            Json.Obj
+              [ ("artifactLocation", Json.Obj [ ("uri", Json.String path) ]);
+                ( "region",
+                  Json.Obj
+                    (("startLine", Json.int (Int.max 1 line))
+                    :: (if col > 0 then [ ("startColumn", Json.int col) ]
+                        else [])) ) ] ) ]
   | _ ->
-      let name = Format.asprintf "%a" D.pp_location loc in
-      Printf.sprintf
-        "{\"logicalLocations\":[{\"name\":\"%s\",\"kind\":\"object\"}]}"
-        (json_escape name)
+      Json.Obj
+        [ ( "logicalLocations",
+            Json.List
+              [ Json.Obj
+                  [ ( "name",
+                      Json.String (Format.asprintf "%a" D.pp_location loc) );
+                    ("kind", Json.String "object") ] ] ) ]
 
 let sarif_result rule_index (d : D.t) =
   let message =
@@ -101,34 +92,44 @@ let sarif_result rule_index (d : D.t) =
     | Some h -> d.D.message ^ " (hint: " ^ h ^ ")"
     | None -> d.D.message
   in
-  let index =
-    match rule_index d.D.rule with
-    | Some i -> Printf.sprintf ",\"ruleIndex\":%d" i
-    | None -> ""
-  in
-  Printf.sprintf
-    "{\"ruleId\":\"%s\"%s,\"level\":\"%s\",\"message\":{\"text\":\"%s\"},\"locations\":[%s]}"
-    (json_escape d.D.rule) index (sarif_level d.D.severity)
-    (json_escape message)
-    (sarif_location d.D.location)
+  Json.Obj
+    ((("ruleId", Json.String d.D.rule)
+     :: (match rule_index d.D.rule with
+        | Some i -> [ ("ruleIndex", Json.int i) ]
+        | None -> []))
+    @ [ ("level", Json.String (sarif_level d.D.severity));
+        ("message", Json.Obj [ ("text", Json.String message) ]);
+        ("locations", Json.List [ sarif_location d.D.location ]) ])
 
-let sarif ~tool ~rules ~circuit_name fmt ds =
+let sarif ~tool ~rules ~circuit_name ds =
   let rule_index =
     let tbl = Hashtbl.create (List.length rules) in
     List.iteri (fun i (id, _) -> Hashtbl.replace tbl id i) rules;
     fun id -> Hashtbl.find_opt tbl id
   in
   let rule_json (id, doc) =
-    Printf.sprintf
-      "{\"id\":\"%s\",\"shortDescription\":{\"text\":\"%s\"}}"
-      (json_escape id) (json_escape doc)
+    Json.Obj
+      [ ("id", Json.String id);
+        ("shortDescription", Json.Obj [ ("text", Json.String doc) ]) ]
   in
-  Format.fprintf fmt
-    "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\"name\":\"%s\",\"rules\":[%s]}},\"properties\":{\"circuit\":\"%s\"},\"results\":[%s]}]}@."
-    (json_escape tool)
-    (String.concat "," (List.map rule_json rules))
-    (json_escape circuit_name)
-    (String.concat "," (List.map (sarif_result rule_index) (order ds)))
+  Json.Obj
+    [ ("$schema", Json.String "https://json.schemastore.org/sarif-2.1.0.json");
+      ("version", Json.String "2.1.0");
+      ( "runs",
+        Json.List
+          [ Json.Obj
+              [ ( "tool",
+                  Json.Obj
+                    [ ( "driver",
+                        Json.Obj
+                          [ ("name", Json.String tool);
+                            ("rules", Json.List (List.map rule_json rules)) ] )
+                    ] );
+                ( "properties",
+                  Json.Obj [ ("circuit", Json.String circuit_name) ] );
+                ( "results",
+                  Json.List (List.map (sarif_result rule_index) (order ds)) ) ]
+          ] ) ]
 
 let rule_table fmt rules =
   let width =

@@ -17,8 +17,10 @@
     v}
 
     Node locations carry ["id"] and ["name"]; place locations ["id"],
-    ["x"], ["y"]; net/pdf locations ["name"]; file locations ["path"]
-    and ["line"]. *)
+    ["x"], ["y"]; net/pdf locations ["name"]; file locations ["path"],
+    ["line"] and ["col"].  The JSON and SARIF reporters return
+    {!Ssta_runtime.Json.t} values; callers print them with
+    [Json.to_string]. *)
 
 (** A third format, SARIF 2.1.0, serves CI upload (GitHub code
     scanning); it is shared by the lint and check subcommands, which
@@ -32,16 +34,14 @@
 val text :
   circuit_name:string -> Format.formatter -> Diagnostic.t list -> unit
 
-val json :
-  circuit_name:string -> Format.formatter -> Diagnostic.t list -> unit
+val json : circuit_name:string -> Diagnostic.t list -> Ssta_runtime.Json.t
 
 val sarif :
   tool:string ->
   rules:(string * string) list ->
   circuit_name:string ->
-  Format.formatter ->
   Diagnostic.t list ->
-  unit
+  Ssta_runtime.Json.t
 (** SARIF 2.1.0 document: one run with driver [tool], the given rule
     catalogue (ids + short descriptions; results reference it by
     index), and one result per diagnostic.  Severities map

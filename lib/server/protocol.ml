@@ -233,5 +233,5 @@ let render ?id ~status fields =
 let render_error ?id e =
   render ?id ~status:Failed
     [ ("kind", Json.String (Err.kind_name e));
-      ("code", Json.Number (float_of_int (Err.exit_code e)));
+      ("code", Json.int (Err.exit_code e));
       ("message", Json.String (Err.to_string e)) ]

@@ -15,6 +15,7 @@ module Affine = Ssta_check.Affine
 module Impact = Ssta_check.Impact
 module Edit = Ssta_circuit.Edit
 module D = Ssta_lint.Diagnostic
+module Lint = Ssta_lint.Engine
 module Err = Ssta_runtime.Ssta_error
 module Rbudget = Ssta_runtime.Budget
 module Health = Ssta_runtime.Health
@@ -116,17 +117,6 @@ let budget_of t (p : Protocol.run_params) =
 
 (* --- helpers ---------------------------------------------------------- *)
 
-let jint i = Json.Number (float_of_int i)
-
-(* Responses are one line each, but the pre-rendered documents we embed
-   (the run report, the criticality ranking) are pretty-printed.
-   Re-parsing and re-printing them is a pure, deterministic compaction:
-   field order is preserved and %.17g floats round-trip exactly. *)
-let raw_compact doc =
-  match Json.parse doc with
-  | Ok v -> Json.Raw (Json.to_string v)
-  | Error _ -> Json.String doc
-
 let deadline_degraded m =
   List.exists
     (function Rbudget.Deadline_hit _ -> true | _ -> false)
@@ -183,7 +173,7 @@ let do_run_block t id (p : Protocol.run_params) cfg =
   count t "requests-ok";
   let full = Option.value ~default:true p.Protocol.p_full in
   let summary_fields =
-    if full then [ ("report", raw_compact (Block_engine.json_report r)) ]
+    if full then [ ("report", Block_engine.json r) ]
     else
       [ ("critical_delay_s", Json.Number r.Block_engine.sta.Sta.critical_delay);
         ("mean_s", Json.Number r.Block_engine.mean);
@@ -214,9 +204,9 @@ let do_run t id (p : Protocol.run_params) =
         | _ -> "requests-ok");
       let full = Option.value ~default:true p.Protocol.p_full in
       let summary_fields =
-        if full then [ ("report", raw_compact (Report.json_report m)) ]
+        if full then [ ("report", Report.json m) ]
         else
-          [ ("paths", jint (Methodology.num_critical_paths m));
+          [ ("paths", Json.int (Methodology.num_critical_paths m));
             ("critical_delay_s", Json.Number m.Methodology.sta.Sta.critical_delay);
             ("sigma_c_s", Json.Number m.Methodology.sigma_c);
             ( "confidence_point_s",
@@ -320,8 +310,8 @@ let do_query t id endpoint (p : Protocol.run_params) =
       let total = pa.Path_analysis.total_pdf in
       Protocol.render ?id ~status:Protocol.Ok_
         [ ("endpoint", Json.String endpoint);
-          ("nodes", jint (Array.length path.Paths.nodes));
-          ("gates", jint pa.Path_analysis.gate_count);
+          ("nodes", Json.int (Array.length path.Paths.nodes));
+          ("gates", Json.int pa.Path_analysis.gate_count);
           ("det_delay_s", Json.Number pa.Path_analysis.det_delay);
           ("mean_s", Json.Number pa.Path_analysis.mean);
           ("std_s", Json.Number pa.Path_analysis.std);
@@ -333,15 +323,6 @@ let do_query t id endpoint (p : Protocol.run_params) =
           ("q001_s", Json.Number (Pdf.quantile total 0.001));
           ("median_s", Json.Number (Pdf.quantile total 0.5));
           ("q999_s", Json.Number (Pdf.quantile total 0.999)) ]
-
-let severity_counts diags =
-  List.fold_left
-    (fun (e, w, i) d ->
-      match d.D.severity with
-      | D.Error -> (e + 1, w, i)
-      | D.Warning -> (e, w + 1, i)
-      | D.Info -> (e, w, i + 1))
-    (0, 0, 0) diags
 
 let do_check t id only path_limit =
   count t "requests-check";
@@ -363,8 +344,8 @@ let do_check t id only path_limit =
   in
   let r = Checker.run inp in
   Health.merge ~into:t.lifetime r.Checker.health;
-  let errors, warnings, infos = severity_counts r.Checker.diagnostics in
-  count t (if errors > 0 then "requests-degraded" else "requests-ok");
+  let s = Lint.summarize r.Checker.diagnostics in
+  count t (if s.Lint.errors > 0 then "requests-degraded" else "requests-ok");
   let diag d =
     Json.Obj
       [ ("rule", Json.String d.D.rule);
@@ -373,13 +354,13 @@ let do_check t id only path_limit =
         ("message", Json.String d.D.message) ]
   in
   Protocol.render ?id
-    ~status:(if errors > 0 then Protocol.Degraded else Protocol.Ok_)
-    [ ("errors", jint errors);
-      ("warnings", jint warnings);
-      ("infos", jint infos);
-      ("nodes_certified", jint r.Checker.nodes_certified);
-      ("paths_certified", jint r.Checker.paths_certified);
-      ("ops_audited", jint r.Checker.ops_audited);
+    ~status:(if s.Lint.errors > 0 then Protocol.Degraded else Protocol.Ok_)
+    [ ("errors", Json.int s.Lint.errors);
+      ("warnings", Json.int s.Lint.warnings);
+      ("infos", Json.int s.Lint.infos);
+      ("nodes_certified", Json.int r.Checker.nodes_certified);
+      ("paths_certified", Json.int r.Checker.paths_certified);
+      ("ops_audited", Json.int r.Checker.ops_audited);
       ("diagnostics", Json.List (List.map diag r.Checker.diagnostics)) ]
 
 let do_criticality t id top =
@@ -397,8 +378,7 @@ let do_criticality t id top =
       in
       count t "requests-ok";
       Protocol.render ?id ~status:Protocol.Ok_
-        [ ( "criticality",
-            raw_compact (Affine.criticality_json t.sta.Sta.graph crits) ) ]
+        [ ("criticality", Affine.criticality_json t.sta.Sta.graph crits) ]
 
 let do_health t id =
   count t "requests-health";
@@ -411,10 +391,10 @@ let do_health t id =
         | None -> Json.Null
         | Some st ->
             Json.Obj
-              [ ("lookups", jint st.Inter.cs_lookups);
-                ("distinct", jint st.Inter.cs_distinct);
-                ("hits", jint st.Inter.cs_hits);
-                ("builds", jint st.Inter.cs_builds) ])
+              [ ("lookups", Json.int st.Inter.cs_lookups);
+                ("distinct", Json.int st.Inter.cs_distinct);
+                ("hits", Json.int st.Inter.cs_hits);
+                ("builds", Json.int st.Inter.cs_builds) ])
   in
   (* Between requests every worker domain parks on the pool's condition
      variable, so an idle server burns no CPU; the health answer exposes
@@ -424,17 +404,19 @@ let do_health t id =
     | None -> Json.Null
     | Some p ->
         Json.Obj
-          [ ("jobs", jint (Pool.jobs p));
-            ("idle_workers", jint (Pool.idle_workers p));
-            ("park_count", jint (Pool.park_count p)) ]
+          [ ("jobs", Json.int (Pool.jobs p));
+            ("idle_workers", Json.int (Pool.idle_workers p));
+            ("park_count", Json.int (Pool.park_count p)) ]
   in
   Protocol.render ?id ~status:Protocol.Ok_
     [ ("circuit", Json.String t.circuit.Netlist.name);
-      ("gates", jint (Netlist.num_gates t.circuit));
-      ("health_events", jint (Health.count t.lifetime));
+      ("gates", Json.int (Netlist.num_gates t.circuit));
+      ("health_events", Json.int (Health.count t.lifetime));
       ( "counters",
         Json.Obj
-          (List.map (fun (k, v) -> (k, jint v)) (Health.counters t.lifetime))
+          (List.map
+             (fun (k, v) -> (k, Json.int v))
+             (Health.counters t.lifetime))
       );
       ("pool", pool);
       ("cache", cache) ]
@@ -480,15 +462,15 @@ let parse_edits state script =
 
 let impact_fields (o : Impact.outcome) =
   let m = o.Impact.report in
-  [ ("cone_nodes", jint o.Impact.cone.Impact.cone_nodes);
-    ("dirty_nodes", jint o.Impact.cone.Impact.dirty_count);
+  [ ("cone_nodes", Json.int o.Impact.cone.Impact.cone_nodes);
+    ("dirty_nodes", Json.int o.Impact.cone.Impact.dirty_count);
     ( "affected_endpoints",
-      jint (List.length o.Impact.cone.Impact.affected_endpoints) );
+      Json.int (List.length o.Impact.cone.Impact.affected_endpoints) );
     ("full_invalidation", Json.Bool o.Impact.cone.Impact.full);
-    ("invalidated", jint o.Impact.invalidated);
-    ("reused", jint o.Impact.reused);
-    ("reanalyzed", jint o.Impact.reanalyzed);
-    ("paths", jint (Methodology.num_critical_paths m));
+    ("invalidated", Json.int o.Impact.invalidated);
+    ("reused", Json.int o.Impact.reused);
+    ("reanalyzed", Json.int o.Impact.reanalyzed);
+    ("paths", Json.int (Methodology.num_critical_paths m));
     ("critical_delay_s", Json.Number m.Methodology.sta.Sta.critical_delay);
     ("sigma_c_s", Json.Number m.Methodology.sigma_c);
     ( "confidence_point_s",
@@ -560,7 +542,7 @@ let do_reload t id =
       count t "requests-ok";
       Protocol.render ?id ~status:Protocol.Ok_
         [ ("circuit", Json.String circuit.Netlist.name);
-          ("gates", jint (Netlist.num_gates circuit)) ]
+          ("gates", Json.int (Netlist.num_gates circuit)) ]
 
 let dispatch_inner t ({ Protocol.id; request } : Protocol.envelope) =
   count t "requests-total";

@@ -1,6 +1,6 @@
 (* Advanced analysis engines: independence-assuming full-chip
    propagation, the correlated statistical path-max, second-order intra
-   corrections, the incremental timer, and parser robustness (fuzz). *)
+   corrections, and parser robustness (fuzz). *)
 
 open Ssta_circuit
 open Ssta_timing
@@ -143,86 +143,6 @@ let test_corrected_std_formula () =
   check_close ~tol:1e-12 "corrected std" expect
     (Second_order.corrected_std a corr)
 
-(* ---------------- Incremental timing ---------------- *)
-
-let test_incremental_initial_state () =
-  let c = small_random () in
-  let t = Incremental.create c in
-  let g = Graph.of_netlist c in
-  (* Loads differ slightly (exact consumer caps vs fanout * default), so
-     compare against the drive-aware reference, which is exact. *)
-  let reference = Incremental.labels_reference t in
-  Array.iteri
-    (fun id r ->
-      check_close ~tol:1e-12 "initial labels match reference" r
-        (Incremental.arrival t id))
-    reference;
-  ignore g
-
-let test_incremental_single_edit () =
-  let c = small_random () in
-  let t = Incremental.create c in
-  let before = Incremental.critical_delay t in
-  (* pick a gate on the critical path and upsize it *)
-  let g = Incremental.to_graph t in
-  let labels = Longest_path.bellman_ford g in
-  let path = Longest_path.critical_path g labels in
-  let victim = path.(Array.length path - 1) in
-  let changed = Incremental.set_drive t victim 3.0 in
-  check_true "some arrivals changed" (changed > 0);
-  check_close ~tol:1e-12 "drive recorded" 3.0 (Incremental.drive t victim);
-  (* upsizing trades the victim's delay against its fan-in's load, so
-     the critical delay moves but its direction is circuit-dependent *)
-  check_true "critical delay moved"
-    (Float.abs (Incremental.critical_delay t -. before) > 0.0);
-  let reference = Incremental.labels_reference t in
-  let g2 = Incremental.to_graph t in
-  check_close ~tol:1e-12 "matches from-scratch critical delay"
-    (Longest_path.critical_delay g2 reference)
-    (Incremental.critical_delay t)
-
-let test_incremental_validation () =
-  let c = small_random () in
-  let t = Incremental.create c in
-  check_raises_invalid "input node" (fun () ->
-      ignore (Incremental.set_drive t 0 2.0));
-  check_raises_invalid "bad drive" (fun () ->
-      ignore (Incremental.set_drive t (Netlist.num_nodes c - 1) 0.0))
-
-let prop_incremental_equals_scratch =
-  qcheck ~count:12 "incremental == from-scratch over random edit bursts"
-    QCheck.(int_range 1 5000)
-    (fun seed ->
-      let c =
-        Generators.random_layered ~name:"p" ~inputs:8 ~outputs:4 ~gates:80
-          ~depth:9 ~seed ()
-      in
-      let t = Incremental.create c in
-      let rng = Rng.create (seed * 7) in
-      let ok = ref true in
-      for _ = 1 to 12 do
-        let id = c.Netlist.num_inputs + Rng.int rng (Netlist.num_gates c) in
-        let d = 0.5 +. (3.5 *. Rng.float rng) in
-        ignore (Incremental.set_drive t id d);
-        let reference = Incremental.labels_reference t in
-        Array.iteri
-          (fun i r ->
-            if Float.abs (r -. Incremental.arrival t i)
-               > 1e-18 +. (1e-12 *. Float.abs r)
-            then ok := false)
-          reference
-      done;
-      !ok)
-
-let test_incremental_touches_few_nodes () =
-  (* Editing a sink-side gate must not disturb the whole circuit. *)
-  let c = Generators.chain ~name:"long" ~length:60 () in
-  let t = Incremental.create c in
-  let last_gate = Netlist.num_nodes c - 1 in
-  let changed = Incremental.set_drive t last_gate 2.0 in
-  (* only the last gate's arrival (and maybe its fan-in's) can move *)
-  check_true "locality" (changed <= 3)
-
 (* ---------------- Parser fuzzing ---------------- *)
 
 let printable rng =
@@ -303,11 +223,6 @@ let suite =
       slow_case "second-order correction beats first order"
         test_second_order_improves_mc_mean;
       case "corrected std formula" test_corrected_std_formula;
-      case "incremental initial state" test_incremental_initial_state;
-      case "incremental single edit" test_incremental_single_edit;
-      case "incremental validation" test_incremental_validation;
-      prop_incremental_equals_scratch;
-      case "incremental edit locality" test_incremental_touches_few_nodes;
       case "bench parser fuzz" test_bench_fuzz_no_crash;
       case "verilog parser fuzz" test_verilog_fuzz_no_crash;
       case "def parser fuzz" test_def_fuzz_no_crash;

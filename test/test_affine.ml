@@ -15,6 +15,8 @@ module Monte_carlo = Ssta_core.Monte_carlo
 module Interval = Ssta_check.Interval
 module Arrival_bounds = Ssta_check.Arrival_bounds
 module Affine = Ssta_check.Affine
+module Json = Ssta_runtime.Json
+module Err = Ssta_runtime.Ssta_error
 open Helpers
 
 let num_rvs = List.length Params.all_rvs
@@ -264,11 +266,16 @@ let test_criticality_ranking () =
       check_true "probability bound in (0, 0.5 + eps]"
         (cr.Affine.prob > 0.0 && cr.Affine.prob <= 0.5 +. 1e-6))
     crits;
-  let json = Affine.criticality_json sta.Sta.graph crits in
-  let prefix = "{\n  \"criticality\": [" in
-  check_true "json document shape"
-    (String.length json > String.length prefix
-    && String.equal (String.sub json 0 (String.length prefix)) prefix)
+  let doc = Json.to_string (Affine.criticality_json sta.Sta.graph crits) in
+  match Json.parse doc with
+  | Error e ->
+      Alcotest.failf "criticality JSON does not parse: %s" (Err.to_string e)
+  | Ok v -> (
+      match Json.member "criticality" v with
+      | Some (Json.List l) ->
+          Alcotest.(check int) "one entry per crit" (List.length crits)
+            (List.length l)
+      | _ -> Alcotest.fail "criticality JSON has no criticality list")
 
 let suite =
   ( "affine",

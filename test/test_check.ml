@@ -452,13 +452,12 @@ let render_text ds =
       Lint_reporter.text ~circuit_name:"t" fmt ds)
 
 let render_json ds =
-  Format.asprintf "%t" (fun fmt ->
-      Lint_reporter.json ~circuit_name:"t" fmt ds)
+  Ssta_runtime.Json.to_string (Lint_reporter.json ~circuit_name:"t" ds)
 
 let render_sarif ds =
-  Format.asprintf "%t" (fun fmt ->
-      Lint_reporter.sarif ~tool:"t" ~rules:[ ("aa-first", "d") ]
-        ~circuit_name:"t" fmt ds)
+  Ssta_runtime.Json.to_string
+    (Lint_reporter.sarif ~tool:"t" ~rules:[ ("aa-first", "d") ]
+       ~circuit_name:"t" ds)
 
 let test_reporters_deterministic () =
   let ds = scrambled_diags () in

@@ -31,4 +31,5 @@ let () =
       Test_parallel.suite;
       Test_faults.suite;
       Test_server.suite;
+      Test_json.suite;
       Test_impact.suite ]

@@ -5,7 +5,7 @@
 
 open Helpers
 module Err = Ssta_runtime.Ssta_error
-module Json = Ssta_server.Json
+module Json = Ssta_runtime.Json
 module Protocol = Ssta_server.Protocol
 module Supervisor = Ssta_server.Supervisor
 module Server = Ssta_server.Server
