@@ -723,9 +723,14 @@ let blockcross () =
             spec.Iscas85.paper.Iscas85.confidence
         in
         let config = { config with Config.max_paths } in
+        (* A full major cycle before each timed run, as in the dim
+           cells: otherwise each engine pays for the garbage the
+           previous run left behind. *)
+        Gc.full_major ();
         let t0 = Unix.gettimeofday () in
         let m = Methodology.run ~config ~placement circuit in
         let path_wall = Unix.gettimeofday () -. t0 in
+        Gc.full_major ();
         let t1 = Unix.gettimeofday () in
         let r = Block_engine.analyze ~config ~placement circuit in
         let block_wall = Unix.gettimeofday () -. t1 in

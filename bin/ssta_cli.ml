@@ -233,7 +233,7 @@ let seed_opt =
                Monte-Carlo sampling and fault injection.")
 
 let jobs_opt =
-  Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N"
+  Arg.(value & opt (int_at_least 0) 0 & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Worker domains for the parallel phases (0 = all \
                available cores).  Results are bit-identical at any \
                value; only wall-clock time changes.")
@@ -436,7 +436,7 @@ let lint_cmd =
                    unknown parameters, no-ops).")
   in
   let lint_jobs =
-    Arg.(value & opt int 0
+    Arg.(value & opt (int_at_least 0) 0
          & info [ "j"; "jobs" ] ~docv:"N"
              ~doc:"Validate a planned worker count against the host's \
                    cores (config-jobs warns on oversubscription, e.g. \
@@ -532,7 +532,7 @@ let check_cmd =
                    audits of the probabilistic kernel).")
   in
   let path_limit =
-    Arg.(value & opt int 64
+    Arg.(value & opt (int_at_least 0) 64
          & info [ "path-limit" ] ~docv:"N"
              ~doc:"Certify at most N ranked paths against the static \
                    bounds (0 = all); capping is reported as an info \
@@ -599,7 +599,7 @@ let check_cmd =
              ~doc:"Seed of the random-edit corpus.")
   in
   let check_jobs =
-    Arg.(value & opt int 0
+    Arg.(value & opt (int_at_least 0) 0
          & info [ "j"; "jobs" ] ~docv:"N"
              ~doc:"Also certify parallel determinism: rerun the flow on \
                    an N-worker pool (0 = all cores) and require a \
@@ -1251,7 +1251,7 @@ let report_cmd =
     0
   in
   let top =
-    Arg.(value & opt int 3 & info [ "top" ] ~docv:"K"
+    Arg.(value & opt (int_at_least 1) 3 & info [ "top" ] ~docv:"K"
            ~doc:"How many paths to report (probabilistic rank order).")
   in
   Cmd.v (Cmd.info "report" ~doc:"Per-gate timing report of the top paths.")
@@ -1496,14 +1496,14 @@ let serve_cmd =
     0
   in
   let max_queue =
-    Arg.(value & opt int 64
+    Arg.(value & opt (int_at_least 1) 64
          & info [ "max-queue" ] ~docv:"N"
              ~doc:"Bound on queued requests; submissions beyond it are \
                    answered immediately with a retryable overloaded \
                    status instead of buffering without limit.")
   in
   let max_request_bytes =
-    Arg.(value & opt int 1_048_576
+    Arg.(value & opt (int_at_least 1) 1_048_576
          & info [ "max-request-bytes" ] ~docv:"N"
              ~doc:"Reject request lines longer than this many bytes with \
                    a typed protocol error.")

@@ -1,6 +1,7 @@
 module Pdf = Ssta_prob.Pdf
 module Combine = Ssta_prob.Combine
 module Dist = Ssta_prob.Dist
+module Erf = Ssta_prob.Erf
 module Params = Ssta_tech.Params
 module Derivatives = Ssta_tech.Derivatives
 module Graph = Ssta_timing.Graph
@@ -9,59 +10,195 @@ module Budget = Ssta_correlation.Budget
 module Path_coeffs = Ssta_correlation.Path_coeffs
 module Placement = Ssta_circuit.Placement
 module Config = Ssta_core.Config
-module Block_based = Ssta_core.Block_based
+
+type residual = Gauss of float | Grid of Pdf.t
 
 type t = {
-  canon : Block_based.canonical;
-  resid : Pdf.t option;
+  mean : float;
+  coeffs : float array;
+      (** shared-layer coefficients by {!slot}; shorter vectors are
+          zero-padded ([[||]] is all zero) *)
+  shared_var : float;  (** variance of the shared part, under the budget *)
+  resid : residual;
 }
 
-let zero () =
-  { canon = { Block_based.mean = 0.0; terms = Hashtbl.create 4; indep = 0.0 };
-    resid = None }
+(* ----- slot layout -----
 
-(* A residual is worth carrying on a grid only when its width is visible
-   at the scale of the arrival mean; grid PDFs whose support is many
-   orders of magnitude below the mean would lose all cell resolution to
-   float absorption once shifted. *)
-let significant_sigma ~scale sigma =
-  sigma > 1e-6 *. Float.max (Float.abs scale) 1e-15
+   Layer [l] owns the [5 * 4^l] slots from [5 * (4^l - 1) / 3],
+   partition-major and RV-minor: slot [j] of that range belongs to the
+   RV of index [j mod 5].  Vectors are built whole-partition, so their
+   lengths are multiples of 5. *)
 
-let resid_gaussian (config : Config.t) ~scale var =
-  let sigma = sqrt (Float.max 0.0 var) in
-  if significant_sigma ~scale sigma then
-    Some
-      (Dist.truncated_gaussian ~n:config.Config.quality_intra
-         ~bound:config.Config.truncation ~mu:0.0 ~sigma ())
-  else None
+let rv_sigma = Array.of_list (List.map Params.sigma Params.all_rvs)
+let num_rvs = Array.length rv_sigma
+let () = assert (num_rvs = 5)
+let layer_offset layer = ((1 lsl (2 * layer)) - 1) / 3
+let num_slots ~quad_levels = num_rvs * layer_offset quad_levels
 
-(* Re-establish the invariant canon.indep = Var(resid grid) so that the
-   canonical-form covariance/Clark machinery (Block_based) sees exactly
-   the variance the grid carries. *)
-let with_resid canon resid =
-  let indep = match resid with None -> 0.0 | Some p -> Pdf.variance p in
-  ({ canon with Block_based.indep }, resid)
+let slot (key : Path_coeffs.key) =
+  let layer = key.Path_coeffs.layer and partition = key.Path_coeffs.partition in
+  if layer < 0 || partition < 0 || partition >= 1 lsl (2 * layer) then
+    invalid_arg "Arrival.slot: partition out of range for its layer";
+  Params.rv_index key.Path_coeffs.rv
+  + (num_rvs * (layer_offset layer + partition))
 
-let mean t = t.canon.Block_based.mean
-let variance config t = Block_based.variance config t.canon
-let std config t = Block_based.std config t.canon
+(* sigma^2 of RV [r] on shared layer [layer] under the budget. *)
+let slot_var budget ~layer r =
+  let s = Budget.sigma_of_layer budget ~total_sigma:rv_sigma.(r) layer in
+  s *. s
 
-let shared_variance config t =
-  Block_based.variance config { t.canon with Block_based.indep = 0.0 }
+(* The kernels below walk a vector layer by layer, holding that layer's
+   five per-RV variances in registers, one partition (5 slots) per
+   step. *)
+
+(* The sigma^2-weighted dot product of two coefficient vectors: the
+   covariance of their shared parts. *)
+let dot budget a b =
+  let n = Int.min (Array.length a) (Array.length b) in
+  let acc = ref 0.0 and layer = ref 0 in
+  while num_rvs * layer_offset !layer < n do
+    let l = !layer in
+    let v0 = slot_var budget ~layer:l 0 and v1 = slot_var budget ~layer:l 1
+    and v2 = slot_var budget ~layer:l 2 and v3 = slot_var budget ~layer:l 3
+    and v4 = slot_var budget ~layer:l 4 in
+    let hi = Int.min n (num_rvs * layer_offset (l + 1)) in
+    let j = ref (num_rvs * layer_offset l) in
+    while !j < hi do
+      let i = !j in
+      acc :=
+        !acc
+        +. (a.(i) *. b.(i) *. v0)
+        +. (a.(i + 1) *. b.(i + 1) *. v1)
+        +. (a.(i + 2) *. b.(i + 2) *. v2)
+        +. (a.(i + 3) *. b.(i + 3) *. v3)
+        +. (a.(i + 4) *. b.(i + 4) *. v4);
+      j := i + 5
+    done;
+    incr layer
+  done;
+  !acc
+
+let pad n a =
+  let len = Array.length a in
+  if len = n then a
+  else begin
+    let p = Array.make n 0.0 in
+    Array.blit a 0 p 0 len;
+    p
+  end
+
+(* The fresh vector [wa * a + wb * b] and its shared variance, in one
+   pass. *)
+let combine budget ~wa a ~wb b =
+  let n = Int.max (Array.length a) (Array.length b) in
+  let a = pad n a and b = pad n b in
+  let c = Array.create_float n in
+  let acc = ref 0.0 and layer = ref 0 in
+  while num_rvs * layer_offset !layer < n do
+    let l = !layer in
+    let v0 = slot_var budget ~layer:l 0 and v1 = slot_var budget ~layer:l 1
+    and v2 = slot_var budget ~layer:l 2 and v3 = slot_var budget ~layer:l 3
+    and v4 = slot_var budget ~layer:l 4 in
+    let hi = Int.min n (num_rvs * layer_offset (l + 1)) in
+    let j = ref (num_rvs * layer_offset l) in
+    while !j < hi do
+      let i = !j in
+      let x0 = (wa *. a.(i)) +. (wb *. b.(i))
+      and x1 = (wa *. a.(i + 1)) +. (wb *. b.(i + 1))
+      and x2 = (wa *. a.(i + 2)) +. (wb *. b.(i + 2))
+      and x3 = (wa *. a.(i + 3)) +. (wb *. b.(i + 3))
+      and x4 = (wa *. a.(i + 4)) +. (wb *. b.(i + 4)) in
+      c.(i) <- x0;
+      c.(i + 1) <- x1;
+      c.(i + 2) <- x2;
+      c.(i + 3) <- x3;
+      c.(i + 4) <- x4;
+      acc :=
+        !acc
+        +. (x0 *. x0 *. v0)
+        +. (x1 *. x1 *. v1)
+        +. (x2 *. x2 *. v2)
+        +. (x3 *. x3 *. v3)
+        +. (x4 *. x4 *. v4);
+      j := i + 5
+    done;
+    incr layer
+  done;
+  (c, !acc)
+
+(* ----- construction ----- *)
+
+let zero_arrival =
+  { mean = 0.0; coeffs = [||]; shared_var = 0.0; resid = Gauss 0.0 }
+
+let zero () = zero_arrival
+
+let make (config : Config.t) ?(mean = 0.0) ?(terms = []) resid =
+  let quad_levels = config.Config.quad_levels in
+  let coeffs =
+    if terms = [] then [||] else Array.make (num_slots ~quad_levels) 0.0
+  in
+  List.iter
+    (fun ((key : Path_coeffs.key), c) ->
+      if key.Path_coeffs.layer >= quad_levels then
+        invalid_arg "Arrival.make: key outside the shared layers";
+      coeffs.(slot key) <- c)
+    terms;
+  { mean; coeffs; shared_var = dot config.Config.budget coeffs coeffs; resid }
+
+let of_gate (config : Config.t) layers placement graph id =
+  let e = Graph.electrical_exn graph id in
+  let grad = Derivatives.gradient e Params.nominal in
+  let d = Array.of_list (List.map (Params.get grad) Params.all_rvs) in
+  let x, y = Placement.coord placement id in
+  let num_layers = Layers.num_layers layers in
+  let shared_layers =
+    if config.Config.random_layer then num_layers - 1 else num_layers
+  in
+  let budget = config.Config.budget in
+  let coeffs = Array.make (num_slots ~quad_levels:shared_layers) 0.0 in
+  let shared_var = ref 0.0 in
+  for layer = 0 to shared_layers - 1 do
+    let partition =
+      Layers.partition_of_gate layers ~level:layer ~gate_id:id ~x ~y
+    in
+    let base = num_rvs * (layer_offset layer + partition) in
+    for r = 0 to num_rvs - 1 do
+      coeffs.(base + r) <- d.(r);
+      shared_var := !shared_var +. (d.(r) *. d.(r) *. slot_var budget ~layer r)
+    done
+  done;
+  let random_var = ref 0.0 in
+  if config.Config.random_layer then
+    for r = 0 to num_rvs - 1 do
+      let v = slot_var budget ~layer:(num_layers - 1) r in
+      random_var := !random_var +. (d.(r) *. d.(r) *. v)
+    done;
+  { mean = graph.Graph.delay.(id);
+    coeffs;
+    shared_var = !shared_var;
+    resid = Gauss !random_var }
+
+(* ----- accessors ----- *)
+
+let mean t = t.mean
+let residual t = t.resid
+
+let coeff t key =
+  let i = slot key in
+  if i < Array.length t.coeffs then t.coeffs.(i) else 0.0
+
+let resid_variance = function Gauss v -> v | Grid p -> Pdf.variance p
+let variance (_ : Config.t) t = t.shared_var +. resid_variance t.resid
+let std config t = sqrt (Float.max 0.0 (variance config t))
 
 let inter_variance (config : Config.t) t =
-  Hashtbl.fold
-    (fun (key : Path_coeffs.key) a acc ->
-      if key.Path_coeffs.layer = 0 then begin
-        let s =
-          Budget.sigma_of_layer config.Config.budget
-            ~total_sigma:(Params.sigma key.Path_coeffs.rv)
-            0
-        in
-        acc +. (a *. a *. s *. s)
-      end
-      else acc)
-    t.canon.Block_based.terms 0.0
+  let acc = ref 0.0 in
+  for r = 0 to Int.min num_rvs (Array.length t.coeffs) - 1 do
+    let c = t.coeffs.(r) in
+    acc := !acc +. (c *. c *. slot_var config.Config.budget ~layer:0 r)
+  done;
+  !acc
 
 let inter_sigma config t = sqrt (Float.max 0.0 (inter_variance config t))
 
@@ -71,82 +208,93 @@ let intra_sigma config t =
 let confidence_point (config : Config.t) t =
   mean t +. (config.Config.confidence_sigma *. std config t)
 
+(* ----- grids ----- *)
+
+(* A width is worth a grid only when it is visible at the scale of the
+   arrival mean; grid PDFs whose support is many orders of magnitude
+   below the mean would lose all cell resolution to float absorption
+   once shifted. *)
+let significant_sigma ~scale sigma =
+  sigma > 1e-6 *. Float.max (Float.abs scale) 1e-15
+
+let gaussian_grid (config : Config.t) sigma =
+  Dist.truncated_gaussian ~n:config.Config.quality_intra
+    ~bound:config.Config.truncation ~mu:0.0 ~sigma ()
+
+(* A residual as a grid, or [None] when it is negligible at [scale]. *)
+let resid_grid config ~scale = function
+  | Grid p -> Some p
+  | Gauss v ->
+      let sigma = sqrt (Float.max 0.0 v) in
+      if significant_sigma ~scale sigma then Some (gaussian_grid config sigma)
+      else None
+
 let total_pdf (config : Config.t) t =
   let n = config.Config.quality_intra in
-  let mu = mean t in
-  let shared_sigma = sqrt (Float.max 0.0 (shared_variance config t)) in
-  let shared =
-    if significant_sigma ~scale:mu shared_sigma then
-      Some
-        (Dist.truncated_gaussian ~n ~bound:config.Config.truncation ~mu:0.0
-           ~sigma:shared_sigma ())
-    else None
-  in
-  match (t.resid, shared) with
-  | None, None -> Pdf.point_mass ~n mu
-  | Some r, None -> Pdf.shift r mu
-  | None, Some s -> Pdf.shift s mu
-  | Some r, Some s -> Pdf.shift (Combine.sum ~n r s) mu
+  let mu = t.mean in
+  match t.resid with
+  | Gauss v -> (
+      match resid_grid config ~scale:mu (Gauss (t.shared_var +. v)) with
+      | Some g -> Pdf.shift g mu
+      | None -> Pdf.point_mass ~n mu)
+  | Grid r -> (
+      match resid_grid config ~scale:mu (Gauss t.shared_var) with
+      | Some s -> Pdf.shift (Combine.sum ~n r s) mu
+      | None -> Pdf.shift r mu)
 
 let quantile config t q = Pdf.quantile (total_pdf config t) q
 
-let of_gate (config : Config.t) layers placement graph id =
-  let e = Graph.electrical_exn graph id in
-  let grad = Derivatives.gradient e Params.nominal in
-  let x, y = Placement.coord placement id in
-  let num_layers = Layers.num_layers layers in
-  let shared_layers =
-    if config.Config.random_layer then num_layers - 1 else num_layers
-  in
-  let terms = Hashtbl.create 16 in
-  let random_var = ref 0.0 in
-  List.iter
-    (fun rv ->
-      let d = Params.get grad rv in
-      for layer = 0 to shared_layers - 1 do
-        let partition =
-          Layers.partition_of_gate layers ~level:layer ~gate_id:id ~x ~y
-        in
-        Hashtbl.replace terms { Path_coeffs.rv; layer; partition } d
-      done;
-      if config.Config.random_layer then begin
-        let s =
-          Budget.sigma_of_layer config.Config.budget
-            ~total_sigma:(Params.sigma rv) (num_layers - 1)
-        in
-        random_var := !random_var +. (d *. d *. s *. s)
-      end)
-    Params.all_rvs;
-  let gate_mean = graph.Graph.delay.(id) in
-  let resid = resid_gaussian config ~scale:gate_mean !random_var in
-  let canon, resid =
-    with_resid { Block_based.mean = gate_mean; terms; indep = 0.0 } resid
-  in
-  { canon; resid }
+(* ----- operators ----- *)
 
 let sum (config : Config.t) a b =
   let n = config.Config.quality_intra in
+  let coeffs, shared_var =
+    if Array.length a.coeffs = 0 then (b.coeffs, b.shared_var)
+    else if Array.length b.coeffs = 0 then (a.coeffs, a.shared_var)
+    else combine config.Config.budget ~wa:1.0 a.coeffs ~wb:1.0 b.coeffs
+  in
   let resid =
     match (a.resid, b.resid) with
-    | None, r | r, None -> r
-    | Some ra, Some rb -> Some (Combine.sum ~n ra rb)
+    | Gauss va, Gauss vb -> Gauss (va +. vb)
+    | Grid ra, rb ->
+        Grid
+          (match resid_grid config ~scale:b.mean rb with
+          | Some gb -> Combine.sum ~n ra gb
+          | None -> ra)
+    | ra, Grid rb ->
+        Grid
+          (match resid_grid config ~scale:a.mean ra with
+          | Some ga -> Combine.sum ~n ga rb
+          | None -> rb)
   in
-  let canon, resid = with_resid (Block_based.add a.canon b.canon) resid in
-  { canon; resid }
+  { mean = a.mean +. b.mean; coeffs; shared_var; resid }
 
-let clark_max config a b =
-  let canon = Block_based.clark_max config a.canon b.canon in
-  (* The far-apart short circuit returns an operand's canonical form
-     unchanged; keep its grid residual (shape included) too. *)
-  if canon == a.canon then a
-  else if canon == b.canon then b
+(* Clark's max of two correlated Gaussians, with the coefficients
+   blended by the tightness probability phi = P(A > B) and the
+   variance they leave unexplained assigned to the residual. *)
+let clark_max (config : Config.t) a b =
+  let va = variance config a and vb = variance config b in
+  let cov = dot config.Config.budget a.coeffs b.coeffs in
+  let theta2 = Float.max 1e-300 (va +. vb -. (2.0 *. cov)) in
+  let theta = sqrt theta2 in
+  let d = (a.mean -. b.mean) /. theta in
+  if d > 8.0 then a
+  else if d < -8.0 then b
   else begin
-    let resid =
-      resid_gaussian config ~scale:canon.Block_based.mean
-        canon.Block_based.indep
+    let phi = Erf.normal_cdf d in
+    let dens = Erf.normal_pdf d in
+    let mean = (a.mean *. phi) +. (b.mean *. (1.0 -. phi)) +. (theta *. dens) in
+    let second_moment =
+      ((va +. (a.mean *. a.mean)) *. phi)
+      +. ((vb +. (b.mean *. b.mean)) *. (1.0 -. phi))
+      +. ((a.mean +. b.mean) *. theta *. dens)
     in
-    let canon, resid = with_resid canon resid in
-    { canon; resid }
+    let var = Float.max 0.0 (second_moment -. (mean *. mean)) in
+    let coeffs, shared_var =
+      combine config.Config.budget ~wa:phi a.coeffs ~wb:(1.0 -. phi) b.coeffs
+    in
+    let resid = Gauss (Float.max 0.0 (var -. shared_var)) in
+    { mean; coeffs; shared_var; resid }
   end
 
 (* P(A >= B) for independent grid operands: sum_i m_A(i) * F_B(x_i). *)
@@ -164,23 +312,19 @@ let grid_max (config : Config.t) a b =
   let mx = Pdf.moments m in
   let max_mean = mx.Pdf.m_mean and max_var = mx.Pdf.m_var in
   let phi = tightness ta tb in
-  let terms =
-    Block_based.merge_terms ~wa:phi ~wb:(1.0 -. phi) a.canon.Block_based.terms
-      b.canon.Block_based.terms
+  let coeffs, shared_var =
+    combine config.Config.budget ~wa:phi a.coeffs ~wb:(1.0 -. phi) b.coeffs
   in
-  let blended = { Block_based.mean = max_mean; terms; indep = 0.0 } in
-  let blended_shared = Block_based.variance config blended in
-  let resid_var = Float.max 0.0 (max_var -. blended_shared) in
+  let resid_var = Float.max 0.0 (max_var -. shared_var) in
   let resid =
     (* Keep the exact max's shape: recenter the grid and deflate it so
        shared + residual variance reproduces the grid moments. *)
     if significant_sigma ~scale:max_mean (sqrt resid_var) && max_var > 0.0
     then
-      Some (Pdf.scale (Pdf.shift m (-.max_mean)) (sqrt (resid_var /. max_var)))
-    else None
+      Grid (Pdf.scale (Pdf.shift m (-.max_mean)) (sqrt (resid_var /. max_var)))
+    else Gauss 0.0
   in
-  let canon, resid = with_resid blended resid in
-  { canon; resid }
+  { mean = max_mean; coeffs; shared_var; resid }
 
 let max (config : Config.t) a b =
   match config.Config.block_max with

@@ -3,33 +3,59 @@
 
     The path-based flow of the paper analyzes each near-critical path in
     isolation; the block engine instead propagates one arrival-time
-    object per node through the netlist DAG.  An arrival is a hybrid of
-    the two representations the codebase already has:
+    object per node through the netlist DAG.  An arrival is the
+    canonical first-order form over the paper's correlation layers:
 
     {v A  =  mean  +  sum_k a_k * xi_k  +  R v}
 
-    - the [sum_k a_k xi_k] part is the canonical first-order form over
-      the shared correlation-layer RVs ({!Ssta_core.Block_based}, with
-      layer 0 the inter-die layer), which preserves inter/intra
-      correlation (Eq. 14's variance split) through merges: two arrivals
-      that share upstream gates share terms, and their covariance is
-      recovered exactly from the shared keys;
-    - [R] is an independent residual carried as a discretized PDF on a
-      grid ({!Ssta_prob.Pdf}), seeded by each gate's random-layer
-      contribution and combined by grid convolution — the same numeric
-      machinery as the paper's intra-PDF.
+    - the [sum_k a_k xi_k] part carries the shared-layer RVs (layer 0 is
+      the inter-die layer) as a dense coefficient vector with one slot
+      per (RV, quad-tree layer, partition) — {!slot} — i.e. the Eq. 13
+      coefficients of the arrival.  It preserves inter/intra correlation
+      (Eq. 14's variance split) through merges: two arrivals that share
+      upstream gates share slots, and their covariance is the
+      sigma^2-weighted dot product of their vectors;
+    - [R] is the independent residual, seeded by each gate's per-gate
+      random-layer variance.  It is carried as a variance alone
+      ({!Gauss}): sums of independent Gaussians add variances and
+      Clark's max re-matches a Gaussian anyway.  Grids appear only when
+      an arrival is concretized ({!total_pdf}, at endpoints) and under
+      the grid max policy, whose result keeps the exact max's shape as
+      a {!Grid} residual.
 
-    The invariant [canon.indep = Var(resid)] keeps the canonical-form
-    covariance machinery and the grid in agreement. *)
+    An arrival's cached shared-layer variance is computed under the
+    variance budget of the configuration that built it; all operators
+    of one analysis must use that configuration.  Arrivals are
+    immutable: no operator mutates an operand, so one arrival may be
+    shared freely (and across domains). *)
 
-type t = {
-  canon : Ssta_core.Block_based.canonical;
-      (** mean + shared-layer sensitivities + residual variance *)
-  resid : Ssta_prob.Pdf.t option;
-      (** zero-mean grid residual ([None] when its width is negligible
-          at the scale of the mean); its variance is mirrored in
-          [canon.indep] *)
-}
+(** The independent residual [R], always zero-mean. *)
+type residual =
+  | Gauss of float  (** a Gaussian, by its variance *)
+  | Grid of Ssta_prob.Pdf.t  (** a discretized PDF (grid max policy) *)
+
+type t
+
+val num_slots : quad_levels:int -> int
+(** Length of a full coefficient vector over [quad_levels] shared
+    layers: [5 * (4^quad_levels - 1) / 3] (425 at the default 4). *)
+
+val slot : Ssta_correlation.Path_coeffs.key -> int
+(** Vector index of a shared-layer RV:
+    [rv_index + 5 * ((4^layer - 1) / 3 + partition)].  Raises
+    [Invalid_argument] unless [0 <= partition < 4^layer]. *)
+
+val make :
+  Ssta_core.Config.t ->
+  ?mean:float ->
+  ?terms:(Ssta_correlation.Path_coeffs.key * float) list ->
+  residual ->
+  t
+(** [make config ~mean ~terms resid] builds an arrival from explicit
+    shared-layer coefficients (a later binding of a key replaces an
+    earlier one).  Raises [Invalid_argument] on a key outside the
+    config's shared layers ([layer >= quad_levels]) or partition
+    range. *)
 
 val zero : unit -> t
 (** The arrival of a primary input: deterministic zero. *)
@@ -44,37 +70,45 @@ val of_gate :
 (** [of_gate config layers placement graph id] is the delay contribution
     of gate [id]: nominal delay as the mean, first-order sensitivities
     to every shared-layer RV at the gate's spatial partitions, and the
-    per-gate random-layer variance as a truncated-Gaussian grid
-    residual.  Raises [Invalid_argument] on a primary input. *)
+    per-gate random-layer variance as a {!Gauss} residual.  Raises
+    [Invalid_argument] on a primary input. *)
 
 val sum : Ssta_core.Config.t -> t -> t -> t
-(** Statistical sum: exact on the canonical part (means and shared
-    sensitivities add), grid convolution ({!Ssta_prob.Combine.sum} at
-    [quality_intra] cells) on the residuals.  Exact for independent
-    residuals, which holds by construction along any path. *)
+(** Statistical sum: exact on the shared part (means and coefficients
+    add slot by slot); {!Gauss} residuals add their variances.  A
+    {!Grid} operand forces a grid convolution
+    ({!Ssta_prob.Combine.sum} at [quality_intra] cells), with a
+    {!Gauss} other side materialized as a truncated Gaussian.  Exact
+    for independent residuals, which holds by construction along any
+    path. *)
 
 val max : Ssta_core.Config.t -> t -> t -> t
 (** Statistical max at a merge point, per [config.block_max]:
 
     - [Clark_max] — Clark's (1961) moment-matched max of correlated
-      Gaussians on the canonical forms, with the covariance taken from
-      the shared layer terms; the residual is re-seeded as a Gaussian of
-      the matched leftover variance.  Sound under correlation,
-      Gaussian-approximate in shape.
+      Gaussians, with the covariance taken from the shared coefficient
+      vectors; the result's residual is the matched leftover variance
+      ({!Gauss}).  Sound under correlation, Gaussian-approximate in
+      shape.
     - [Grid_max] — the grid-exact independent max: both operands are
       concretized to total PDFs and combined with
-      P(max <= x) = F(x) G(x); shared sensitivities are blended by the
+      P(max <= x) = F(x) G(x); shared coefficients are blended by the
       tightness probability and the recentered max grid (deflated so
       shared + residual variance matches the exact grid moments) becomes
-      the residual.  Exact in shape for independent operands but
+      the {!Grid} residual.  Exact in shape for independent operands but
       {e unsound} when they share terms — it ignores their correlation,
       which can both over- and under-estimate the max (see the
       anti-correlated counterexample in HANDBOOK section 9). *)
 
 val mean : t -> float
 
+val coeff : t -> Ssta_correlation.Path_coeffs.key -> float
+(** The shared-layer coefficient of one RV (0 when absent). *)
+
+val residual : t -> residual
+
 val variance : Ssta_core.Config.t -> t -> float
-(** Total variance: shared layer terms plus the grid residual. *)
+(** Total variance: shared layer terms plus the residual. *)
 
 val std : Ssta_core.Config.t -> t -> float
 
@@ -91,9 +125,12 @@ val confidence_point : Ssta_core.Config.t -> t -> float
     ranking point. *)
 
 val total_pdf : Ssta_core.Config.t -> t -> Ssta_prob.Pdf.t
-(** Concretize to one delay PDF: the grid residual convolved with a
-    truncated Gaussian of the shared variance, shifted by the mean.
-    Degenerate arrivals concretize to a point mass. *)
+(** Concretize to one delay PDF at [quality_intra] cells, shifted by the
+    mean: with a {!Gauss} residual, one truncated Gaussian of the shared
+    plus residual variance (a sum of independent Gaussians is
+    Gaussian); with a {!Grid} residual, the grid convolved with a
+    truncated Gaussian of the shared variance.  Degenerate arrivals
+    concretize to a point mass. *)
 
 val quantile : Ssta_core.Config.t -> t -> float -> float
 (** Quantile of {!total_pdf} (rebuilt per call; cache the PDF when

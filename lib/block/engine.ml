@@ -48,7 +48,8 @@ let endpoint_of config ~node ~name arrival =
 
 let propagate config layers placement graph =
   let n = Graph.num_nodes graph in
-  let arrivals = Array.make n (Arrival.zero ()) in
+  let zero = Arrival.zero () in
+  let arrivals = Array.make n zero in
   for id = 0 to n - 1 do
     if not (Graph.is_input graph id) then begin
       let fanins = Graph.fanins graph id in
@@ -60,9 +61,7 @@ let propagate config layers placement graph =
             | Some m -> Some (Arrival.max config m arrivals.(f)))
           None fanins
       in
-      let input_arrival =
-        match merged with Some m -> m | None -> Arrival.zero ()
-      in
+      let input_arrival = match merged with Some m -> m | None -> zero in
       arrivals.(id) <-
         Arrival.sum config input_arrival
           (Arrival.of_gate config layers placement graph id)

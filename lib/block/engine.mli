@@ -3,9 +3,11 @@
     gates and statistical max at merge points and endpoints.
 
     Where the path engine's cost is O(paths * Q^3) after enumeration,
-    this engine visits every gate exactly once at O(Q^2) per visit — the
+    this engine visits every gate exactly once at O(slots) per visit
+    under the Clark policy (425 shared-layer slots at the default 4
+    quad-tree layers; Q-point grids only at the endpoints) — the
     crossover is measured per benchmark by the [blockcross] bench
-    artifact.  The price is approximation at reconvergent fan-out
+    artifact.  The grid max policy adds O(Q^2) grid work per merge.  The price is approximation at reconvergent fan-out
     (Clark's max, or the independence assumption of the grid max); the
     [check-block-vs-path] checker cross-validates the result against the
     path-based answer and Monte Carlo on every ISCAS85 circuit. *)

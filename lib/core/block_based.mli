@@ -30,15 +30,6 @@ val std : Config.t -> canonical -> float
 val covariance : Config.t -> canonical -> canonical -> float
 (** Via shared terms only (residuals are independent). *)
 
-val merge_terms :
-  wa:float ->
-  wb:float ->
-  (Ssta_correlation.Path_coeffs.key, float) Hashtbl.t ->
-  (Ssta_correlation.Path_coeffs.key, float) Hashtbl.t ->
-  (Ssta_correlation.Path_coeffs.key, float) Hashtbl.t
-(** [merge_terms ~wa ~wb a b] is the fresh term table [wa * a + wb * b]
-    (keys missing on one side count as 0). *)
-
 val add : canonical -> canonical -> canonical
 
 val clark_max : Config.t -> canonical -> canonical -> canonical

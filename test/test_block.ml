@@ -17,6 +17,9 @@ module Sta = Ssta_timing.Sta
 module Config = Ssta_core.Config
 module Block_based = Ssta_core.Block_based
 module Monte_carlo = Ssta_core.Monte_carlo
+module Derivatives = Ssta_tech.Derivatives
+module Graph = Ssta_timing.Graph
+module Budget = Ssta_correlation.Budget
 module Path_coeffs = Ssta_correlation.Path_coeffs
 module Interval = Ssta_check.Interval
 module Affine = Ssta_check.Affine
@@ -26,13 +29,11 @@ open Helpers
 
 let grid_config = { Config.default with Config.block_max = Config.Grid_max }
 
-(* Synthetic arrivals: a zero-mean grid residual plus optional shared
-   terms, with the indep invariant taken from the grid. *)
+(* Synthetic arrivals: a zero-mean grid residual (or none) plus
+   optional shared terms. *)
 let arrival ?(mean = 0.0) ?(terms = []) resid =
-  let tbl = Hashtbl.create 4 in
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) terms;
-  let indep = match resid with None -> 0.0 | Some p -> Pdf.variance p in
-  { Arrival.canon = { Block_based.mean; terms = tbl; indep }; resid }
+  Arrival.make Config.default ~mean ~terms
+    (match resid with None -> Arrival.Gauss 0.0 | Some p -> Arrival.Grid p)
 
 let std_normal_resid () =
   Some (Dist.truncated_gaussian ~n:400 ~bound:6.0 ~mu:0.0 ~sigma:1.0 ())
@@ -140,6 +141,128 @@ let test_grid_max_vs_mc () =
     ~tol:((4.0 *. se) +. 0.01)
     "grid max mean within the MC confidence band" mc_mean (Arrival.mean m)
 
+(* --- the dense form against its Hashtbl reference ----------------------- *)
+
+let all_keys ~quad_levels =
+  List.concat_map
+    (fun rv ->
+      List.concat_map
+        (fun layer ->
+          List.init (1 lsl (2 * layer)) (fun partition ->
+              { Path_coeffs.rv; layer; partition }))
+        (List.init quad_levels Fun.id))
+    Params.all_rvs
+
+let test_slot_bijective =
+  qcheck ~count:50 "dense slots are injective and in range"
+    QCheck.(int_range 1 5)
+    (fun quad_levels ->
+      let n = Arrival.num_slots ~quad_levels in
+      let seen = Array.make n false in
+      List.for_all
+        (fun k ->
+          let i = Arrival.slot k in
+          0 <= i && i < n && (not seen.(i)) && (seen.(i) <- true; true))
+        (all_keys ~quad_levels))
+
+(* A random shared-layer term set (unit-scale variance per term), its
+   dense arrival and its Block_based canonical form. *)
+let random_pair st =
+  let keys =
+    Array.of_list (all_keys ~quad_levels:Config.default.Config.quad_levels)
+  in
+  let terms =
+    List.init (1 + Random.State.int st 40) (fun _ ->
+        let k = keys.(Random.State.int st (Array.length keys)) in
+        let u = Random.State.float st 2.0 -. 1.0 in
+        (k, u /. Params.sigma k.Path_coeffs.rv))
+  in
+  let mean = Random.State.float st 2.0 in
+  let indep = 0.05 +. Random.State.float st 0.5 in
+  let tbl = Hashtbl.create 16 in
+  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) terms;
+  ( Arrival.make Config.default ~mean ~terms (Arrival.Gauss indep),
+    { Block_based.mean; terms = tbl; indep } )
+
+let rel_close a b =
+  Float.abs (a -. b) <= 1e-12 *. Float.max (Float.abs a) (Float.abs b)
+
+let reference_inter_sigma (c : Block_based.canonical) =
+  let tbl = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun (k : Path_coeffs.key) v ->
+      if k.Path_coeffs.layer = 0 then Hashtbl.replace tbl k v)
+    c.Block_based.terms;
+  Block_based.std Config.default
+    { c with Block_based.terms = tbl; indep = 0.0 }
+
+let test_dense_matches_reference =
+  qcheck ~count:200 "dense form matches the Block_based reference"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let a, ca = random_pair st and b, cb = random_pair st in
+      let config = Config.default in
+      let m = Arrival.max config a b in
+      let cm = Block_based.clark_max config ca cb in
+      let coeffs_match arrival (c : Block_based.canonical) =
+        List.for_all
+          (fun k ->
+            let want =
+              Option.value ~default:0.0
+                (Hashtbl.find_opt c.Block_based.terms k)
+            in
+            rel_close want (Arrival.coeff arrival k))
+          (all_keys ~quad_levels:config.Config.quad_levels)
+      in
+      List.for_all
+        (fun (arrival, c) ->
+          rel_close (Block_based.variance config c)
+            (Arrival.variance config arrival)
+          && rel_close (reference_inter_sigma c)
+               (Arrival.inter_sigma config arrival)
+          && coeffs_match arrival c)
+        [ (a, ca); (b, cb) ]
+      (* The covariance enters the max through theta. *)
+      && rel_close cm.Block_based.mean (Arrival.mean m)
+      && rel_close (Block_based.variance config cm) (Arrival.variance config m)
+      && coeffs_match m cm)
+
+let test_chain_residual () =
+  let config = Config.default in
+  let c = Generators.chain ~name:"chain20" ~length:20 () in
+  let pl = Placement.place c in
+  let r = Engine.analyze ~config ~placement:pl c in
+  let graph = r.Engine.sta.Sta.graph in
+  let random_layer = Config.num_layers config - 1 in
+  let expected = ref 0.0 in
+  for id = 0 to Graph.num_nodes graph - 1 do
+    if not (Graph.is_input graph id) then begin
+      let grad =
+        Derivatives.gradient (Graph.electrical_exn graph id) Params.nominal
+      in
+      List.iter
+        (fun rv ->
+          let d = Params.get grad rv in
+          let s =
+            Budget.sigma_of_layer config.Config.budget
+              ~total_sigma:(Params.sigma rv) random_layer
+          in
+          expected := !expected +. (d *. d *. s *. s))
+        Params.all_rvs
+    end
+  done;
+  (match Arrival.residual r.Engine.arrival with
+  | Arrival.Grid _ -> Alcotest.fail "Clark chain grew a grid residual"
+  | Arrival.Gauss v ->
+      check_close ~tol:1e-12 "residual = sum of per-gate random variances"
+        1.0 (v /. !expected));
+  let m = Pdf.moments (Arrival.total_pdf config r.Engine.arrival) in
+  check_close ~tol:1e-2 "total-pdf mean" 1.0
+    (m.Pdf.m_mean /. Arrival.mean r.Engine.arrival);
+  check_close ~tol:1e-2 "total-pdf variance" 1.0
+    (m.Pdf.m_var /. Arrival.variance config r.Engine.arrival)
+
 (* --- correlation preservation ------------------------------------------ *)
 
 let test_correlation_preserved_at_merge () =
@@ -167,12 +290,9 @@ let test_correlation_preserved_at_merge () =
      arrival still carries the full unit coefficient on the shared key. *)
   List.iter
     (fun (name, m) ->
-      match Hashtbl.find_opt m.Arrival.canon.Block_based.terms key with
-      | None -> Alcotest.failf "%s max dropped the shared term" name
-      | Some c ->
-          check_close ~tol:1e-9
-            (name ^ " max blends the shared coefficient to unity")
-            unit_coeff c)
+      check_close ~tol:1e-9
+        (name ^ " max blends the shared coefficient to unity")
+        unit_coeff (Arrival.coeff m key))
     [ ("clark", clark); ("grid", grid) ]
 
 let diamond () =
@@ -277,6 +397,10 @@ let suite =
         test_clark_correlated_shared_term;
       case "grid max of uniforms vs closed form" test_grid_max_uniforms;
       case "grid max vs Monte Carlo" test_grid_max_vs_mc;
+      test_slot_bijective;
+      test_dense_matches_reference;
+      case "20-gate chain: variance-only residual and its total PDF"
+        test_chain_residual;
       case "merge preserves shared-term correlation"
         test_correlation_preserved_at_merge;
       slow_case "reconvergent diamond tracks Monte Carlo"
