@@ -585,7 +585,7 @@ let check_cmd =
              ~doc:"Print the check catalogue and exit.")
   in
   let impact_edits =
-    Arg.(value & opt int 1
+    Arg.(value & opt (int_at_least 0) 1
          & info [ "impact-edits" ] ~docv:"N"
              ~doc:"Seeded random edits for the incremental-equivalence \
                    phase (check-impact-equivalence): each is applied to \
@@ -1331,7 +1331,7 @@ let dualvt_cmd =
 
 (* generate *)
 let generate_cmd =
-  let action name out random gates depth seed =
+  let generate name out random gates depth seed =
     guarded @@ fun () ->
     let circuit =
       if random then
@@ -1359,6 +1359,15 @@ let generate_cmd =
       def_path spef_path Netlist.pp_stats circuit;
     0
   in
+  (* The generator needs a gate per level; say so as a usage error. *)
+  let action name out random gates depth seed =
+    if random && gates < depth then
+      `Error
+        ( true,
+          Printf.sprintf "--gates (%d) must be at least --depth (%d)" gates
+            depth )
+    else `Ok (generate name out random gates depth seed)
+  in
   let out =
     Arg.(value & opt dir "." & info [ "o"; "out" ] ~docv:"DIR"
            ~doc:"Output directory.")
@@ -1370,16 +1379,16 @@ let generate_cmd =
                  deterministic in --seed).")
   in
   let gates =
-    Arg.(value & opt int 500 & info [ "gates" ] ~docv:"N"
-           ~doc:"Gate count for --random.")
+    Arg.(value & opt (int_at_least 1) 500 & info [ "gates" ] ~docv:"N"
+           ~doc:"Gate count for --random (at least --depth).")
   in
   let depth =
-    Arg.(value & opt int 12 & info [ "depth" ] ~docv:"D"
+    Arg.(value & opt (int_at_least 1) 12 & info [ "depth" ] ~docv:"D"
            ~doc:"Logic depth for --random.")
   in
   Cmd.v (Cmd.info "generate" ~doc:"Write a benchmark as .bench + DEF files.")
-    Term.(const action $ circuit_arg $ out $ random $ gates $ depth
-          $ seed_opt)
+    Term.(ret (const action $ circuit_arg $ out $ random $ gates $ depth
+               $ seed_opt))
 
 (* figures *)
 let figures_cmd =

@@ -6,8 +6,7 @@ module Params = Ssta_tech.Params
 module Derivatives = Ssta_tech.Derivatives
 module Graph = Ssta_timing.Graph
 module Layers = Ssta_correlation.Layers
-module Budget = Ssta_correlation.Budget
-module Path_coeffs = Ssta_correlation.Path_coeffs
+module Slots = Ssta_correlation.Slots
 module Placement = Ssta_circuit.Placement
 module Config = Ssta_core.Config
 
@@ -16,67 +15,15 @@ type residual = Gauss of float | Grid of Pdf.t
 type t = {
   mean : float;
   coeffs : float array;
-      (** shared-layer coefficients by {!slot}; shorter vectors are
+      (** shared-layer coefficients by {!Slots.slot}; shorter vectors are
           zero-padded ([[||]] is all zero) *)
   shared_var : float;  (** variance of the shared part, under the budget *)
   resid : residual;
 }
 
-(* ----- slot layout -----
-
-   Layer [l] owns the [5 * 4^l] slots from [5 * (4^l - 1) / 3],
-   partition-major and RV-minor: slot [j] of that range belongs to the
-   RV of index [j mod 5].  Vectors are built whole-partition, so their
+(* The coefficient vectors use the shared {!Ssta_correlation.Slots}
+   layout: partition-major and RV-minor, built whole-partition, so their
    lengths are multiples of 5. *)
-
-let rv_sigma = Array.of_list (List.map Params.sigma Params.all_rvs)
-let num_rvs = Array.length rv_sigma
-let () = assert (num_rvs = 5)
-let layer_offset layer = ((1 lsl (2 * layer)) - 1) / 3
-let num_slots ~quad_levels = num_rvs * layer_offset quad_levels
-
-let slot (key : Path_coeffs.key) =
-  let layer = key.Path_coeffs.layer and partition = key.Path_coeffs.partition in
-  if layer < 0 || partition < 0 || partition >= 1 lsl (2 * layer) then
-    invalid_arg "Arrival.slot: partition out of range for its layer";
-  Params.rv_index key.Path_coeffs.rv
-  + (num_rvs * (layer_offset layer + partition))
-
-(* sigma^2 of RV [r] on shared layer [layer] under the budget. *)
-let slot_var budget ~layer r =
-  let s = Budget.sigma_of_layer budget ~total_sigma:rv_sigma.(r) layer in
-  s *. s
-
-(* The kernels below walk a vector layer by layer, holding that layer's
-   five per-RV variances in registers, one partition (5 slots) per
-   step. *)
-
-(* The sigma^2-weighted dot product of two coefficient vectors: the
-   covariance of their shared parts. *)
-let dot budget a b =
-  let n = Int.min (Array.length a) (Array.length b) in
-  let acc = ref 0.0 and layer = ref 0 in
-  while num_rvs * layer_offset !layer < n do
-    let l = !layer in
-    let v0 = slot_var budget ~layer:l 0 and v1 = slot_var budget ~layer:l 1
-    and v2 = slot_var budget ~layer:l 2 and v3 = slot_var budget ~layer:l 3
-    and v4 = slot_var budget ~layer:l 4 in
-    let hi = Int.min n (num_rvs * layer_offset (l + 1)) in
-    let j = ref (num_rvs * layer_offset l) in
-    while !j < hi do
-      let i = !j in
-      acc :=
-        !acc
-        +. (a.(i) *. b.(i) *. v0)
-        +. (a.(i + 1) *. b.(i + 1) *. v1)
-        +. (a.(i + 2) *. b.(i + 2) *. v2)
-        +. (a.(i + 3) *. b.(i + 3) *. v3)
-        +. (a.(i + 4) *. b.(i + 4) *. v4);
-      j := i + 5
-    done;
-    incr layer
-  done;
-  !acc
 
 let pad n a =
   let len = Array.length a in
@@ -94,13 +41,13 @@ let combine budget ~wa a ~wb b =
   let a = pad n a and b = pad n b in
   let c = Array.create_float n in
   let acc = ref 0.0 and layer = ref 0 in
-  while num_rvs * layer_offset !layer < n do
+  while Slots.num_rvs * Slots.layer_offset !layer < n do
     let l = !layer in
-    let v0 = slot_var budget ~layer:l 0 and v1 = slot_var budget ~layer:l 1
-    and v2 = slot_var budget ~layer:l 2 and v3 = slot_var budget ~layer:l 3
-    and v4 = slot_var budget ~layer:l 4 in
-    let hi = Int.min n (num_rvs * layer_offset (l + 1)) in
-    let j = ref (num_rvs * layer_offset l) in
+    let v0 = Slots.var budget ~layer:l 0 and v1 = Slots.var budget ~layer:l 1
+    and v2 = Slots.var budget ~layer:l 2 and v3 = Slots.var budget ~layer:l 3
+    and v4 = Slots.var budget ~layer:l 4 in
+    let hi = Int.min n (Slots.num_rvs * Slots.layer_offset (l + 1)) in
+    let j = ref (Slots.num_rvs * Slots.layer_offset l) in
     while !j < hi do
       let i = !j in
       let x0 = (wa *. a.(i)) +. (wb *. b.(i))
@@ -136,15 +83,15 @@ let zero () = zero_arrival
 let make (config : Config.t) ?(mean = 0.0) ?(terms = []) resid =
   let quad_levels = config.Config.quad_levels in
   let coeffs =
-    if terms = [] then [||] else Array.make (num_slots ~quad_levels) 0.0
+    if terms = [] then [||] else Array.make (Slots.num_slots ~quad_levels) 0.0
   in
   List.iter
-    (fun ((key : Path_coeffs.key), c) ->
-      if key.Path_coeffs.layer >= quad_levels then
+    (fun ((key : Slots.key), c) ->
+      if key.Slots.layer >= quad_levels then
         invalid_arg "Arrival.make: key outside the shared layers";
-      coeffs.(slot key) <- c)
+      coeffs.(Slots.slot key) <- c)
     terms;
-  { mean; coeffs; shared_var = dot config.Config.budget coeffs coeffs; resid }
+  { mean; coeffs; shared_var = Slots.dot config.Config.budget coeffs coeffs; resid }
 
 let of_gate (config : Config.t) layers placement graph id =
   let e = Graph.electrical_exn graph id in
@@ -156,22 +103,22 @@ let of_gate (config : Config.t) layers placement graph id =
     if config.Config.random_layer then num_layers - 1 else num_layers
   in
   let budget = config.Config.budget in
-  let coeffs = Array.make (num_slots ~quad_levels:shared_layers) 0.0 in
+  let coeffs = Array.make (Slots.num_slots ~quad_levels:shared_layers) 0.0 in
   let shared_var = ref 0.0 in
   for layer = 0 to shared_layers - 1 do
     let partition =
       Layers.partition_of_gate layers ~level:layer ~gate_id:id ~x ~y
     in
-    let base = num_rvs * (layer_offset layer + partition) in
-    for r = 0 to num_rvs - 1 do
+    let base = Slots.num_rvs * (Slots.layer_offset layer + partition) in
+    for r = 0 to Slots.num_rvs - 1 do
       coeffs.(base + r) <- d.(r);
-      shared_var := !shared_var +. (d.(r) *. d.(r) *. slot_var budget ~layer r)
+      shared_var := !shared_var +. (d.(r) *. d.(r) *. Slots.var budget ~layer r)
     done
   done;
   let random_var = ref 0.0 in
   if config.Config.random_layer then
-    for r = 0 to num_rvs - 1 do
-      let v = slot_var budget ~layer:(num_layers - 1) r in
+    for r = 0 to Slots.num_rvs - 1 do
+      let v = Slots.var budget ~layer:(num_layers - 1) r in
       random_var := !random_var +. (d.(r) *. d.(r) *. v)
     done;
   { mean = graph.Graph.delay.(id);
@@ -185,7 +132,7 @@ let mean t = t.mean
 let residual t = t.resid
 
 let coeff t key =
-  let i = slot key in
+  let i = Slots.slot key in
   if i < Array.length t.coeffs then t.coeffs.(i) else 0.0
 
 let resid_variance = function Gauss v -> v | Grid p -> Pdf.variance p
@@ -194,9 +141,9 @@ let std config t = sqrt (Float.max 0.0 (variance config t))
 
 let inter_variance (config : Config.t) t =
   let acc = ref 0.0 in
-  for r = 0 to Int.min num_rvs (Array.length t.coeffs) - 1 do
+  for r = 0 to Int.min Slots.num_rvs (Array.length t.coeffs) - 1 do
     let c = t.coeffs.(r) in
-    acc := !acc +. (c *. c *. slot_var config.Config.budget ~layer:0 r)
+    acc := !acc +. (c *. c *. Slots.var config.Config.budget ~layer:0 r)
   done;
   !acc
 
@@ -274,7 +221,7 @@ let sum (config : Config.t) a b =
    variance they leave unexplained assigned to the residual. *)
 let clark_max (config : Config.t) a b =
   let va = variance config a and vb = variance config b in
-  let cov = dot config.Config.budget a.coeffs b.coeffs in
+  let cov = Slots.dot config.Config.budget a.coeffs b.coeffs in
   let theta2 = Float.max 1e-300 (va +. vb -. (2.0 *. cov)) in
   let theta = sqrt theta2 in
   let d = (a.mean -. b.mean) /. theta in

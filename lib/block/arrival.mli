@@ -10,10 +10,11 @@
 
     - the [sum_k a_k xi_k] part carries the shared-layer RVs (layer 0 is
       the inter-die layer) as a dense coefficient vector with one slot
-      per (RV, quad-tree layer, partition) — {!slot} — i.e. the Eq. 13
-      coefficients of the arrival.  It preserves inter/intra correlation
-      (Eq. 14's variance split) through merges: two arrivals that share
-      upstream gates share slots, and their covariance is the
+      per (RV, quad-tree layer, partition) in the
+      {!Ssta_correlation.Slots} layout the path engine shares — i.e. the
+      Eq. 13 coefficients of the arrival.  It preserves inter/intra
+      correlation (Eq. 14's variance split) through merges: two arrivals
+      that share upstream gates share slots, and their covariance is the
       sigma^2-weighted dot product of their vectors;
     - [R] is the independent residual, seeded by each gate's per-gate
       random-layer variance.  It is carried as a variance alone
@@ -36,19 +37,10 @@ type residual =
 
 type t
 
-val num_slots : quad_levels:int -> int
-(** Length of a full coefficient vector over [quad_levels] shared
-    layers: [5 * (4^quad_levels - 1) / 3] (425 at the default 4). *)
-
-val slot : Ssta_correlation.Path_coeffs.key -> int
-(** Vector index of a shared-layer RV:
-    [rv_index + 5 * ((4^layer - 1) / 3 + partition)].  Raises
-    [Invalid_argument] unless [0 <= partition < 4^layer]. *)
-
 val make :
   Ssta_core.Config.t ->
   ?mean:float ->
-  ?terms:(Ssta_correlation.Path_coeffs.key * float) list ->
+  ?terms:(Ssta_correlation.Slots.key * float) list ->
   residual ->
   t
 (** [make config ~mean ~terms resid] builds an arrival from explicit
@@ -102,7 +94,7 @@ val max : Ssta_core.Config.t -> t -> t -> t
 
 val mean : t -> float
 
-val coeff : t -> Ssta_correlation.Path_coeffs.key -> float
+val coeff : t -> Ssta_correlation.Slots.key -> float
 (** The shared-layer coefficient of one RV (0 when absent). *)
 
 val residual : t -> residual

@@ -762,9 +762,7 @@ let run inp =
                  | _ -> ());
                  if any_selected var_path_ids then
                    List.iter add
-                     (Variance_check.check_path config
-                        ~num_nodes:(Netlist.num_nodes circuit)
-                        ~label pa);
+                     (Variance_check.check_path config ~label pa);
                  (match affine with
                  | Some aff ->
                      let check_containment =

@@ -2,6 +2,7 @@ module D = Ssta_lint.Diagnostic
 module Params = Ssta_tech.Params
 module Budget = Ssta_correlation.Budget
 module Path_coeffs = Ssta_correlation.Path_coeffs
+module Slots = Ssta_correlation.Slots
 module Pdf = Ssta_prob.Pdf
 module Config = Ssta_core.Config
 module Path_analysis = Ssta_core.Path_analysis
@@ -12,7 +13,8 @@ let checks =
     ("check-var-conservation",
      "per-layer variance shares sum to the path's intra variance");
     ("check-var-key",
-     "every coefficient key names a valid (layer, partition) pair");
+     "the coefficient vector fits the layering: length, zero layer 0, \
+      finite, non-negative random-layer sums");
     ("check-var-intra-pdf",
      "discretized intra PDF variance matches Eq. 14 within grid error");
     ("check-var-additivity",
@@ -71,47 +73,69 @@ let check_config (config : Config.t) =
   List.rev !ds
 
 let check_path ?(tol_exact = 1e-9) ?(tol_grid = 0.05) (config : Config.t)
-    ~num_nodes ~label (pa : Path_analysis.t) =
+    ~label (pa : Path_analysis.t) =
   let ds = ref [] in
   let add d = ds := d :: !ds in
   let loc = D.Pdf label in
   let b = config.Config.budget in
   let layers = Budget.layers b in
   let quad_levels = config.Config.quad_levels in
-  (* Key validity: intra layers only, partitions within the layer's
-     range (4^u for spatial layers, gate ids for the random layer). *)
-  let bad_keys = ref 0 in
-  Hashtbl.iter
-    (fun (k : Path_coeffs.key) _ ->
-      let valid =
-        k.Path_coeffs.layer >= 1
-        && k.Path_coeffs.layer < layers
-        &&
-        if k.Path_coeffs.layer < quad_levels then
-          k.Path_coeffs.partition >= 0
-          && k.Path_coeffs.partition < 1 lsl (2 * k.Path_coeffs.layer)
-        else k.Path_coeffs.partition >= 0 && k.Path_coeffs.partition < num_nodes
-      in
-      if not valid then incr bad_keys)
-    pa.Path_analysis.coeffs.Path_coeffs.coeffs;
-  if !bad_keys > 0 then
+  let pc = pa.Path_analysis.coeffs in
+  let v = pc.Path_coeffs.coeffs and random_sq = pc.Path_coeffs.random_sq in
+  (* Vector validity: one slot per quad-tree RV of the configured
+     layering, nothing on the inter-die layer 0 (inter stays nonlinear),
+     finite coefficients, and five non-negative random-layer sums of
+     squares exactly when the layering has a random layer. *)
+  let expected_slots = Slots.num_slots ~quad_levels in
+  let expected_random =
+    if config.Config.random_layer then Slots.num_rvs else 0
+  in
+  let key_problems =
+    List.filter_map
+      (fun (bad, what) -> if bad then Some what else None)
+      [ ( pc.Path_coeffs.quad_levels <> quad_levels
+          || Array.length v <> expected_slots,
+          Printf.sprintf
+            "%d slots over %d quad-tree layers (expected %d over %d)"
+            (Array.length v) pc.Path_coeffs.quad_levels expected_slots
+            quad_levels );
+        ( Array.exists (fun c -> c <> 0.0)
+            (Array.sub v 0 (Int.min Slots.num_rvs (Array.length v))),
+          "a non-zero coefficient on the inter-die layer 0" );
+        ( Array.exists (fun c -> not (Float.is_finite c)) v,
+          "a non-finite coefficient" );
+        ( Array.length random_sq <> expected_random,
+          Printf.sprintf "%d random-layer sums (expected %d)"
+            (Array.length random_sq) expected_random );
+        ( Array.exists
+            (fun s -> not (s >= 0.0 && Float.is_finite s))
+            random_sq,
+          "a negative or non-finite random-layer sum of squares" ) ]
+  in
+  if key_problems <> [] then
     add
       (err ~rule:"check-var-key" ~location:loc
-         (Printf.sprintf
-            "%d coefficient keys name an invalid (layer, partition) pair"
-            !bad_keys));
+         ("malformed coefficient vector: "
+         ^ String.concat "; " key_problems));
   (* Independent recomputation of the per-layer shares from the raw
-     coefficient table. *)
+     intra-layer slots and random-layer sums. *)
   let shares = Array.make (Int.max layers 1) 0.0 in
-  Hashtbl.iter
-    (fun (k : Path_coeffs.key) c ->
-      if k.Path_coeffs.layer >= 1 && k.Path_coeffs.layer < layers then begin
-        let sigma = Params.sigma k.Path_coeffs.rv in
-        let w = Budget.weight b k.Path_coeffs.layer in
-        shares.(k.Path_coeffs.layer) <-
-          shares.(k.Path_coeffs.layer) +. (c *. c *. sigma *. sigma *. w)
-      end)
-    pa.Path_analysis.coeffs.Path_coeffs.coeffs;
+  let share layer r x =
+    let sigma = Params.sigma (List.nth Params.all_rvs r) in
+    shares.(layer) <-
+      shares.(layer) +. (x *. sigma *. sigma *. Budget.weight b layer)
+  in
+  for layer = 1 to Int.min quad_levels layers - 1 do
+    let first = Slots.num_rvs * Slots.layer_offset layer in
+    let last = Slots.num_rvs * Slots.layer_offset (layer + 1) in
+    for i = first to Int.min (Array.length v) last - 1 do
+      share layer (i mod Slots.num_rvs) (v.(i) *. v.(i))
+    done
+  done;
+  if quad_levels < layers then
+    Array.iteri
+      (fun r s -> if r < Slots.num_rvs then share quad_levels r s)
+      random_sq;
   let share_sum = Array.fold_left ( +. ) 0.0 shares in
   let reported = Path_coeffs.intra_variance pa.Path_analysis.coeffs b in
   if not (close ~tol:tol_exact share_sum reported) then

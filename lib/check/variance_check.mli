@@ -2,8 +2,10 @@
     decomposition.
 
     Independently of the numeric pipeline, each path's intra-die
-    variance is re-derived from the raw coefficient table: per-layer
-    shares [sum over keys of layer u of coeff^2 * sigma^2 * w_u] must
+    variance is re-derived from the raw coefficient vector: per-layer
+    shares [sum over the slots of layer u of coeff^2 * sigma^2 * w_u]
+    (on the random layer, the per-RV sums of squares times
+    [sigma^2 * w_u]) must
     sum to the path's reported intra variance exactly (these are the
     same finite sums, so the tolerance is rounding-level), and the
     discretized intra/total PDFs must reproduce the analytic variances
@@ -25,13 +27,11 @@ val check_path :
   ?tol_exact:float ->
   ?tol_grid:float ->
   Ssta_core.Config.t ->
-  num_nodes:int ->
   label:string ->
   Ssta_core.Path_analysis.t ->
   Ssta_lint.Diagnostic.t list
 (** Per-path accounting.  [tol_exact] (default 1e-9, relative) guards
     the analytic identities; [tol_grid] (default 0.05, relative) guards
     PDF-measured variances against their analytic values — the
-    discretized grids carry O(step^2) variance error.  [num_nodes]
-    bounds the random layer's partition indices (they are gate ids).
-    [label] names the path in diagnostic locations. *)
+    discretized grids carry O(step^2) variance error.  [label] names the
+    path in diagnostic locations. *)

@@ -24,17 +24,12 @@ type t = {
 }
 
 (* Per-domain mutable scratch for the zero-allocation kernels: one
-   arena (grid buffers) and one coefficient workspace per worker domain,
-   lazily created under a lock — the same sharding discipline as the
-   inter-kernel cache.  Scratch contents never outlive one [analyze]
-   call, so shard layout cannot affect results. *)
-type domain_state = {
-  ds_arena : Ssta_prob.Arena.t;
-  ds_ws : Path_coeffs.workspace;
-}
-
+   arena (grid buffers) per worker domain, lazily created under a lock —
+   the same sharding discipline as the inter-kernel cache.  Scratch
+   contents never outlive one [analyze] call, so shard layout cannot
+   affect results. *)
 type domain_states = {
-  mutable ds_shards : (int * domain_state) list;
+  mutable ds_shards : (int * Ssta_prob.Arena.t) list;
   ds_lock : Mutex.t;
 }
 
@@ -46,17 +41,14 @@ let domain_states_get d =
       match List.assoc_opt id d.ds_shards with
       | Some s -> s
       | None ->
-          let s =
-            { ds_arena = Ssta_prob.Arena.create ();
-              ds_ws = Path_coeffs.workspace_create () }
-          in
+          let s = Ssta_prob.Arena.create () in
           d.ds_shards <- (id, s) :: d.ds_shards;
           s)
 
 let domain_states_arena_stats d =
   Mutex.protect d.ds_lock (fun () ->
       Ssta_prob.Arena.merged_stats
-        (List.map (fun (_, s) -> Ssta_prob.Arena.stats s.ds_arena) d.ds_shards))
+        (List.map (fun (_, a) -> Ssta_prob.Arena.stats a) d.ds_shards))
 
 type context = {
   config : Config.t;
@@ -69,7 +61,7 @@ type context = {
   cache_shared : bool;  (* caches owned by a longer-lived warm state *)
   grads : Ssta_tech.Params.t array;
       (* per-node nominal delay gradients, evaluated once per graph *)
-  domains : domain_states;  (* per-domain arena / workspace shards *)
+  domains : domain_states;  (* per-domain arena shards *)
 }
 
 type warm = {
@@ -158,11 +150,10 @@ let analyze ?health ctx path =
   (* [health] overrides the context ledger so parallel callers can give
      each path a private ledger and merge them back in a fixed order. *)
   let health = match health with Some h -> h | None -> ctx.health in
-  let ds = domain_states_get ctx.domains in
-  let arena = ds.ds_arena in
+  let arena = domain_states_get ctx.domains in
   let coeffs =
-    Path_coeffs.of_path ~grads:ctx.grads ~ws:ds.ds_ws ctx.graph ctx.placement
-      ctx.layers path
+    Path_coeffs.of_path ~grads:ctx.grads ctx.graph ctx.placement ctx.layers
+      path
   in
   let intra_pdf =
     Guard.check health ~op:"intra pdf" (Intra.pdf ctx.config coeffs)

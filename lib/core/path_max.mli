@@ -5,9 +5,9 @@
     which are strongly and heterogeneously correlated (shared inter-die
     RVs, shared gates, shared partitions).  This module folds Clark's
     max over path-level canonical forms whose sensitivities come from
-    the Eq. (13) coefficients — so the pairwise correlations are exactly
-    the analytic ones of {!Ssta_correlation.Path_correlation} — and
-    returns the circuit-delay statistics.
+    the Eq. (13) coefficients — so two paths covary exactly through the
+    inter-die RVs, partitions and gates they share — and returns the
+    circuit-delay statistics.
 
     Compared against the two simple proxies, it closes the gap to
     Monte-Carlo from both sides: the probabilistic-critical-path proxy
@@ -22,11 +22,13 @@ type result = {
 }
 
 val canonical_of_analysis :
-  Config.t -> Path_analysis.t -> Block_based.canonical
+  Config.t -> Ssta_timing.Graph.t -> Path_analysis.t -> Block_based.canonical
 (** Path-level canonical form: mean from the path's numeric total PDF,
     linear terms from its Eq. (13) coefficients (inter RVs keyed on
-    layer 0), and the residual numeric-vs-linearized variance as an
-    independent term. *)
+    layer 0, random-layer RVs on the path's gate ids, their
+    coefficients re-derived from the gates of [graph], the graph the
+    path was analyzed on), and the residual numeric-vs-linearized
+    variance as an independent term. *)
 
 val statistical_max :
   ?config:Config.t -> ?max_paths:int -> Methodology.t -> result

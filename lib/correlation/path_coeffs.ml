@@ -4,7 +4,7 @@ module Graph = Ssta_timing.Graph
 module Paths = Ssta_timing.Paths
 module Placement = Ssta_circuit.Placement
 
-type key = { rv : Params.rv; layer : int; partition : int }
+type key = Slots.key = { rv : Params.rv; layer : int; partition : int }
 
 type t = {
   alpha_sum : float;
@@ -12,226 +12,94 @@ type t = {
   gate_count : int;
   nominal_delay : float;
   grad_sum : Params.t;
-  coeffs : (key, float) Hashtbl.t;
+  quad_levels : int;
+  coeffs : float array;
+  random_sq : float array;
 }
 
-let num_rvs = List.length Params.all_rvs
-let rv_array = Array.of_list Params.all_rvs
+type workspace = unit
 
-(* {2 Accumulation workspace}
+let workspace_create () = ()
 
-   [of_path] is the per-path hot spot of the methodology after the grid
-   kernels: for every gate it performs [num_rvs * (num_layers - 1)]
-   hashtable find/replace pairs.  The workspace replaces the hashtable
-   during accumulation with a flat dense array over the finite key space
-   (rv, layer, partition) — the partition count per layer is 4^layer for
-   spatial layers and [num_nodes] for the random layer — using an epoch
-   stamp per slot so no clearing is needed between paths.  The public
-   hashtable is rebuilt afterwards from the touched slots in first-touch
-   order, which reproduces the reference hashtable's internal structure
-   (hence iteration order, hence every downstream float sum) exactly. *)
-type workspace = {
-  mutable w_off : int array;  (* slot offset per layer; layer 0 unused *)
-  mutable w_vals : float array;  (* accumulated coefficient per slot *)
-  mutable w_stamp : int array;  (* epoch of the slot's last first-touch *)
-  mutable w_rv : int array;  (* touched-slot key components, *)
-  mutable w_layer : int array;  (* recorded in first-touch order *)
-  mutable w_part : int array;
-  mutable w_idx : int array;  (* touched-slot flat index *)
-  mutable w_parts : int array;  (* per-gate partition, hoisted per layer *)
-  mutable w_epoch : int;
-  mutable w_sig : int * int;  (* (num_layers, num_nodes) sizing signature *)
-}
+(* Add [grad]'s five derivatives to [acc.(base) .. acc.(base + 4)] in
+   {!Params.rv_index} order (and, below, their squares to
+   [acc.(0) .. acc.(4)]); reading the fields keeps the floats unboxed. *)
+let add_derivatives acc base (grad : Params.t) =
+  acc.(base) <- acc.(base) +. grad.Params.tox;
+  acc.(base + 1) <- acc.(base + 1) +. grad.Params.leff;
+  acc.(base + 2) <- acc.(base + 2) +. grad.Params.vdd;
+  acc.(base + 3) <- acc.(base + 3) +. grad.Params.vtn;
+  acc.(base + 4) <- acc.(base + 4) +. grad.Params.vtp
 
-let workspace_create () =
-  { w_off = [||];
-    w_vals = [||];
-    w_stamp = [||];
-    w_rv = [||];
-    w_layer = [||];
-    w_part = [||];
-    w_idx = [||];
-    w_parts = [||];
-    w_epoch = 0;
-    w_sig = (0, 0) }
+let add_squares acc (grad : Params.t) =
+  acc.(0) <- acc.(0) +. (grad.Params.tox *. grad.Params.tox);
+  acc.(1) <- acc.(1) +. (grad.Params.leff *. grad.Params.leff);
+  acc.(2) <- acc.(2) +. (grad.Params.vdd *. grad.Params.vdd);
+  acc.(3) <- acc.(3) +. (grad.Params.vtn *. grad.Params.vtn);
+  acc.(4) <- acc.(4) +. (grad.Params.vtp *. grad.Params.vtp)
 
-let workspace_ensure ws layers ~num_nodes =
-  let nl = Layers.num_layers layers in
-  if ws.w_sig <> (nl, num_nodes) then begin
-    let off = Array.make (Int.max nl 1) 0 in
-    let total = ref 0 in
-    for layer = 1 to nl - 1 do
-      off.(layer) <- !total;
-      let parts =
-        if Layers.is_random_layer layers layer then num_nodes
-        else 1 lsl (2 * layer)
+let of_path ?grads ?ws:_ g pl (layers : Layers.t) (path : Paths.path) =
+  let quad_levels = layers.Layers.quad_levels in
+  let coeffs = Array.make (Slots.num_slots ~quad_levels) 0.0 in
+  let random_sq =
+    if layers.Layers.random_layer then Array.make Slots.num_rvs 0.0 else [||]
+  in
+  let alpha_sum = ref 0.0 and beta_sum = ref 0.0 in
+  let gate_count = ref 0 and nominal_delay = ref 0.0 in
+  let grad_sum = Array.make Slots.num_rvs 0.0 in
+  let nodes = path.Paths.nodes in
+  for k = 0 to Array.length nodes - 1 do
+    let id = nodes.(k) in
+    if not (Graph.is_input g id) then begin
+      let e = Graph.electrical_exn g id in
+      alpha_sum := !alpha_sum +. e.Ssta_tech.Gate.alpha;
+      beta_sum := !beta_sum +. e.Ssta_tech.Gate.beta;
+      incr gate_count;
+      nominal_delay := !nominal_delay +. g.Graph.delay.(id);
+      let grad =
+        match grads with
+        | Some a -> a.(id)
+        | None -> Derivatives.gradient e Params.nominal
       in
-      total := !total + parts
-    done;
-    let slots = Int.max 1 (num_rvs * !total) in
-    ws.w_off <- off;
-    ws.w_vals <- Array.make slots 0.0;
-    ws.w_stamp <- Array.make slots 0;
-    ws.w_rv <- Array.make slots 0;
-    ws.w_layer <- Array.make slots 0;
-    ws.w_part <- Array.make slots 0;
-    ws.w_idx <- Array.make slots 0;
-    ws.w_parts <- Array.make (Int.max nl 1) 0;
-    ws.w_epoch <- 0;
-    ws.w_sig <- (nl, num_nodes)
-  end
-
-(* Gate gradients depend only on the gate's electricals, so callers that
-   analyze many paths over one graph can evaluate them once per node and
-   pass the table in — bit-identical to evaluating inline. *)
-let gradient_of grads e id =
-  match grads with
-  | Some a -> Array.unsafe_get a id
-  | None -> Derivatives.gradient e Params.nominal
-
-let of_path_reference ?grads g pl layers (path : Paths.path) =
-  let coeffs = Hashtbl.create 64 in
-  let alpha_sum = ref 0.0 and beta_sum = ref 0.0 in
-  let gate_count = ref 0 and nominal_delay = ref 0.0 in
-  let grad_sum = ref Params.zero in
-  Array.iter
-    (fun id ->
-      if not (Graph.is_input g id) then begin
-        let e = Graph.electrical_exn g id in
-        alpha_sum := !alpha_sum +. e.Ssta_tech.Gate.alpha;
-        beta_sum := !beta_sum +. e.Ssta_tech.Gate.beta;
-        incr gate_count;
-        nominal_delay := !nominal_delay +. g.Graph.delay.(id);
-        let x, y = Placement.coord pl id in
-        let grad = gradient_of grads e id in
-        grad_sum := Params.add !grad_sum grad;
-        List.iter
-          (fun rv ->
-            let d = Params.get grad rv in
-            (* Intra layers start at 1; layer 0 is the inter part. *)
-            for layer = 1 to Layers.num_layers layers - 1 do
-              let partition =
-                Layers.partition_of_gate layers ~level:layer ~gate_id:id ~x ~y
-              in
-              let key = { rv; layer; partition } in
-              let prev = try Hashtbl.find coeffs key with Not_found -> 0.0 in
-              Hashtbl.replace coeffs key (prev +. d)
-            done)
-          Params.all_rvs
-      end)
-    path.Paths.nodes;
-  { alpha_sum = !alpha_sum;
-    beta_sum = !beta_sum;
-    gate_count = !gate_count;
-    nominal_delay = !nominal_delay;
-    grad_sum = !grad_sum;
-    coeffs }
-
-let of_path_flat ?grads ws g pl layers (path : Paths.path) =
-  workspace_ensure ws layers ~num_nodes:(Graph.num_nodes g);
-  let nl = Layers.num_layers layers in
-  let off = ws.w_off
-  and vals = ws.w_vals
-  and stamp = ws.w_stamp
-  and parts = ws.w_parts in
-  ws.w_epoch <- ws.w_epoch + 1;
-  let epoch = ws.w_epoch in
-  let touched = ref 0 in
-  let alpha_sum = ref 0.0 and beta_sum = ref 0.0 in
-  let gate_count = ref 0 and nominal_delay = ref 0.0 in
-  let grad_sum = ref Params.zero in
-  Array.iter
-    (fun id ->
-      if not (Graph.is_input g id) then begin
-        let e = Graph.electrical_exn g id in
-        alpha_sum := !alpha_sum +. e.Ssta_tech.Gate.alpha;
-        beta_sum := !beta_sum +. e.Ssta_tech.Gate.beta;
-        incr gate_count;
-        nominal_delay := !nominal_delay +. g.Graph.delay.(id);
-        let x, y = Placement.coord pl id in
-        let grad = gradient_of grads e id in
-        grad_sum := Params.add !grad_sum grad;
-        (* The partition is rv-independent; hoist it out of the rv loop
-           (the reference recomputes the same integers per rv). *)
-        for layer = 1 to nl - 1 do
-          Array.unsafe_set parts layer
-            (Layers.partition_of_gate layers ~level:layer ~gate_id:id ~x ~y)
-        done;
-        List.iteri
-          (fun rv_idx rv ->
-            let d = Params.get grad rv in
-            for layer = 1 to nl - 1 do
-              let partition = Array.unsafe_get parts layer in
-              let idx =
-                ((Array.unsafe_get off layer + partition) * num_rvs) + rv_idx
-              in
-              if Array.unsafe_get stamp idx = epoch then
-                Array.unsafe_set vals idx (Array.unsafe_get vals idx +. d)
-              else begin
-                Array.unsafe_set stamp idx epoch;
-                (* [0.0 +. d] matches the reference's first accumulation
-                   ([prev = 0.0] there), normalizing a negative zero. *)
-                Array.unsafe_set vals idx (0.0 +. d);
-                let c = !touched in
-                Array.unsafe_set ws.w_rv c rv_idx;
-                Array.unsafe_set ws.w_layer c layer;
-                Array.unsafe_set ws.w_part c partition;
-                Array.unsafe_set ws.w_idx c idx;
-                touched := c + 1
-              end
-            done)
-          Params.all_rvs
-      end)
-    path.Paths.nodes;
-  (* Rebuild the public hashtable by inserting the distinct keys in
-     first-touch order — the same insertion sequence the reference
-     performs, so the table's bucket structure, resize history and
-     iteration order are identical. *)
-  let coeffs = Hashtbl.create 64 in
-  for c = 0 to !touched - 1 do
-    let key =
-      { rv = rv_array.(ws.w_rv.(c));
-        layer = ws.w_layer.(c);
-        partition = ws.w_part.(c) }
-    in
-    Hashtbl.replace coeffs key vals.(ws.w_idx.(c))
+      add_derivatives grad_sum 0 grad;
+      let x, y = Placement.coord pl id in
+      (* Intra layers start at 1; layer 0 is the inter part. *)
+      for layer = 1 to quad_levels - 1 do
+        let partition = Layers.partition_of layers ~level:layer ~x ~y in
+        add_derivatives coeffs
+          (Slots.num_rvs * (Slots.layer_offset layer + partition))
+          grad
+      done;
+      if random_sq <> [||] then add_squares random_sq grad
+    end
   done;
   { alpha_sum = !alpha_sum;
     beta_sum = !beta_sum;
     gate_count = !gate_count;
     nominal_delay = !nominal_delay;
-    grad_sum = !grad_sum;
-    coeffs }
+    grad_sum =
+      { Params.tox = grad_sum.(0);
+        leff = grad_sum.(1);
+        vdd = grad_sum.(2);
+        vtn = grad_sum.(3);
+        vtp = grad_sum.(4) };
+    quad_levels;
+    coeffs;
+    random_sq }
 
-let of_path ?grads ?ws g pl layers path =
-  match ws with
-  | None -> of_path_reference ?grads g pl layers path
-  | Some ws -> of_path_flat ?grads ws g pl layers path
+let random_variance t budget =
+  let acc = ref 0.0 in
+  for r = 0 to Array.length t.random_sq - 1 do
+    acc := !acc +. (t.random_sq.(r) *. Slots.var budget ~layer:t.quad_levels r)
+  done;
+  !acc
 
 let intra_variance t budget =
-  Hashtbl.fold
-    (fun key c acc ->
-      let sigma =
-        Budget.sigma_of_layer budget ~total_sigma:(Params.sigma key.rv)
-          key.layer
-      in
-      acc +. (c *. c *. sigma *. sigma))
-    t.coeffs 0.0
+  Slots.sq_norm budget t.coeffs +. random_variance t budget
 
 let layer_variances t budget =
-  let n = Budget.layers budget in
-  let shares = Array.make n 0.0 in
-  Hashtbl.iter
-    (fun key c ->
-      if key.layer >= 1 && key.layer < n then begin
-        let sigma =
-          Budget.sigma_of_layer budget ~total_sigma:(Params.sigma key.rv)
-            key.layer
-        in
-        shares.(key.layer) <- shares.(key.layer) +. (c *. c *. sigma *. sigma)
-      end)
-    t.coeffs;
-  shares
-
-let coeff t key = try Hashtbl.find t.coeffs key with Not_found -> 0.0
-let num_layer_rvs t = Hashtbl.length t.coeffs
+  Array.init (Budget.layers budget) (fun u ->
+      if u = 0 then 0.0
+      else if u < t.quad_levels then Slots.sq_norm budget ~layer:u t.coeffs
+      else if u = t.quad_levels then random_variance t budget
+      else 0.0)

@@ -8,11 +8,18 @@
     this is exactly how the layering model carries spatial correlation
     into the variance of Eq. (14).
 
+    The quad-tree coefficients live in the dense {!Slots} layout the
+    block engine uses, so Eq. (14) is one sigma^2-weighted dot product
+    over a fixed slot order.  The random layer's RVs are per gate, so a
+    path never shares one between two of its gates: its share of
+    Eq. (14) is [sum_r (sum over gates of d_r^2) * sigma_rand,r^2], and
+    only the five inner sums are kept.
+
     The inter-die part stays nonlinear; for it we accumulate the alpha
     and beta sums of Eq. (5) so the inter-delay PDF can be computed as
     [0.345 tox Leff / eps_ox * (A F(vdd,vtn) + B F(vdd,vtp))]. *)
 
-type key = { rv : Ssta_tech.Params.rv; layer : int; partition : int }
+type key = Slots.key = { rv : Ssta_tech.Params.rv; layer : int; partition : int }
 
 type t = {
   alpha_sum : float;  (** A = sum of gate alphas along the path *)
@@ -23,22 +30,20 @@ type t = {
       (** per-RV sum of the nominal delay derivatives over the path's
           gates — the linearized sensitivity of the whole path, used for
           analytic path-to-path covariances *)
-  coeffs : (key, float) Hashtbl.t;
-      (** intra layers only (layer >= 1): summed delay derivatives *)
+  quad_levels : int;  (** quad-tree layers of the layering, random excluded *)
+  coeffs : float array;
+      (** summed delay derivatives by {!Slots.slot}, over [quad_levels]
+          layers; the layer-0 (inter-die) slots are always 0 *)
+  random_sq : float array;
+      (** per-RV (index {!Ssta_tech.Params.rv_index}) sum of squared
+          delay derivatives over the path's gates — the random layer,
+          which is layer [quad_levels]; [[||]] without a random layer *)
 }
 
 type workspace
-(** Reusable flat accumulation scratch for {!of_path}.  A workspace
-    replaces the per-(gate, rv, layer) hashtable find/replace pairs of
-    the reference path with epoch-stamped dense-array writes, then
-    rebuilds the public hashtable from the touched slots in first-touch
-    order — the result (including the hashtable's iteration order, and
-    hence every downstream float sum) is bit-identical to running
-    without one.  Single-domain scratch: never share across domains. *)
+(** Kept for source compatibility: {!of_path} needs no scratch state. *)
 
 val workspace_create : unit -> workspace
-(** Empty workspace; sized lazily on first use and resized when the
-    graph or layering changes. *)
 
 val of_path :
   ?grads:Ssta_tech.Params.t array ->
@@ -48,29 +53,23 @@ val of_path :
   Layers.t ->
   Ssta_timing.Paths.path ->
   t
-(** Accumulate coefficients for one path.  Derivatives are evaluated at
-    nominal (the paper's zeroth-order approximation, Eq. 11).
+(** Accumulate coefficients for one path, adding each gate's
+    derivatives in path order.  Derivatives are evaluated at nominal
+    (the paper's zeroth-order approximation, Eq. 11).
 
     [grads], when given, must hold for every non-input node [id] the
     value [Derivatives.gradient (Graph.electrical_exn g id)
     Params.nominal]; callers analyzing many paths precompute it once per
-    graph.  [ws] enables the flat accumulation scratch.  Both options
-    leave every output bit unchanged. *)
+    graph.  It leaves every output bit unchanged.  [ws] is ignored. *)
 
 val intra_variance : t -> Budget.t -> float
-(** Eq. (14): [sum coeff^2 * sigma_layer^2] over all intra keys, with
-    per-layer sigmas from the budget and {!Ssta_tech.Params.sigma}. *)
+(** Eq. (14): [sum coeff^2 * sigma_layer^2] over the quad-tree slots
+    plus the random layer's share, with per-layer sigmas from the budget
+    and {!Ssta_tech.Params.sigma}. *)
 
 val layer_variances : t -> Budget.t -> float array
 (** Per-layer decomposition of {!intra_variance}: element [u] (for
     [1 <= u < Budget.layers budget]) is the variance contributed by
     layer [u]'s RVs; element 0 is 0 (the inter part is not in the
-    coefficient table).  Summing the array recovers
-    [intra_variance t budget] exactly. *)
-
-val coeff : t -> key -> float
-(** 0 when the key is absent. *)
-
-val num_layer_rvs : t -> int
-(** Number of distinct (rv, layer, partition) triples on the path — the
-    paper's Omega in the complexity analysis. *)
+    coefficient vector).  The elements sum to [intra_variance t budget]
+    up to rounding. *)

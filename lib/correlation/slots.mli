@@ -1,0 +1,50 @@
+(** The dense layout of Eq. (13) coefficients, shared by both engines.
+
+    The shared-layer RVs form a fixed index space: one RV per
+    (parameter, quad-tree layer, partition).  Layer [l] owns the
+    [5 * 4^l] slots starting at [5 * layer_offset l], partition-major
+    and RV-minor, so a coefficient vector over [quad_levels] layers has
+    {!num_slots} entries (425 at the default 4).  The random layer is
+    not part of the layout: its RVs are per-gate independent, so the
+    variance it contributes needs no index space.
+
+    A vector's variance under a budget is the sigma^2-weighted dot
+    product of the vector with itself ({!dot}); the covariance of two
+    vectors is their dot product. *)
+
+type key = { rv : Ssta_tech.Params.rv; layer : int; partition : int }
+(** One RV: parameter [rv] on layer [layer], in partition [partition]
+    (row-major over the layer's [2^layer x 2^layer] grid; the gate id on
+    the random layer). *)
+
+val num_rvs : int
+(** 5: the parameters of {!Ssta_tech.Params.all_rvs}. *)
+
+val layer_offset : int -> int
+(** [(4^layer - 1) / 3]: partitions on the layers below [layer]. *)
+
+val num_slots : quad_levels:int -> int
+(** Length of a full vector over [quad_levels] layers:
+    [5 * layer_offset quad_levels]. *)
+
+val slot : key -> int
+(** Vector index of a shared-layer RV:
+    [rv_index + 5 * (layer_offset layer + partition)].  Raises
+    [Invalid_argument] unless [0 <= partition < 4^layer]. *)
+
+val var : Budget.t -> layer:int -> int -> float
+(** [var budget ~layer r] is sigma^2 of the RV of index [r] on layer
+    [layer] under [budget]. *)
+
+val dot : Budget.t -> float array -> float array -> float
+(** The sigma^2-weighted dot product of two vectors; the shorter one is
+    read as zero-padded. *)
+
+val sq_norm : Budget.t -> ?layer:int -> float array -> float
+(** [dot budget v v], or the part of it on one layer, summed with
+    Neumaier compensation.  Its error is within one rounding of the
+    exact sum plus O(n u^2), so it does not depend on which slots hold
+    which terms except when the exact sum sits on a rounding boundary:
+    two paths that are the same sum of RVs over mirrored partitions get
+    bit-identical variances (and rank as exact ties), which the plain
+    in-order {!dot} does not guarantee. *)

@@ -20,7 +20,7 @@ module Monte_carlo = Ssta_core.Monte_carlo
 module Derivatives = Ssta_tech.Derivatives
 module Graph = Ssta_timing.Graph
 module Budget = Ssta_correlation.Budget
-module Path_coeffs = Ssta_correlation.Path_coeffs
+module Slots = Ssta_correlation.Slots
 module Interval = Ssta_check.Interval
 module Affine = Ssta_check.Affine
 module Arrival = Ssta_block.Arrival
@@ -41,7 +41,7 @@ let std_normal_resid () =
 (* A layer-0 key, and the coefficient that gives it unit variance under
    the default budget (so tests can speak in unit-variance terms). *)
 let key =
-  { Path_coeffs.rv = List.hd Params.all_rvs; layer = 0; partition = 0 }
+  { Slots.rv = List.hd Params.all_rvs; layer = 0; partition = 0 }
 
 let unit_coeff =
   let tbl = Hashtbl.create 1 in
@@ -149,7 +149,7 @@ let all_keys ~quad_levels =
       List.concat_map
         (fun layer ->
           List.init (1 lsl (2 * layer)) (fun partition ->
-              { Path_coeffs.rv; layer; partition }))
+              { Slots.rv; layer; partition }))
         (List.init quad_levels Fun.id))
     Params.all_rvs
 
@@ -157,11 +157,11 @@ let test_slot_bijective =
   qcheck ~count:50 "dense slots are injective and in range"
     QCheck.(int_range 1 5)
     (fun quad_levels ->
-      let n = Arrival.num_slots ~quad_levels in
+      let n = Slots.num_slots ~quad_levels in
       let seen = Array.make n false in
       List.for_all
         (fun k ->
-          let i = Arrival.slot k in
+          let i = Slots.slot k in
           0 <= i && i < n && (not seen.(i)) && (seen.(i) <- true; true))
         (all_keys ~quad_levels))
 
@@ -175,7 +175,7 @@ let random_pair st =
     List.init (1 + Random.State.int st 40) (fun _ ->
         let k = keys.(Random.State.int st (Array.length keys)) in
         let u = Random.State.float st 2.0 -. 1.0 in
-        (k, u /. Params.sigma k.Path_coeffs.rv))
+        (k, u /. Params.sigma k.Slots.rv))
   in
   let mean = Random.State.float st 2.0 in
   let indep = 0.05 +. Random.State.float st 0.5 in
@@ -190,8 +190,8 @@ let rel_close a b =
 let reference_inter_sigma (c : Block_based.canonical) =
   let tbl = Hashtbl.create 8 in
   Hashtbl.iter
-    (fun (k : Path_coeffs.key) v ->
-      if k.Path_coeffs.layer = 0 then Hashtbl.replace tbl k v)
+    (fun (k : Slots.key) v ->
+      if k.Slots.layer = 0 then Hashtbl.replace tbl k v)
     c.Block_based.terms;
   Block_based.std Config.default
     { c with Block_based.terms = tbl; indep = 0.0 }

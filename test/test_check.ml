@@ -410,6 +410,39 @@ let test_injection_ids_distinct () =
   check_int "three distinct diagnostic ids" 3
     (List.length (List.sort_uniq String.compare rules))
 
+(* A tampered coefficient vector: too short for the layering, a
+   non-zero inter-die (layer 0) slot and a negative random-layer sum.
+   The key check names the defects; the conservation check sees the
+   layer-0 term counted by the reported variance but by no layer. *)
+let test_variance_check_tampered () =
+  let module Path_coeffs = Ssta_correlation.Path_coeffs in
+  let module Path_analysis = Ssta_core.Path_analysis in
+  let module Variance_check = Ssta_check.Variance_check in
+  let c, placement =
+    Iscas85.build_placed (Option.get (Iscas85.by_name "c432"))
+  in
+  let sta = Sta.analyze c in
+  let ctx = Path_analysis.context Config.default sta.Sta.graph placement in
+  let pa = Path_analysis.analyze ctx sta.Sta.critical_path in
+  let check pa = Variance_check.check_path Config.default ~label:"p" pa in
+  assert_no_errors "untampered path" (check pa);
+  let pc = pa.Path_analysis.coeffs in
+  let coeffs = Array.sub pc.Path_coeffs.coeffs 0 105 in
+  (* Copy a layer-1 partition the path crosses onto layer 0. *)
+  let crossed =
+    List.find (fun p -> coeffs.(5 * (1 + p)) <> 0.0) [ 0; 1; 2; 3 ]
+  in
+  Array.blit coeffs (5 * (1 + crossed)) coeffs 0 5;
+  let random_sq = Array.copy pc.Path_coeffs.random_sq in
+  random_sq.(1) <- -1.0e-30;
+  let tampered =
+    { pa with
+      Path_analysis.coeffs = { pc with Path_coeffs.coeffs; random_sq } }
+  in
+  let ds = check tampered in
+  check_true "check-var-key fires" (fires "check-var-key" ds);
+  check_true "check-var-conservation fires" (fires "check-var-conservation" ds)
+
 (* Satellite: the sanitizer stays silent and the verifier certifies all
    built-in benchmarks. *)
 let test_builtins_certify_clean () =
@@ -547,6 +580,8 @@ let suite =
       case "checker certifies c432 clean" test_checker_clean_run;
       case "seeded violations are caught" test_checker_injections;
       case "injection ids are distinct" test_injection_ids_distinct;
+      case "variance check catches a tampered vector"
+        test_variance_check_tampered;
       slow_case "all built-ins certify clean, pdfsan silent"
         test_builtins_certify_clean;
       case "reporters are order-independent" test_reporters_deterministic;

@@ -279,6 +279,44 @@ let test_report_csv_shapes () =
   check_true "scatter header"
     (String.length csv3 > 0 && String.sub csv3 0 8 = "det_rank")
 
+(* Statistically identical near-critical paths must rank as exact ties
+   so the stable ranking keeps them in deterministic order: confidence
+   points that agree to 1e-12 agree bit for bit.  On c499, whose 1,280
+   paths fall into a handful of distinct random variables, the
+   probabilistic-critical path is then the deterministic one; c7552 has
+   equal-variance paths whose gates sit in mirrored partitions. *)
+let test_ties_are_exact () =
+  let ranked name =
+    let spec = Option.get (Iscas85.by_name name) in
+    let c, placement = Iscas85.build_placed spec in
+    Methodology.run ~placement c
+  in
+  let check_ties name (m : Methodology.t) =
+    let cps =
+      Array.map
+        (fun (r : Ranking.ranked) ->
+          r.Ranking.analysis.Path_analysis.confidence_point)
+        m.Methodology.ranked
+    in
+    let distinct = List.sort_uniq Float.compare (Array.to_list cps) in
+    List.iter
+      (fun a ->
+        List.iter
+          (fun b ->
+            if a < b && b -. a <= 1e-12 *. Float.abs b then
+              Alcotest.failf "%s: confidence points %h and %h tie to 1e-12"
+                name a b)
+          distinct)
+      distinct
+  in
+  let c499 = ranked "c499" in
+  check_true "c499 enumerates many paths"
+    (Array.length c499.Methodology.ranked > 100);
+  check_ties "c499" c499;
+  check_int "prob-critical path is det rank 1" 1
+    c499.Methodology.prob_critical.Ranking.det_rank;
+  check_ties "c7552" (ranked "c7552")
+
 let suite =
   ( "core",
     [ case "default config is the paper's" test_default_config_is_the_papers;
@@ -304,4 +342,5 @@ let suite =
         test_methodology_confidence_widens_the_set;
       case "max_paths cap respected" test_methodology_respects_max_paths;
       case "report rows" test_report_rows;
-      case "report CSV shapes" test_report_csv_shapes ] )
+      case "report CSV shapes" test_report_csv_shapes;
+      case "statistically identical paths tie exactly" test_ties_are_exact ] )

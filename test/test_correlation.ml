@@ -162,14 +162,19 @@ let test_coeffs_accumulate () =
 let test_coeffs_layer_structure () =
   let g, pl, layers, path = context () in
   let pc = Path_coeffs.of_path g pl layers path in
-  check_true "has layer RVs" (Path_coeffs.num_layer_rvs pc > 0);
-  (* No layer-0 keys: inter stays nonlinear. *)
-  Hashtbl.iter
-    (fun (key : Path_coeffs.key) _ ->
-      check_true "intra layers only" (key.Path_coeffs.layer >= 1);
-      check_true "layer in range"
-        (key.Path_coeffs.layer < Layers.num_layers layers))
-    pc.Path_coeffs.coeffs
+  let v = pc.Path_coeffs.coeffs in
+  check_int "one slot per quad-tree RV"
+    (Slots.num_slots ~quad_levels:layers.Layers.quad_levels)
+    (Array.length v);
+  check_true "has layer RVs" (Array.exists (fun c -> c <> 0.0) v);
+  (* No layer-0 coefficients: inter stays nonlinear. *)
+  for i = 0 to Slots.num_rvs - 1 do
+    check_true "intra layers only" (v.(i) = 0.0)
+  done;
+  check_int "five random-layer sums" Slots.num_rvs
+    (Array.length pc.Path_coeffs.random_sq);
+  check_true "random-layer sums positive"
+    (Array.for_all (fun s -> s > 0.0) pc.Path_coeffs.random_sq)
 
 let test_coeffs_level1_sum_equals_gradient_sum () =
   (* On layer 1 the coefficients partition the path's gates, so summing
@@ -179,11 +184,11 @@ let test_coeffs_level1_sum_equals_gradient_sum () =
   List.iter
     (fun rv ->
       let total_by_partition = ref 0.0 in
-      Hashtbl.iter
-        (fun (key : Path_coeffs.key) c ->
-          if key.Path_coeffs.layer = 1 && key.Path_coeffs.rv = rv then
-            total_by_partition := !total_by_partition +. c)
-        pc.Path_coeffs.coeffs;
+      for partition = 0 to 3 do
+        total_by_partition :=
+          !total_by_partition
+          +. pc.Path_coeffs.coeffs.(Slots.slot { Slots.rv; layer = 1; partition })
+      done;
       let total_direct =
         Array.fold_left
           (fun acc id ->
@@ -213,11 +218,11 @@ let test_intra_variance_positive_and_split_sensitivity () =
   check_true "pure intra has more intra variance"
     (Path_coeffs.intra_variance pc pure_intra > v_equal)
 
+let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
 let test_of_path_fast_options_bit_identical () =
-  (* [~grads] and [~ws] are pure accelerations: every field of the
-     result — including the coefficient hashtable's contents and
-     first-touch insertion order, which downstream float sums iterate —
-     must match the plain path exactly. *)
+  (* [~grads] is a pure acceleration and [~ws] is ignored: every field
+     of the result must match the plain path exactly. *)
   let g, pl, layers, path = context () in
   let reference = Path_coeffs.of_path g pl layers path in
   let grads =
@@ -227,8 +232,8 @@ let test_of_path_fast_options_bit_identical () =
         | None -> Ssta_tech.Params.zero)
   in
   let ws = Path_coeffs.workspace_create () in
-  let dump (t : Path_coeffs.t) =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.Path_coeffs.coeffs []
+  let same_floats a b =
+    Array.length a = Array.length b && Array.for_all2 bits_equal a b
   in
   let same what (fast : Path_coeffs.t) =
     check_true (what ^ ": alpha_sum")
@@ -245,14 +250,68 @@ let test_of_path_fast_options_bit_identical () =
           (Ssta_tech.Params.get fast.Path_coeffs.grad_sum rv
           = Ssta_tech.Params.get reference.Path_coeffs.grad_sum rv))
       Ssta_tech.Params.all_rvs;
-    check_true (what ^ ": coeff table incl. iteration order")
-      (dump fast = dump reference)
+    check_true (what ^ ": coefficient vector")
+      (same_floats fast.Path_coeffs.coeffs reference.Path_coeffs.coeffs);
+    check_true (what ^ ": random-layer sums")
+      (same_floats fast.Path_coeffs.random_sq reference.Path_coeffs.random_sq)
   in
   same "grads" (Path_coeffs.of_path ~grads g pl layers path);
   same "ws" (Path_coeffs.of_path ~ws g pl layers path);
-  same "grads+ws" (Path_coeffs.of_path ~grads ~ws g pl layers path);
-  (* second call reuses the workspace's epoch-stamped scratch *)
-  same "ws reuse" (Path_coeffs.of_path ~grads ~ws g pl layers path)
+  same "grads+ws" (Path_coeffs.of_path ~grads ~ws g pl layers path)
+
+(* The dense vector against the hashtable oracle on random circuits,
+   layerings and budgets: each quad-tree slot is the oracle key's
+   coefficient bit for bit (both sum in path order from 0.0), and the
+   variances agree to rounding. *)
+let prop_dense_matches_reference =
+  qcheck ~count:60 "dense coefficients match the hashtable oracle"
+    QCheck.(
+      quad (int_range 1 5) bool bool (int_range 1 10_000))
+    (fun (quad_levels, random_layer, equal_budget, seed) ->
+      let c =
+        Generators.random_layered ~name:"r" ~inputs:6 ~outputs:3 ~gates:40
+          ~depth:6 ~seed ()
+      in
+      let g = Graph.of_netlist c in
+      let pl = Placement.place c in
+      let layers = Layers.of_placement ~quad_levels ~random_layer pl in
+      let n = Layers.num_layers layers in
+      let budget =
+        if equal_budget || n < 2 then Budget.equal ~layers:n
+        else Budget.inter_intra ~inter_fraction:0.4 ~layers:n
+      in
+      let labels = Longest_path.bellman_ford g in
+      let nodes = Longest_path.critical_path g labels in
+      let path = { Paths.nodes; delay = Paths.recompute_delay g nodes } in
+      let pc = Path_coeffs.of_path g pl layers path in
+      let oracle = Coeffs_reference.of_path g pl layers path in
+      let rel_close a b =
+        Float.abs (a -. b) <= 1e-12 *. Float.max (Float.abs a) (Float.abs b)
+      in
+      let slots_match =
+        List.for_all
+          (fun layer ->
+            List.for_all
+              (fun partition ->
+                List.for_all
+                  (fun rv ->
+                    let key = { Slots.rv; layer; partition } in
+                    let expected =
+                      Option.value ~default:0.0 (Hashtbl.find_opt oracle key)
+                    in
+                    bits_equal expected pc.Path_coeffs.coeffs.(Slots.slot key))
+                  Ssta_tech.Params.all_rvs)
+              (List.init (1 lsl (2 * layer)) Fun.id))
+          (List.init quad_levels Fun.id)
+      in
+      let dense = Path_coeffs.layer_variances pc budget
+      and reference = Coeffs_reference.layer_variances oracle budget in
+      slots_match
+      && Array.length dense = Array.length reference
+      && Array.for_all2 rel_close dense reference
+      && rel_close
+           (Path_coeffs.intra_variance pc budget)
+           (Coeffs_reference.intra_variance oracle budget))
 
 let test_correlation_increases_variance () =
   (* Two gates in the same partition add coefficients before squaring:
@@ -307,5 +366,6 @@ let suite =
         test_intra_variance_positive_and_split_sensitivity;
       case "of_path grads/workspace options are bit-identical"
         test_of_path_fast_options_bit_identical;
+      prop_dense_matches_reference;
       case "spatial correlation increases path variance"
         test_correlation_increases_variance ] )

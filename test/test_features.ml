@@ -196,95 +196,7 @@ let test_verilog_and_bench_agree () =
       = Netlist.output_values via_bench inputs)
   done
 
-(* ---------------- Path correlation ---------------- *)
-
-let correlated_context () =
-  let c = small_random () in
-  let g = Graph.of_netlist c in
-  let pl = Placement.place c in
-  let layers = Layers.of_placement pl in
-  let labels = Longest_path.bellman_ford g in
-  let enum =
-    Paths.enumerate g ~labels
-      ~slack:(0.3 *. Longest_path.critical_delay g labels)
-  in
-  let coeffs =
-    List.map (fun p -> Path_coeffs.of_path g pl layers p) enum.Paths.paths
-  in
-  (g, pl, enum.Paths.paths, coeffs)
-
-let budget = Ssta_correlation.Budget.equal ~layers:5
-
-let test_self_correlation_is_one () =
-  let _, _, _, coeffs = correlated_context () in
-  List.iter
-    (fun pc ->
-      check_close ~tol:1e-12 "corr(p, p) = 1" 1.0
-        (Path_correlation.correlation budget pc pc))
-    coeffs
-
-let test_correlation_bounds_and_symmetry () =
-  let _, _, _, coeffs = correlated_context () in
-  List.iteri
-    (fun i a ->
-      List.iteri
-        (fun j b ->
-          if j > i then begin
-            let r = Path_correlation.correlation budget a b in
-            check_true "within [-1, 1]" (r >= -1.0 -. 1e-12 && r <= 1.0 +. 1e-12);
-            check_close ~tol:1e-12 "symmetric"
-              (Path_correlation.covariance budget a b)
-              (Path_correlation.covariance budget b a)
-          end)
-        coeffs)
-    coeffs
-
-let test_all_paths_positively_correlated () =
-  (* every pair shares the inter-die RVs, so correlations are strictly
-     positive *)
-  let _, _, _, coeffs = correlated_context () in
-  List.iteri
-    (fun i a ->
-      List.iteri
-        (fun j b ->
-          if j > i then
-            check_true "positive correlation"
-              (Path_correlation.correlation budget a b > 0.0))
-        coeffs)
-    coeffs
-
-let test_correlation_matches_monte_carlo () =
-  let g, pl, paths, coeffs = correlated_context () in
-  match paths, coeffs with
-  | pa :: pb :: _, ca :: cb :: _ ->
-      let analytic = Path_correlation.correlation budget ca cb in
-      let sampler =
-        Ssta_core.Monte_carlo.sampler Ssta_core.Config.default g pl
-      in
-      let rng = Rng.create 77 in
-      let n = 3000 in
-      let da = Array.make n 0.0 and db = Array.make n 0.0 in
-      for i = 0 to n - 1 do
-        let delays = Ssta_core.Monte_carlo.sample_gate_delays sampler rng in
-        let sum (p : Paths.path) =
-          Array.fold_left (fun acc id -> acc +. delays.(id)) 0.0 p.Paths.nodes
-        in
-        da.(i) <- sum pa;
-        db.(i) <- sum pb
-      done;
-      let sampled = Stats.correlation da db in
-      check_close_abs ~tol:0.08 "analytic vs sampled correlation" sampled
-        analytic
-  | _ -> Alcotest.fail "need at least two near-critical paths"
-
-let test_shared_keys () =
-  let _, _, _, coeffs = correlated_context () in
-  match coeffs with
-  | a :: _ ->
-      check_int "a path shares all its keys with itself"
-        (Hashtbl.length a.Path_coeffs.coeffs)
-        (Path_correlation.shared_keys a a)
-  | [] -> Alcotest.fail "no paths"
+(* ---------------- Path linearization ---------------- *)
 
 let test_linearized_variance_close_to_pdf_variance () =
   let c = small_random () in
@@ -297,7 +209,21 @@ let test_linearized_variance_close_to_pdf_variance () =
   let pc = Path_coeffs.of_path g pl layers path in
   let ctx = Ssta_core.Path_analysis.context Ssta_core.Config.default g pl in
   let a = Ssta_core.Path_analysis.analyze ctx path in
-  let linearized = sqrt (Path_correlation.variance budget pc) in
+  (* Inter part linearized too: the summed gradient against the layer-0
+     share of each RV's variance, plus the Eq. (14) intra variance. *)
+  let budget = Ssta_correlation.Budget.equal ~layers:5 in
+  let inter =
+    List.fold_left
+      (fun acc rv ->
+        let d = Ssta_tech.Params.get pc.Path_coeffs.grad_sum rv in
+        let v =
+          Ssta_correlation.Slots.var budget ~layer:0
+            (Ssta_tech.Params.rv_index rv)
+        in
+        acc +. (d *. d *. v))
+      0.0 Ssta_tech.Params.all_rvs
+  in
+  let linearized = sqrt (inter +. Path_coeffs.intra_variance pc budget) in
   check_close ~tol:0.05 "linearized sigma ~ numeric sigma" a.Ssta_core.Path_analysis.std
     linearized
 
@@ -475,14 +401,6 @@ let suite =
       case "verilog parse errors" test_verilog_errors;
       case "verilog roundtrip preserves logic" test_verilog_roundtrip_suite;
       case "verilog and bench agree" test_verilog_and_bench_agree;
-      case "self correlation is 1" test_self_correlation_is_one;
-      case "correlation bounds and symmetry"
-        test_correlation_bounds_and_symmetry;
-      case "all paths positively correlated"
-        test_all_paths_positively_correlated;
-      slow_case "analytic correlation matches Monte-Carlo"
-        test_correlation_matches_monte_carlo;
-      case "shared key counting" test_shared_keys;
       case "linearized variance ~ numeric variance"
         test_linearized_variance_close_to_pdf_variance;
       case "uniform drives ~ default graph" test_with_drives_uniform_matches_default;
