@@ -830,8 +830,9 @@ let dim_q_sweep = 200  (* third point of the wall-vs-Q fit *)
 let dim_paths_sweep = [ 500; 1000 ]  (* 2000 is the grid's base cap *)
 
 let dim_counter_names =
-  [ "inter-cache-lookups"; "inter-cache-hits"; "inter-cache-distinct";
-    "arena-buffers-created"; "arena-bytes-reused"; "arena-peak-bytes" ]
+  [ "path-memo-lookups"; "path-memo-distinct"; "inter-cache-lookups";
+    "inter-cache-hits"; "inter-cache-distinct"; "arena-buffers-created";
+    "arena-bytes-reused"; "arena-peak-bytes" ]
 
 (* Cached jobs=1 walls measured on a single-core host when the
    inter-kernel cache landed — the fixed baseline the strict floors

@@ -1004,6 +1004,9 @@ let run_cmd =
             lookups
             (Health.counter m.Methodology.health "inter-cache-distinct")
             (Health.counter m.Methodology.health "inter-cache-hits"));
+      Fmt.pr "path memo: %d lookups, %d distinct@."
+        (Health.counter m.Methodology.health "path-memo-lookups")
+        (Health.counter m.Methodology.health "path-memo-distinct");
       let top = Int.min 10 (Array.length m.Methodology.ranked) in
       Fmt.pr "top %d paths by 3-sigma point:@." top;
       for i = 0 to top - 1 do

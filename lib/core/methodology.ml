@@ -209,27 +209,32 @@ let run_tracked ~config ~tracker ?placement ?wire ?wire_caps ?pool ?screen
          Health.counter_set health "inter-cache-lookups" st.Inter.cs_lookups;
          Health.counter_set health "inter-cache-distinct" st.Inter.cs_distinct;
          Health.counter_set health "inter-cache-hits" st.Inter.cs_hits);
-  (* Scratch-arena traffic of the zero-allocation kernels.  All three
-     derived counters are scheduling-independent (size classes are a set
-     union, borrowed bytes a per-path sum, and the peak equals the
-     sequential per-path maximum because arenas drain between paths), so
-     they are safe for byte-deterministic reports.  They do depend on
-     which paths this run analyzed itself, so — like the inter-cache
-     counters under a shared cache — they are skipped when a warm state
-     or a reuse hook lets the run splice in work done elsewhere. *)
-  (let st = Path_analysis.arena_stats ctx in
-   if
-     st.Ssta_prob.Arena.st_borrow_bytes > 0
-     && Option.is_none warm
-     && Option.is_none reuse
-   then begin
-     Health.counter_set health "arena-buffers-created"
-       (Ssta_prob.Arena.buffers_created st);
-     Health.counter_set health "arena-bytes-reused"
-       (Ssta_prob.Arena.bytes_reused st);
-     Health.counter_set health "arena-peak-bytes"
-       st.Ssta_prob.Arena.st_peak_bytes
-   end);
+  (* Scratch-arena and path-memo traffic.  All five counters are
+     scheduling-independent: size classes are a set union, borrowed
+     bytes a per-key sum, the arena peak equals the sequential per-key
+     maximum because arenas drain between analyses, memo lookups count
+     [analyze] calls and memo entries count distinct keys, each computed
+     exactly once.  They do depend on which paths this run analyzed
+     itself, so — like the inter-cache counters under a shared cache —
+     they are skipped when a warm state or a reuse hook lets the run
+     splice in work done elsewhere (incremental re-analysis must stay
+     byte-identical to a warm from-scratch run). *)
+  if Option.is_none warm && Option.is_none reuse then begin
+    let st = Path_analysis.arena_stats ctx in
+    if st.Ssta_prob.Arena.st_borrow_bytes > 0 then begin
+      Health.counter_set health "arena-buffers-created"
+        (Ssta_prob.Arena.buffers_created st);
+      Health.counter_set health "arena-bytes-reused"
+        (Ssta_prob.Arena.bytes_reused st);
+      Health.counter_set health "arena-peak-bytes"
+        st.Ssta_prob.Arena.st_peak_bytes
+    end;
+    let memo = Path_analysis.memo_stats ctx in
+    Health.counter_set health "path-memo-lookups"
+      memo.Path_analysis.memo_lookups;
+    Health.counter_set health "path-memo-distinct"
+      memo.Path_analysis.memo_distinct
+  end;
   List.iter (fun (k, v) -> Health.counter_set health k v) screen_counters;
   if stopped then
     degrade

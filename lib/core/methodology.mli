@@ -119,7 +119,10 @@ val analyze :
     [wire_caps]).  [warm] shares the inter-table/kernel-cache state
     across calls (see {!Path_analysis.warm}); sharing changes no
     analysis bit, and cache counters are then left out of the run's
-    health ledger — the warm-state owner accounts for them.
+    health ledger — the warm-state owner accounts for them.  The arena
+    and path-memo counters are left out under [warm] or [reuse] too, so
+    an incremental run stays byte-identical to a warm one from
+    scratch.
 
     [reuse]/[record] are the incremental re-analysis hooks
     ([Ssta_check.Impact]).  For every path of step 3/5, [reuse] may

@@ -50,6 +50,36 @@ let domain_states_arena_stats d =
       Ssta_prob.Arena.merged_stats
         (List.map (fun (_, a) -> Ssta_prob.Arena.stats a) d.ds_shards))
 
+(* One analysis per statistically distinct path.  A path's three PDFs
+   are a function of exactly three floats — the Eq. 5 sums A and B
+   (through the inter kernel) and the Eq. 14 intra variance — given the
+   context's fixed config, inter tables and kernel cache (whose answers
+   are a pure function of the call's coefficients).  Keying on their bit
+   patterns therefore makes a hit return the very values a fresh
+   computation would.  The entry keeps the [Guard] events of the
+   analysis that computed it; every use replays them into the caller's
+   ledger, so ledgers do not depend on which path missed.  Misses are
+   computed under the lock, so exactly one analysis runs per key at any
+   worker count and the counters are scheduling-independent. *)
+type shared = {
+  s_intra : Pdf.t;
+  s_inter : Pdf.t;
+  s_total : Pdf.t;
+  s_mean : float;
+  s_std : float;
+  s_intra_sigma : float;
+  s_inter_sigma : float;
+  s_health : Health.t;  (* the computing analysis's Guard events *)
+}
+
+type memo = {
+  entries : (int64 * int64 * int64, shared) Hashtbl.t;
+  mutable lookups : int;
+  memo_lock : Mutex.t;
+}
+
+type memo_stats = { memo_lookups : int; memo_distinct : int }
+
 type context = {
   config : Config.t;
   graph : Graph.t;
@@ -62,6 +92,7 @@ type context = {
   grads : Ssta_tech.Params.t array;
       (* per-node nominal delay gradients, evaluated once per graph *)
   domains : domain_states;  (* per-domain arena shards *)
+  memo : memo;
 }
 
 type warm = {
@@ -138,7 +169,11 @@ let context ?health ?warm config graph placement =
     caches;
     cache_shared;
     grads;
-    domains = domain_states_create () }
+    domains = domain_states_create ();
+    memo =
+      { entries = Hashtbl.create 16;
+        lookups = 0;
+        memo_lock = Mutex.create () } }
 
 let health ctx = ctx.health
 
@@ -146,29 +181,73 @@ let cache_stats ctx = Option.map Inter.caches_stats ctx.caches
 let cache_shared ctx = ctx.cache_shared
 let arena_stats ctx = domain_states_arena_stats ctx.domains
 
+let memo_stats ctx =
+  Mutex.protect ctx.memo.memo_lock (fun () ->
+      { memo_lookups = ctx.memo.lookups;
+        memo_distinct = Hashtbl.length ctx.memo.entries })
+
+(* The PDFs and their scalars for one memo key, with the Guard events in
+   a private ledger.  A raise leaves its partial events in [health], as
+   a direct analysis would. *)
+let compute_shared ctx ~health ~arena coeffs intra_var =
+  let cache = Option.map Inter.caches_get ctx.caches in
+  let h = Health.create () in
+  match
+    let intra_pdf =
+      Guard.check h ~op:"intra pdf" (Intra.pdf_of_variance ctx.config intra_var)
+    in
+    let inter_pdf =
+      Guard.check h ~op:"inter pdf"
+        (Inter.of_coeffs ?cache ~arena ctx.tables coeffs)
+    in
+    let total_pdf =
+      Guard.sum ~n:ctx.config.Config.quality_intra ~arena h inter_pdf intra_pdf
+    in
+    let m = Pdf.moments total_pdf in
+    { s_intra = intra_pdf;
+      s_inter = inter_pdf;
+      s_total = total_pdf;
+      s_mean = m.Pdf.m_mean;
+      s_std = sqrt m.Pdf.m_var;
+      s_intra_sigma = Pdf.std intra_pdf;
+      s_inter_sigma = Pdf.std inter_pdf;
+      s_health = h }
+  with
+  | s -> s
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Health.merge ~into:health h;
+      Printexc.raise_with_backtrace e bt
+
 let analyze ?health ctx path =
   (* [health] overrides the context ledger so parallel callers can give
      each path a private ledger and merge them back in a fixed order. *)
   let health = match health with Some h -> h | None -> ctx.health in
+  (* The arena and kernel-cache shard lookups take their own leaf locks
+     and never the memo lock, so fetching the cache shard inside a miss
+     cannot deadlock. *)
   let arena = domain_states_get ctx.domains in
   let coeffs =
     Path_coeffs.of_path ~grads:ctx.grads ctx.graph ctx.placement ctx.layers
       path
   in
-  let intra_pdf =
-    Guard.check health ~op:"intra pdf" (Intra.pdf ctx.config coeffs)
+  let intra_var = Intra.variance ctx.config coeffs in
+  let key =
+    ( Int64.bits_of_float coeffs.Path_coeffs.alpha_sum,
+      Int64.bits_of_float coeffs.Path_coeffs.beta_sum,
+      Int64.bits_of_float intra_var )
   in
-  let cache = Option.map Inter.caches_get ctx.caches in
-  let inter_pdf =
-    Guard.check health ~op:"inter pdf"
-      (Inter.of_coeffs ?cache ~arena ctx.tables coeffs)
+  let s =
+    Mutex.protect ctx.memo.memo_lock (fun () ->
+        ctx.memo.lookups <- ctx.memo.lookups + 1;
+        match Hashtbl.find_opt ctx.memo.entries key with
+        | Some s -> s
+        | None ->
+            let s = compute_shared ctx ~health ~arena coeffs intra_var in
+            Hashtbl.add ctx.memo.entries key s;
+            s)
   in
-  let total_pdf =
-    Guard.sum ~n:ctx.config.Config.quality_intra ~arena health inter_pdf
-      intra_pdf
-  in
-  let m = Pdf.moments total_pdf in
-  let mean = m.Pdf.m_mean and std = sqrt m.Pdf.m_var in
+  Health.merge ~into:health s.s_health;
   let worst_case =
     Corner.path_delay ~k:ctx.config.Config.corner_k Corner.Worst
       (Paths.path_gates ctx.graph path)
@@ -176,15 +255,16 @@ let analyze ?health ctx path =
   { path;
     gate_count = Paths.path_gate_count ctx.graph path;
     coeffs;
-    intra_pdf;
-    inter_pdf;
-    total_pdf;
+    intra_pdf = s.s_intra;
+    inter_pdf = s.s_inter;
+    total_pdf = s.s_total;
     det_delay = path.Paths.delay;
-    mean;
-    std;
-    intra_sigma = Pdf.std intra_pdf;
-    inter_sigma = Pdf.std inter_pdf;
-    confidence_point = mean +. (ctx.config.Config.confidence_sigma *. std);
+    mean = s.s_mean;
+    std = s.s_std;
+    intra_sigma = s.s_intra_sigma;
+    inter_sigma = s.s_inter_sigma;
+    confidence_point =
+      s.s_mean +. (ctx.config.Config.confidence_sigma *. s.s_std);
     worst_case }
 
 let overestimation_pct t =

@@ -86,6 +86,16 @@ val arena_stats : context -> Ssta_prob.Arena.stats
     scheduling-independent (see {!Ssta_prob.Arena.merged_stats}) and
     safe for deterministic reports. *)
 
+type memo_stats = {
+  memo_lookups : int;  (** {!analyze} calls through the context *)
+  memo_distinct : int;  (** distinct keys, i.e. PDF analyses computed *)
+}
+
+val memo_stats : context -> memo_stats
+(** The context's path-memo traffic (see {!analyze}).  Both numbers are
+    scheduling-independent: every call counts once, and every key is
+    computed exactly once whatever the worker count. *)
+
 val analyze :
   ?health:Ssta_runtime.Health.t -> context -> Ssta_timing.Paths.path -> t
 (** Full statistical analysis of one path.  The intra/inter PDFs and
@@ -93,6 +103,18 @@ val analyze :
     numerical damage is fixed and recorded in the context's health
     ledger; unrepairable damage raises
     [Ssta_runtime.Ssta_error.Error (Numeric _)].
+
+    The PDFs depend on the path only through the bit patterns of its
+    Eq. 5 sums [alpha_sum], [beta_sum] and its Eq. 14 intra variance,
+    so the context memoizes them on that key: each statistically
+    distinct path is analyzed once, and later paths with the same key
+    share its (never mutated) PDFs, moments and sigmas.  The per-path
+    fields ([path], [gate_count], [coeffs], [det_delay], [worst_case])
+    are always computed from the path itself.  Every call, hit or miss,
+    replays the Guard events of the key's analysis into the ledger, so
+    results and ledgers are identical to a fresh context per path.
+    Misses run under the context's memo lock: exactly one analysis per
+    key at any worker count.  A miss that raises stores nothing.
 
     [health] redirects the guard reports away from the context ledger.
     Parallel drivers hand every path a private ledger and

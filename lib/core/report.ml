@@ -277,6 +277,11 @@ let pp_run_status fmt (t : Methodology.t) =
         lookups
         (Ssta_runtime.Health.counter h "inter-cache-distinct")
         (Ssta_runtime.Health.counter h "inter-cache-hits"));
+  (match Ssta_runtime.Health.counter h "path-memo-lookups" with
+  | 0 -> ()
+  | lookups ->
+      Format.fprintf fmt "path memo: %d lookups, %d distinct@." lookups
+        (Ssta_runtime.Health.counter h "path-memo-distinct"));
   match Ssta_runtime.Health.counter h "arena-peak-bytes" with
   | 0 -> ()
   | peak ->

@@ -212,6 +212,16 @@ let decode ~max_bytes line =
     | Ok _ ->
         Error (Err.structural ~subject:"request" "request must be a JSON object")
 
+(* The id of a line [decode] rejected, so the error reply can still be
+   matched to its request.  Only a well-formed id is echoed. *)
+let request_id line =
+  match Json.parse line with
+  | Ok (Json.Obj _ as j) -> (
+      match Json.member "id" j with
+      | Some (Json.String _ | Json.Number _) as v -> v
+      | _ -> None)
+  | Ok _ | Error _ -> None
+
 (* --- responses -------------------------------------------------------- *)
 
 type status = Ok_ | Degraded | Failed | Overloaded | Shutting_down

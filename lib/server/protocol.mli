@@ -54,6 +54,13 @@ val decode :
 (** Decode one request line.  Lines longer than [max_bytes] are
     rejected without being parsed ([Budget_exceeded]). *)
 
+val request_id : string -> Json.t option
+(** The ["id"] of a request line, when the line parses as a JSON object
+    whose ["id"] is a string or a number — also for lines {!decode}
+    rejects, so error replies can echo it.  It parses the whole line:
+    callers apply the size limit first (as the server does), so an
+    oversized line is never parsed and its reply carries no id. *)
+
 type status = Ok_ | Degraded | Failed | Overloaded | Shutting_down
 
 val status_name : status -> string

@@ -594,7 +594,11 @@ let serve ?(max_queue = 64) ?(max_request_bytes = 1_048_576) t ic oc =
            match Protocol.decode ~max_bytes:max_request_bytes line with
            | Error e ->
                Atomic.incr malformed;
-               send (Protocol.render_error e)
+               let id =
+                 if String.length line > max_request_bytes then None
+                 else Protocol.request_id line
+               in
+               send (Protocol.render_error ?id e)
            | Ok env -> (
                match Supervisor.submit sup env with
                | Supervisor.Accepted -> ()

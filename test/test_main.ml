@@ -28,6 +28,7 @@ let () =
       Test_block.suite;
       Test_runtime.suite;
       Test_inter_cache.suite;
+      Test_path_memo.suite;
       Test_parallel.suite;
       Test_faults.suite;
       Test_server.suite;

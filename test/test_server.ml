@@ -301,7 +301,7 @@ let test_server_deadline_degrades_then_recovers () =
 
 (* ----- the serve loop over real channels ----- *)
 
-let with_serve_session lines f =
+let with_serve_session ?max_request_bytes lines f =
   let req_path = Filename.temp_file "ssta_serve" ".req" in
   let resp_path = Filename.temp_file "ssta_serve" ".resp" in
   Fun.protect
@@ -320,7 +320,7 @@ let with_serve_session lines f =
           ~finally:(fun () ->
             close_in ic;
             close_out out)
-          (fun () -> Server.serve t ic out)
+          (fun () -> Server.serve ?max_request_bytes t ic out)
       in
       let ic = open_in resp_path in
       let rec read acc =
@@ -363,6 +363,43 @@ let test_serve_loop () =
            (fun s ->
              List.mem s [ "ok"; "degraded"; "error"; "shutting-down" ])
            statuses))
+
+(* A rejected line still echoes its id when the line is a JSON object
+   with a well-formed one; a bad id, bad JSON or an oversized line (never
+   parsed) gets an error without one. *)
+let test_error_replies_echo_id () =
+  let oversized =
+    Printf.sprintf {|{"id":"big","op":"run","pad":"%s"}|} (String.make 300 'x')
+  in
+  let lines =
+    [ {|{"id":"u","op":"run","bogus":1}|};
+      {|{"id":2,"op":"run","max_paths":-5}|};
+      {|{"id":9,"op":"run","max_paths":1.5}|};
+      {|{"id":"m"}|};
+      {|{"id":[1],"op":"run"}|};
+      {|{"id":"j","op":|};
+      oversized;
+      {|{"op":"shutdown"}|} ]
+  in
+  with_serve_session ~max_request_bytes:200 lines
+    (fun ~outcome:_ ~responses ~circuit:_ _t ->
+      let errors =
+        List.filter_map
+          (fun r ->
+            let v = Result.get_ok (Json.parse r) in
+            if Json.member "status" v = Some (Json.String "error") then
+              Some (Option.map Json.to_string (Json.member "id" v))
+            else None)
+          responses
+      in
+      Alcotest.(check (list (option string)))
+        "echoed ids"
+        [ Some {|"u"|}; Some "2"; Some "9"; Some {|"m"|}; None; None; None ]
+        errors);
+  check_true "request_id reads a well-formed id"
+    (Protocol.request_id {|{"op":"nope","id":"x"}|} = Some (Json.String "x"));
+  check_true "request_id ignores non-objects"
+    (Protocol.request_id {|["id"]|} = None)
 
 (* ----- chaos acceptance ----- *)
 
@@ -519,5 +556,6 @@ let suite =
       slow_case "deadline breach degrades, server survives"
         test_server_deadline_degrades_then_recovers;
       slow_case "serve loop drains and shuts down" test_serve_loop;
+      slow_case "error replies echo the request id" test_error_replies_echo_id;
       slow_case "chaos acceptance: two arrival orders"
         test_chaos_acceptance ] )
