@@ -698,8 +698,10 @@ let incremental () =
 (* Path-based cost is enumeration-dominated (O(paths * Q^3) after the
    near-critical walk); the block engine visits every gate once.  This
    harness measures both walls per benchmark at the paper's settings and
-   records where the one-pass engine wins, plus the statistical gap
-   between the two answers.  Written to BENCH_blockcross.json. *)
+   records where the one-pass engine wins, the statistical gap between
+   the two answers, and the block sweep's direct major-heap words per
+   gate (gated at 1.4 coefficient vectors).  Written to
+   BENCH_blockcross.json. *)
 let blockcross () =
   section "Block crossover: path-based vs block-based engine (jobs=1)";
   let module Block_engine = Ssta_block.Engine in
@@ -711,8 +713,8 @@ let blockcross () =
   in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  Fmt.pr "  %-7s %6s %9s %10s %8s %10s %10s %6s@." "name" "gates" "path(s)"
-    "block(s)" "speedup" "dmean" "dsigma" "wins";
+  Fmt.pr "  %-7s %6s %9s %10s %8s %10s %10s %6s %9s@." "name" "gates" "path(s)"
+    "block(s)" "speedup" "dmean" "dsigma" "wins" "maj/gate";
   let rows =
     List.map
       (fun (spec : Iscas85.spec) ->
@@ -731,9 +733,25 @@ let blockcross () =
         let m = Methodology.run ~config ~placement circuit in
         let path_wall = Unix.gettimeofday () -. t0 in
         Gc.full_major ();
+        let _, promoted0, major0 = Gc.counters () in
         let t1 = Unix.gettimeofday () in
         let r = Block_engine.analyze ~config ~placement circuit in
         let block_wall = Unix.gettimeofday () -. t1 in
+        let _, promoted1, major1 = Gc.counters () in
+        (* Words allocated straight into the major heap (coefficient
+           vectors are too large for the minor heap); deterministic, so
+           a gate on it catches an allocation regression that no wall
+           would. *)
+        let major_words_per_gate =
+          (major1 -. major0 -. (promoted1 -. promoted0))
+          /. float_of_int r.Block_engine.num_gates
+        in
+        let vector_words =
+          float_of_int
+            (Ssta_correlation.Slots.num_slots
+               ~quad_levels:config.Config.quad_levels
+            + 1)
+        in
         let pa = m.Methodology.prob_critical.Ranking.analysis in
         let path_mean = pa.Path_analysis.mean in
         let path_std = pa.Path_analysis.std in
@@ -760,20 +778,25 @@ let blockcross () =
               (rel_mean *. 100.0);
           if rel_std > 0.35 then
             fail "%s: block/path sigma gap %.1f%% (tol 35%%)" name
-              (rel_std *. 100.0)
+              (rel_std *. 100.0);
+          if major_words_per_gate > 1.4 *. vector_words then
+            fail "%s: %.0f major-heap words per gate (limit 1.4 x %.0f)" name
+              major_words_per_gate vector_words
         end;
-        Fmt.pr "  %-7s %6d %9.3f %10.4f %7.1fx %9.2f%% %9.2f%% %6s@." name
-          r.Block_engine.num_gates path_wall block_wall speedup
+        Fmt.pr "  %-7s %6d %9.3f %10.4f %7.1fx %9.2f%% %9.2f%% %6s %9.0f@."
+          name r.Block_engine.num_gates path_wall block_wall speedup
           (rel_mean *. 100.0) (rel_std *. 100.0)
-          (if wins then "yes" else "no");
+          (if wins then "yes" else "no")
+          major_words_per_gate;
         (name, r.Block_engine.num_gates, path_wall, block_wall, speedup,
          path_mean, path_std, pa.Path_analysis.confidence_point,
          r.Block_engine.mean, r.Block_engine.std,
-         r.Block_engine.confidence_point, wins))
+         r.Block_engine.confidence_point, wins, major_words_per_gate))
       specs
   in
   if !assert_
-     && not (List.exists (fun (_, _, _, _, _, _, _, _, _, _, _, w) -> w) rows)
+     && not
+          (List.exists (fun (_, _, _, _, _, _, _, _, _, _, _, w, _) -> w) rows)
   then fail "no benchmark where the block engine beats the path engine";
   let oc = open_out "BENCH_blockcross.json" in
   let out fmt = Printf.ksprintf (output_string oc) fmt in
@@ -781,16 +804,18 @@ let blockcross () =
   List.iteri
     (fun i
          (name, gates, path_wall, block_wall, speedup, path_mean, path_std,
-          path_conf, block_mean, block_std, block_conf, wins) ->
+          path_conf, block_mean, block_std, block_conf, wins,
+          major_words_per_gate) ->
       out
         "  {\"name\":\"%s\",\"gates\":%d,\"path_wall_s\":%.4f,\
          \"block_wall_s\":%.4f,\"speedup\":%.3f,\
          \"path\":{\"mean_s\":%.6e,\"std_s\":%.6e,\
          \"confidence_point_s\":%.6e},\
          \"block\":{\"mean_s\":%.6e,\"std_s\":%.6e,\
-         \"confidence_point_s\":%.6e},\"block_wins\":%b}%s\n"
+         \"confidence_point_s\":%.6e},\"block_wins\":%b,\
+         \"block_major_words_per_gate\":%.1f}%s\n"
         name gates path_wall block_wall speedup path_mean path_std path_conf
-        block_mean block_std block_conf wins
+        block_mean block_std block_conf wins major_words_per_gate
         (if i = List.length rows - 1 then "" else ","))
     rows;
   out "]}\n";

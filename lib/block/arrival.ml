@@ -25,21 +25,16 @@ type t = {
    layout: partition-major and RV-minor, built whole-partition, so their
    lengths are multiples of 5. *)
 
-let pad n a =
-  let len = Array.length a in
-  if len = n then a
-  else begin
-    let p = Array.make n 0.0 in
-    Array.blit a 0 p 0 len;
-    p
-  end
+(* Slot [i] of [v], read as zero past its end ([len] is its length). *)
+let padded v len i = if i < len then Array.unsafe_get v i else 0.0
 
-(* The fresh vector [wa * a + wb * b] and its shared variance, in one
-   pass. *)
-let combine budget ~wa a ~wb b =
-  let n = Int.max (Array.length a) (Array.length b) in
-  let a = pad n a and b = pad n b in
-  let c = Array.create_float n in
+(* [c := wa * a + wb * b] with the shorter operand read as zero-padded
+   to [Array.length c] (the longer operand's length), and the shared
+   variance of the result, in one pass.  Each slot is read before it is
+   written, so [c] may be [a] or [b] itself. *)
+let combine_into budget c ~wa a ~wb b =
+  let n = Array.length c in
+  let la = Array.length a and lb = Array.length b in
   let acc = ref 0.0 and layer = ref 0 in
   while Slots.num_rvs * Slots.layer_offset !layer < n do
     let l = !layer in
@@ -50,11 +45,11 @@ let combine budget ~wa a ~wb b =
     let j = ref (Slots.num_rvs * Slots.layer_offset l) in
     while !j < hi do
       let i = !j in
-      let x0 = (wa *. a.(i)) +. (wb *. b.(i))
-      and x1 = (wa *. a.(i + 1)) +. (wb *. b.(i + 1))
-      and x2 = (wa *. a.(i + 2)) +. (wb *. b.(i + 2))
-      and x3 = (wa *. a.(i + 3)) +. (wb *. b.(i + 3))
-      and x4 = (wa *. a.(i + 4)) +. (wb *. b.(i + 4)) in
+      let x0 = (wa *. padded a la i) +. (wb *. padded b lb i)
+      and x1 = (wa *. padded a la (i + 1)) +. (wb *. padded b lb (i + 1))
+      and x2 = (wa *. padded a la (i + 2)) +. (wb *. padded b lb (i + 2))
+      and x3 = (wa *. padded a la (i + 3)) +. (wb *. padded b lb (i + 3))
+      and x4 = (wa *. padded a la (i + 4)) +. (wb *. padded b lb (i + 4)) in
       c.(i) <- x0;
       c.(i + 1) <- x1;
       c.(i + 2) <- x2;
@@ -71,7 +66,12 @@ let combine budget ~wa a ~wb b =
     done;
     incr layer
   done;
-  (c, !acc)
+  !acc
+
+(* The fresh vector [wa * a + wb * b] and its shared variance. *)
+let combine budget ~wa a ~wb b =
+  let c = Array.create_float (Int.max (Array.length a) (Array.length b)) in
+  (c, combine_into budget c ~wa a ~wb b)
 
 (* ----- construction ----- *)
 
@@ -93,38 +93,72 @@ let make (config : Config.t) ?(mean = 0.0) ?(terms = []) resid =
     terms;
   { mean; coeffs; shared_var = Slots.dot config.Config.budget coeffs coeffs; resid }
 
-let of_gate (config : Config.t) layers placement graph id =
+(* A gate's delay form without its coefficient vector: sensitivity
+   [sens.(r)] to RV [r] sits at slot [bases.(l) + r] on every shared
+   layer [l] of a [len]-slot vector.  [gate_shared_var] is summed in
+   slot order, term by term from zero. *)
+type gate_form = {
+  delay : float;
+  sens : float array;
+  bases : int array;
+  len : int;
+  gate_shared_var : float;
+  random_var : float;
+}
+
+let gate_form (config : Config.t) layers placement graph id =
   let e = Graph.electrical_exn graph id in
   let grad = Derivatives.gradient e Params.nominal in
-  let d = Array.of_list (List.map (Params.get grad) Params.all_rvs) in
+  let sens = Array.of_list (List.map (Params.get grad) Params.all_rvs) in
   let x, y = Placement.coord placement id in
   let num_layers = Layers.num_layers layers in
   let shared_layers =
     if config.Config.random_layer then num_layers - 1 else num_layers
   in
   let budget = config.Config.budget in
-  let coeffs = Array.make (Slots.num_slots ~quad_levels:shared_layers) 0.0 in
+  let bases = Array.make shared_layers 0 in
   let shared_var = ref 0.0 in
   for layer = 0 to shared_layers - 1 do
     let partition =
       Layers.partition_of_gate layers ~level:layer ~gate_id:id ~x ~y
     in
-    let base = Slots.num_rvs * (Slots.layer_offset layer + partition) in
+    bases.(layer) <- Slots.num_rvs * (Slots.layer_offset layer + partition);
     for r = 0 to Slots.num_rvs - 1 do
-      coeffs.(base + r) <- d.(r);
-      shared_var := !shared_var +. (d.(r) *. d.(r) *. Slots.var budget ~layer r)
+      shared_var :=
+        !shared_var +. (sens.(r) *. sens.(r) *. Slots.var budget ~layer r)
     done
   done;
   let random_var = ref 0.0 in
   if config.Config.random_layer then
     for r = 0 to Slots.num_rvs - 1 do
       let v = Slots.var budget ~layer:(num_layers - 1) r in
-      random_var := !random_var +. (d.(r) *. d.(r) *. v)
+      random_var := !random_var +. (sens.(r) *. sens.(r) *. v)
     done;
-  { mean = graph.Graph.delay.(id);
+  { delay = graph.Graph.delay.(id);
+    sens;
+    bases;
+    len = Slots.num_slots ~quad_levels:shared_layers;
+    gate_shared_var = !shared_var;
+    random_var = !random_var }
+
+(* Write the gate's sensitivities into [c], or add them when [add]. *)
+let put_sens g c ~add =
+  for l = 0 to Array.length g.bases - 1 do
+    let base = g.bases.(l) in
+    for r = 0 to Slots.num_rvs - 1 do
+      let d = g.sens.(r) in
+      c.(base + r) <- (if add then c.(base + r) +. d else d)
+    done
+  done
+
+let of_gate config layers placement graph id =
+  let g = gate_form config layers placement graph id in
+  let coeffs = Array.make g.len 0.0 in
+  put_sens g coeffs ~add:false;
+  { mean = g.delay;
     coeffs;
-    shared_var = !shared_var;
-    resid = Gauss !random_var }
+    shared_var = g.gate_shared_var;
+    resid = Gauss g.random_var }
 
 (* ----- accessors ----- *)
 
@@ -193,33 +227,38 @@ let quantile config t q = Pdf.quantile (total_pdf config t) q
 
 (* ----- operators ----- *)
 
-let sum (config : Config.t) a b =
+(* The residual of [a + b]: variances add; a {!Grid} side forces a
+   convolution, with a {!Gauss} other side materialized at the scale of
+   its own arrival's mean. *)
+let sum_resid (config : Config.t) a b =
   let n = config.Config.quality_intra in
+  match (a.resid, b.resid) with
+  | Gauss va, Gauss vb -> Gauss (va +. vb)
+  | Grid ra, rb ->
+      Grid
+        (match resid_grid config ~scale:b.mean rb with
+        | Some gb -> Combine.sum ~n ra gb
+        | None -> ra)
+  | ra, Grid rb ->
+      Grid
+        (match resid_grid config ~scale:a.mean ra with
+        | Some ga -> Combine.sum ~n ga rb
+        | None -> rb)
+
+let sum (config : Config.t) a b =
   let coeffs, shared_var =
     if Array.length a.coeffs = 0 then (b.coeffs, b.shared_var)
     else if Array.length b.coeffs = 0 then (a.coeffs, a.shared_var)
     else combine config.Config.budget ~wa:1.0 a.coeffs ~wb:1.0 b.coeffs
   in
-  let resid =
-    match (a.resid, b.resid) with
-    | Gauss va, Gauss vb -> Gauss (va +. vb)
-    | Grid ra, rb ->
-        Grid
-          (match resid_grid config ~scale:b.mean rb with
-          | Some gb -> Combine.sum ~n ra gb
-          | None -> ra)
-    | ra, Grid rb ->
-        Grid
-          (match resid_grid config ~scale:a.mean ra with
-          | Some ga -> Combine.sum ~n ga rb
-          | None -> rb)
-  in
-  { mean = a.mean +. b.mean; coeffs; shared_var; resid }
+  { mean = a.mean +. b.mean; coeffs; shared_var; resid = sum_resid config a b }
 
 (* Clark's max of two correlated Gaussians, with the coefficients
    blended by the tightness probability phi = P(A > B) and the
-   variance they leave unexplained assigned to the residual. *)
-let clark_max (config : Config.t) a b =
+   variance they leave unexplained assigned to the residual.  The
+   blend is written into [into] when it has the result's length, else
+   into a fresh vector. *)
+let clark_into ~into (config : Config.t) a b =
   let va = variance config a and vb = variance config b in
   let cov = Slots.dot config.Config.budget a.coeffs b.coeffs in
   let theta2 = Float.max 1e-300 (va +. vb -. (2.0 *. cov)) in
@@ -237,8 +276,11 @@ let clark_max (config : Config.t) a b =
       +. ((a.mean +. b.mean) *. theta *. dens)
     in
     let var = Float.max 0.0 (second_moment -. (mean *. mean)) in
-    let coeffs, shared_var =
-      combine config.Config.budget ~wa:phi a.coeffs ~wb:(1.0 -. phi) b.coeffs
+    let n = Int.max (Array.length a.coeffs) (Array.length b.coeffs) in
+    let coeffs = if Array.length into = n then into else Array.create_float n in
+    let shared_var =
+      combine_into config.Config.budget coeffs ~wa:phi a.coeffs ~wb:(1.0 -. phi)
+        b.coeffs
     in
     let resid = Gauss (Float.max 0.0 (var -. shared_var)) in
     { mean; coeffs; shared_var; resid }
@@ -275,5 +317,79 @@ let grid_max (config : Config.t) a b =
 
 let max (config : Config.t) a b =
   match config.Config.block_max with
-  | Config.Clark_max -> clark_max config a b
+  | Config.Clark_max -> clark_into ~into:[||] config a b
   | Config.Grid_max -> grid_max config a b
+
+(* ----- the engine's per-gate step ----- *)
+
+(* One gate of the sweep: [sum (fold max fanins) (of_gate id)], bit
+   for bit, allocating at most one coefficient vector under the Clark
+   policy.  [owned] is the vector this call allocated (or [[||]]): no
+   operand and no stored arrival holds it, so the fold blends into it in
+   place and the gate's sensitivities are added to it in place.  A fold
+   result that is a stored arrival (one fan-in, or a Clark early
+   return) is copied once before the gate's terms go in. *)
+let step (config : Config.t) layers placement graph arrivals id =
+  let fanins = Graph.fanins graph id in
+  let nf = Array.length fanins in
+  let input = ref (if nf = 0 then zero_arrival else arrivals.(fanins.(0))) in
+  match config.Config.block_max with
+  | Config.Grid_max ->
+      for k = 1 to nf - 1 do
+        input := grid_max config !input arrivals.(fanins.(k))
+      done;
+      sum config !input (of_gate config layers placement graph id)
+  | Config.Clark_max ->
+      let owned = ref [||] in
+      for k = 1 to nf - 1 do
+        let a = !input and b = arrivals.(fanins.(k)) in
+        let m = clark_into ~into:!owned config a b in
+        if m != a && m != b then owned := m.coeffs;
+        input := m
+      done;
+      let a = !input in
+      let g = gate_form config layers placement graph id in
+      let la = Array.length a.coeffs in
+      (* A vector of [n] slots this call may write. *)
+      let buffer n =
+        if Array.length !owned = n && a.coeffs != !owned then !owned
+        else Array.create_float n
+      in
+      let coeffs, shared_var =
+        if la = 0 then begin
+          (* [sum] takes the gate's own vector and variance. *)
+          let c = buffer g.len in
+          Array.fill c 0 g.len 0.0;
+          put_sens g c ~add:false;
+          (c, g.gate_shared_var)
+        end
+        else if g.len = 0 then (a.coeffs, a.shared_var)
+        else begin
+          let n = Int.max la g.len in
+          let c =
+            if a.coeffs == !owned && la = n then a.coeffs
+            else begin
+              let c = buffer n in
+              Array.blit a.coeffs 0 c 0 la;
+              Array.fill c la (n - la) 0.0;
+              c
+            end
+          in
+          (* [sum] adds +0.0 to every other slot; leaving them as they
+             are differs only on a -0.0 slot, which no dot product
+             sees. *)
+          put_sens g c ~add:true;
+          (* The same slot-order accumulation [combine] performs. *)
+          (c, Slots.dot config.Config.budget c c)
+        end
+      in
+      let gate =
+        { mean = g.delay;
+          coeffs = [||];
+          shared_var = 0.0;
+          resid = Gauss g.random_var }
+      in
+      { mean = a.mean +. g.delay;
+        coeffs;
+        shared_var;
+        resid = sum_resid config a gate }

@@ -92,6 +92,31 @@ val max : Ssta_core.Config.t -> t -> t -> t
       which can both over- and under-estimate the max (see the
       anti-correlated counterexample in HANDBOOK section 9). *)
 
+val step :
+  Ssta_core.Config.t ->
+  Ssta_correlation.Layers.t ->
+  Ssta_circuit.Placement.t ->
+  Ssta_timing.Graph.t ->
+  t array ->
+  int ->
+  t
+(** [step config layers placement graph arrivals id] is the arrival of
+    gate [id] given the arrivals of the graph's nodes (indexed by node
+    id): bit for bit
+    [sum config (fold max fanins) (of_gate config layers placement graph id)],
+    with the fan-ins folded left to right in {!Ssta_timing.Graph.fanins}
+    order and a gate without fan-ins starting from {!zero}.
+
+    Under [Clark_max] the step allocates at most one coefficient vector:
+    the fold's first Clark blend allocates it, later blends and the
+    gate's own sensitivities are written into it in place, and a fold
+    result that is one of the stored arrivals (a single fan-in, or a
+    Clark early return) is copied into it once.  It writes only into
+    that vector — never into an operand — so the immutability contract
+    above holds: [arrivals] is unchanged and the result shares no
+    mutable state with it.  Under [Grid_max] the step is the composite
+    itself.  Raises [Invalid_argument] on a primary input. *)
+
 val mean : t -> float
 
 val coeff : t -> Ssta_correlation.Slots.key -> float

@@ -46,25 +46,29 @@ let endpoint_of config ~node ~name arrival =
     intra_sigma = Arrival.intra_sigma config arrival;
     confidence_point = mean +. (config.Config.confidence_sigma *. std) }
 
-let propagate config layers placement graph =
+(* One topological sweep.  Each interior node's arrival is reset to
+   [zero] once its last consumer has run, so only the sweep frontier
+   stays live.  Consumers are counted per fan-in edge (a gate that reads
+   a node twice holds it twice); every primary output holds one more
+   use, which is never released, for the endpoint table. *)
+let propagate config layers placement graph ~outputs =
   let n = Graph.num_nodes graph in
   let zero = Arrival.zero () in
   let arrivals = Array.make n zero in
+  let uses = Array.make n 0 in
+  for id = 0 to n - 1 do
+    Array.iter (fun f -> uses.(f) <- uses.(f) + 1) (Graph.fanins graph id)
+  done;
+  Array.iter (fun o -> uses.(o) <- uses.(o) + 1) outputs;
   for id = 0 to n - 1 do
     if not (Graph.is_input graph id) then begin
+      arrivals.(id) <- Arrival.step config layers placement graph arrivals id;
       let fanins = Graph.fanins graph id in
-      let merged =
-        Array.fold_left
-          (fun acc f ->
-            match acc with
-            | None -> Some arrivals.(f)
-            | Some m -> Some (Arrival.max config m arrivals.(f)))
-          None fanins
-      in
-      let input_arrival = match merged with Some m -> m | None -> zero in
-      arrivals.(id) <-
-        Arrival.sum config input_arrival
-          (Arrival.of_gate config layers placement graph id)
+      for k = 0 to Array.length fanins - 1 do
+        let f = fanins.(k) in
+        uses.(f) <- uses.(f) - 1;
+        if uses.(f) = 0 then arrivals.(f) <- zero
+      done
     end
   done;
   arrivals
@@ -77,8 +81,8 @@ let analyze ?(config = Config.default) ?placement ?sta circuit =
     match placement with Some pl -> pl | None -> Placement.place circuit
   in
   let layers = Config.layers_for config placement in
-  let arrivals = propagate config layers placement graph in
   let outputs = circuit.Netlist.outputs in
+  let arrivals = propagate config layers placement graph ~outputs in
   let arrival =
     Array.fold_left
       (fun acc o ->

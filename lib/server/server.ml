@@ -256,46 +256,42 @@ let do_query t id endpoint (p : Protocol.run_params) =
       Protocol.render_error ?id
         (Err.structural ~subject:"endpoint"
            (Printf.sprintf "node %S is a primary input" endpoint))
-  | Some nid when (effective_config t p).Config.engine = Config.Block -> (
-      (* Block mode propagates whole arrival distributions, so the
-         answer comes from the endpoint table of one sweep — but only
-         primary outputs have entries (interior nodes are folded into
-         downstream maxes). *)
+  | Some nid
+    when (effective_config t p).Config.engine = Config.Block
+         && not (Array.mem nid t.circuit.Netlist.outputs) ->
+      (* Block mode propagates whole arrival distributions, so it
+         answers from the endpoint table of one sweep — which has
+         entries only for primary outputs (interior nodes are folded
+         into downstream maxes).  Refuse before sweeping. *)
+      count t "requests-error";
+      Protocol.render_error ?id
+        (Err.structural ~subject:"endpoint"
+           (Printf.sprintf
+              "node %S is not a primary output (the block engine answers \
+               endpoint queries only)"
+              endpoint))
+  | Some nid when (effective_config t p).Config.engine = Config.Block ->
       let cfg = effective_config t p in
       let r =
         Block_engine.analyze ~config:cfg ~placement:t.placement ~sta:t.sta
           t.circuit
       in
-      match
-        List.find_opt
-          (fun ep -> ep.Block_engine.node = nid)
-          r.Block_engine.endpoints
-      with
-      | None ->
-          count t "requests-error";
-          Protocol.render_error ?id
-            (Err.structural ~subject:"endpoint"
-               (Printf.sprintf
-                  "node %S is not a primary output (the block engine \
-                   answers endpoint queries only)"
-                  endpoint))
-      | Some ep ->
-          count t "requests-ok";
-          Protocol.render ?id ~status:Protocol.Ok_
-            [ ("endpoint", Json.String endpoint);
-              ("engine", Json.String (Config.engine_name Config.Block));
-              ("mean_s", Json.Number ep.Block_engine.mean);
-              ("std_s", Json.Number ep.Block_engine.std);
-              ("inter_sigma_s", Json.Number ep.Block_engine.inter_sigma);
-              ("intra_sigma_s", Json.Number ep.Block_engine.intra_sigma);
-              ( "confidence_point_s",
-                Json.Number ep.Block_engine.confidence_point );
-              ( "q001_s",
-                Json.Number (Pdf.quantile ep.Block_engine.pdf 0.001) );
-              ( "median_s",
-                Json.Number (Pdf.quantile ep.Block_engine.pdf 0.5) );
-              ( "q999_s",
-                Json.Number (Pdf.quantile ep.Block_engine.pdf 0.999) ) ])
+      let ep =
+        List.find (fun ep -> ep.Block_engine.node = nid) r.Block_engine.endpoints
+      in
+      count t "requests-ok";
+      Protocol.render ?id ~status:Protocol.Ok_
+        [ ("endpoint", Json.String endpoint);
+          ("engine", Json.String (Config.engine_name Config.Block));
+          ("mean_s", Json.Number ep.Block_engine.mean);
+          ("std_s", Json.Number ep.Block_engine.std);
+          ("inter_sigma_s", Json.Number ep.Block_engine.inter_sigma);
+          ("intra_sigma_s", Json.Number ep.Block_engine.intra_sigma);
+          ( "confidence_point_s",
+            Json.Number ep.Block_engine.confidence_point );
+          ("q001_s", Json.Number (Pdf.quantile ep.Block_engine.pdf 0.001));
+          ("median_s", Json.Number (Pdf.quantile ep.Block_engine.pdf 0.5));
+          ("q999_s", Json.Number (Pdf.quantile ep.Block_engine.pdf 0.999)) ]
   | Some nid ->
       let cfg = effective_config t p in
       let warm = get_warm t cfg in
@@ -569,6 +565,8 @@ let dispatch t env =
 
 (* --- serve loop ------------------------------------------------------- *)
 
+let cancel_poll_s = 0.05
+
 let serve ?(max_queue = 64) ?(max_request_bytes = 1_048_576) t ic oc =
   let sup = Supervisor.create ~max_queue () in
   let out_lock = Mutex.create () in
@@ -600,7 +598,7 @@ let serve ?(max_queue = 64) ?(max_request_bytes = 1_048_576) t ic oc =
                in
                send (Protocol.render_error ?id e)
            | Ok env -> (
-               match Supervisor.submit sup env with
+               match Supervisor.submit sup (Unix.gettimeofday (), env) with
                | Supervisor.Accepted -> ()
                | Supervisor.Overloaded ->
                    send
@@ -616,10 +614,32 @@ let serve ?(max_queue = 64) ?(max_request_bytes = 1_048_576) t ic oc =
     Supervisor.begin_shutdown sup
   in
   let reader_thread = Thread.create reader () in
+  (* [take] blocks on the queue's condition variable, which a signal
+     cannot reach; a watcher polls the cancellation latch off the
+     request path and turns a trip into a shutdown, so SIGTERM ends an
+     idle loop within [cancel_poll_s]. *)
+  let finished = Atomic.make false and by_cancel = Atomic.make false in
+  let rec watcher () =
+    if Atomic.get finished || Supervisor.is_shutting_down sup then ()
+    else if Cancel.cancelled t.cancel then begin
+      Atomic.set by_cancel true;
+      Supervisor.begin_shutdown sup
+    end
+    else begin
+      Thread.delay cancel_poll_s;
+      watcher ()
+    end
+  in
+  ignore (Thread.create watcher () : Thread.t);
   let reason = ref `Eof in
   let rec loop () =
-    match Supervisor.try_take sup with
-    | Some env ->
+    match Supervisor.take sup with
+    | Some (enqueued, env) ->
+        (* Queue wait goes to the lifetime ledger ([health] shows it),
+           never into a response. *)
+        count t "queue-waits";
+        Health.counter_add t.lifetime "queue-wait-us"
+          (int_of_float ((Unix.gettimeofday () -. enqueued) *. 1e6));
         send (dispatch t env);
         Supervisor.note_completed sup;
         (match env.Protocol.request with
@@ -628,19 +648,11 @@ let serve ?(max_queue = 64) ?(max_request_bytes = 1_048_576) t ic oc =
             Supervisor.begin_shutdown sup
         | _ -> ());
         loop ()
-    | None ->
-        if Supervisor.drained sup then ()
-        else if Cancel.cancelled t.cancel then begin
-          if !reason = `Eof then reason := `Cancelled;
-          Supervisor.begin_shutdown sup;
-          loop ()
-        end
-        else begin
-          Thread.delay 0.002;
-          loop ()
-        end
+    | None -> ()
   in
   loop ();
+  Atomic.set finished true;
+  if !reason = `Eof && Atomic.get by_cancel then reason := `Cancelled;
   (match !reason with
   | `Eof ->
       (* The reader hit end of input (it is who initiated the

@@ -1,5 +1,6 @@
 type 'a t = {
   lock : Mutex.t;
+  wake : Condition.t;  (* signalled on every admission and on shutdown *)
   items : 'a Queue.t;
   max_queue : int;
   mutable shutting_down : bool;
@@ -14,6 +15,7 @@ type submit_result = Accepted | Overloaded | Shutting_down
 let create ~max_queue () =
   if max_queue < 1 then invalid_arg "Supervisor.create: max_queue >= 1";
   { lock = Mutex.create ();
+    wake = Condition.create ();
     items = Queue.create ();
     max_queue;
     shutting_down = false;
@@ -39,11 +41,26 @@ let submit t x =
       else begin
         Queue.add x t.items;
         t.accepted <- t.accepted + 1;
+        Condition.signal t.wake;
         Accepted
       end)
 
-let try_take t = locked t (fun () -> Queue.take_opt t.items)
-let begin_shutdown t = locked t (fun () -> t.shutting_down <- true)
+let take t =
+  locked t (fun () ->
+      let rec next () =
+        match Queue.take_opt t.items with
+        | Some _ as x -> x
+        | None when t.shutting_down -> None
+        | None ->
+            Condition.wait t.wake t.lock;
+            next ()
+      in
+      next ())
+
+let begin_shutdown t =
+  locked t (fun () ->
+      t.shutting_down <- true;
+      Condition.broadcast t.wake)
 let is_shutting_down t = locked t (fun () -> t.shutting_down)
 
 let drained t =

@@ -10,7 +10,11 @@
     Shutdown is graceful by construction: {!begin_shutdown} stops
     admissions (new submissions answer {!Shutting_down}) but the
     dispatcher keeps draining what was already accepted;
-    {!drained} turns true only when the queue is empty again. *)
+    {!drained} turns true only when the queue is empty again.
+
+    The consumer blocks in {!take} on a condition variable that
+    {!submit} and {!begin_shutdown} signal, so an idle consumer burns
+    no CPU and a submission wakes it at once. *)
 
 type 'a t
 
@@ -21,13 +25,14 @@ val create : max_queue:int -> unit -> 'a t
 
 val submit : 'a t -> 'a -> submit_result
 
-val try_take : 'a t -> 'a option
-(** Pop the oldest accepted item (FIFO); [None] when the queue is
-    momentarily empty.  Accepted items remain takeable after
+val take : 'a t -> 'a option
+(** Pop the oldest accepted item (FIFO), waiting while the queue is
+    empty; [None] once shutdown was requested and every accepted item
+    has been taken.  Accepted items remain takeable after
     {!begin_shutdown} — that is the drain. *)
 
 val begin_shutdown : 'a t -> unit
-(** Idempotent. *)
+(** Idempotent.  Wakes every consumer blocked in {!take}. *)
 
 val is_shutting_down : 'a t -> bool
 

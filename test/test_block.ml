@@ -388,6 +388,156 @@ let test_json_byte_identity () =
     [ ("clark", fast_config);
       ("grid", { fast_config with Config.block_max = Config.Grid_max }) ]
 
+(* --- the fused per-gate step --------------------------------------------- *)
+
+module Iscas85 = Ssta_circuit.Iscas85
+
+(* The composite's report and the engine's. *)
+let reports config placement circuit =
+  ( Engine.json_report (Block_reference.analyze config placement circuit),
+    Engine.json_report (Engine.analyze ~config ~placement circuit) )
+
+let test_step_matches_reference_iscas85 () =
+  List.iter
+    (fun (spec : Iscas85.spec) ->
+      let circuit, placement = Iscas85.build_placed spec in
+      List.iter
+        (fun (policy, quality) ->
+          List.iter
+            (fun conf ->
+              let config =
+                { (Config.with_confidence
+                     (Config.with_quality Config.default ~intra:quality
+                        ~inter:Config.default.Config.quality_inter)
+                     conf)
+                  with
+                  Config.block_max = policy;
+                  confidence_sigma = conf }
+              in
+              let want, got = reports config placement circuit in
+              Alcotest.(check string)
+                (Printf.sprintf "%s %s at %g: fused sweep = composite"
+                   spec.Iscas85.name
+                   (Config.max_policy_name policy)
+                   conf)
+                want got)
+            [ Config.default.Config.confidence_sigma; 2.0; 4.5 ])
+        (* The grid policy convolves at every merge; a coarser grid
+           keeps its ten circuits quick and changes nothing the step
+           does. *)
+        [ (Config.Clark_max, Config.default.Config.quality_intra);
+          (Config.Grid_max, 16) ])
+    Iscas85.all
+
+(* A random DAG in which about two gates in five read one node on two
+   of their inputs. *)
+let random_repeat_circuit seed =
+  let st = Random.State.make [| seed |] in
+  let b = Netlist.Builder.create "repeat" in
+  let inputs = 2 + Random.State.int st 5 in
+  let nodes =
+    ref
+      (List.init inputs (fun i ->
+           Netlist.Builder.add_input b (Printf.sprintf "i%d" i)))
+  in
+  let pick () = List.nth !nodes (Random.State.int st (List.length !nodes)) in
+  for _ = 1 to 8 + Random.State.int st 40 do
+    let x = pick () in
+    let kind, fanins =
+      match Random.State.int st 5 with
+      | 0 -> (Gate.Nand 2, [ x; x ])
+      | 1 -> (Gate.Nor 3, [ x; pick (); x ])
+      | 2 -> (Gate.Inv, [ x ])
+      | _ -> (Gate.Nand 2, [ x; pick () ])
+    in
+    nodes := !nodes @ [ Netlist.Builder.add_gate b kind fanins ]
+  done;
+  let gates = List.filteri (fun i _ -> i >= inputs) !nodes in
+  Netlist.Builder.mark_output b (List.nth gates (List.length gates - 1));
+  List.iter
+    (fun g -> if Random.State.int st 4 = 0 then Netlist.Builder.mark_output b g)
+    gates;
+  Netlist.Builder.finish b
+
+let test_step_matches_reference_random =
+  qcheck ~count:30 "fused sweep = composite on random circuits"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let layered =
+        Generators.random_layered ~name:"rand" ~inputs:8 ~outputs:4 ~gates:60
+          ~depth:8 ~seed ()
+      in
+      List.for_all
+        (fun circuit ->
+          let placement = Placement.place circuit in
+          List.for_all
+            (fun policy ->
+              let config = { fast_config with Config.block_max = policy } in
+              let want, got = reports config placement circuit in
+              String.equal want got)
+            [ Config.Clark_max; Config.Grid_max ])
+        [ layered; random_repeat_circuit seed ])
+
+(* Every fan-in's mean, variance and coefficients, bit for bit, before
+   and after each step; and the step's result against the composite.
+   The composite fold also counts Clark's early returns ([max] returns
+   an operand itself), which must both fire on the circuit. *)
+let test_step_leaves_operands_alone () =
+  let config = Config.default in
+  let spec = Option.get (Iscas85.by_name "c432") in
+  let circuit, placement = Iscas85.build_placed spec in
+  let graph = (Sta.analyze circuit).Sta.graph in
+  let layers = Config.layers_for config placement in
+  let keys = all_keys ~quad_levels:config.Config.quad_levels in
+  let bits = Int64.bits_of_float in
+  let snapshot a =
+    ( bits (Arrival.mean a),
+      bits (Arrival.variance config a),
+      List.map (fun k -> bits (Arrival.coeff a k)) keys )
+  in
+  let left = ref 0 and right = ref 0 in
+  let arrivals = Array.make (Graph.num_nodes graph) (Arrival.zero ()) in
+  for id = 0 to Graph.num_nodes graph - 1 do
+    if not (Graph.is_input graph id) then begin
+      let fanins = Graph.fanins graph id in
+      let before = Array.map (fun f -> snapshot arrivals.(f)) fanins in
+      let fused = Arrival.step config layers placement graph arrivals id in
+      Array.iteri
+        (fun k f ->
+          check_true
+            (Printf.sprintf "gate %d leaves fan-in %d unchanged" id f)
+            (snapshot arrivals.(f) = before.(k)))
+        fanins;
+      ignore
+        (Array.fold_left
+           (fun acc f ->
+             match acc with
+             | None -> Some arrivals.(f)
+             | Some m ->
+                 let b = arrivals.(f) in
+                 let r = Arrival.max config m b in
+                 if m != b then begin
+                   if r == m then incr left;
+                   if r == b then incr right
+                 end;
+                 Some r)
+           None fanins);
+      let composite =
+        Block_reference.gate config layers placement graph arrivals id
+      in
+      check_true
+        (Printf.sprintf "gate %d: step = composite" id)
+        (snapshot fused = snapshot composite);
+      arrivals.(id) <- fused
+    end
+  done;
+  check_true
+    (Printf.sprintf "Clark's d > 8 return fired (%d)" !left)
+    (!left > 0);
+  check_true
+    (Printf.sprintf "Clark's d < -8 return fired (%d)" !right)
+    (!right > 0)
+
 let suite =
   ( "block",
     [ case "statistical sum adds moments and covariance" test_sum_moments;
@@ -407,4 +557,9 @@ let suite =
         test_diamond_vs_mc;
       test_block_within_affine_envelope;
       case "block JSON report byte-identical across jobs"
-        test_json_byte_identity ] )
+        test_json_byte_identity;
+      slow_case "fused sweep = composite on ISCAS85, both policies"
+        test_step_matches_reference_iscas85;
+      test_step_matches_reference_random;
+      case "the step never writes into an operand"
+        test_step_leaves_operands_alone ] )

@@ -157,20 +157,53 @@ let test_supervisor () =
   check_true "accept 1" (Supervisor.submit q 1 = Supervisor.Accepted);
   check_true "accept 2" (Supervisor.submit q 2 = Supervisor.Accepted);
   check_true "overflow" (Supervisor.submit q 3 = Supervisor.Overloaded);
-  check_true "fifo 1" (Supervisor.try_take q = Some 1);
+  check_true "fifo 1" (Supervisor.take q = Some 1);
   check_true "accept 4" (Supervisor.submit q 4 = Supervisor.Accepted);
   Supervisor.begin_shutdown q;
   check_true "rejected after shutdown"
     (Supervisor.submit q 5 = Supervisor.Shutting_down);
   check_true "not yet drained" (not (Supervisor.drained q));
-  check_true "fifo 2" (Supervisor.try_take q = Some 2);
-  check_true "fifo 4" (Supervisor.try_take q = Some 4);
-  check_true "empty" (Supervisor.try_take q = None);
+  check_true "fifo 2" (Supervisor.take q = Some 2);
+  check_true "fifo 4" (Supervisor.take q = Some 4);
+  check_true "empty" (Supervisor.take q = None);
   check_true "drained" (Supervisor.drained q);
   let s = Supervisor.stats q in
   check_int "accepted" 3 s.Supervisor.accepted;
   check_int "overloaded" 1 s.Supervisor.overloaded;
   check_int "rejected" 1 s.Supervisor.rejected_shutdown
+
+(* Poll [flag] for up to [s] seconds. *)
+let await ?(s = 2.0) flag =
+  let deadline = Unix.gettimeofday () +. s in
+  while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done;
+  Atomic.get flag
+
+let test_supervisor_take_wakes () =
+  let q = Supervisor.create ~max_queue:4 () in
+  let blocked_take () =
+    let got = ref None and returned = Atomic.make false in
+    let th =
+      Thread.create
+        (fun () ->
+          got := Supervisor.take q;
+          Atomic.set returned true)
+        ()
+    in
+    Thread.delay 0.05;
+    check_true "take blocks on an empty queue" (not (Atomic.get returned));
+    (th, got, returned)
+  in
+  let th, got, returned = blocked_take () in
+  check_true "submit accepted" (Supervisor.submit q 7 = Supervisor.Accepted);
+  check_true "submit wakes the taker" (await returned);
+  Thread.join th;
+  check_true "the taker got the item" (!got = Some 7);
+  let _th, got, returned = blocked_take () in
+  Supervisor.begin_shutdown q;
+  check_true "begin_shutdown wakes the taker" (await returned);
+  check_true "a drained queue answers None" (!got = None)
 
 (* ----- the server itself ----- *)
 
@@ -236,6 +269,30 @@ let test_server_basic_requests () =
       check_true "total counted" (c "requests-total" = Some 8);
       check_true "errors counted" (c "requests-error" = Some 2)
   | Error _ -> Alcotest.fail "health response unparsable"
+
+let test_block_query_interior_node () =
+  let t, circuit = make_server () in
+  let interior =
+    let outs = circuit.Netlist.outputs in
+    let rec find id =
+      if Netlist.is_input circuit id || Array.mem id outs then find (id + 1)
+      else Netlist.node_name circuit id
+    in
+    find 0
+  in
+  Alcotest.(check string) "interior node refused with the same bytes"
+    (Printf.sprintf
+       {|{"id":"qi","status":"error","kind":"structural","code":1,"message":"structural error in endpoint: node \"%s\" is not a primary output (the block engine answers endpoint queries only)"}|}
+       interior)
+    (ask t
+       (Printf.sprintf {|{"op":"query","id":"qi","endpoint":"%s","engine":"block"}|}
+          interior));
+  let out = Netlist.node_name circuit circuit.Netlist.outputs.(0) in
+  Alcotest.(check string) "primary output answered" "ok"
+    (status_of
+       (ask t
+          (Printf.sprintf {|{"op":"query","id":"qo","endpoint":"%s","engine":"block"}|}
+             out)))
 
 let test_server_health_reports_pool_parking () =
   (* An idle server's worker domains sit parked on the pool's condition
@@ -345,6 +402,23 @@ let test_serve_loop () =
   with_serve_session lines
     (fun ~outcome ~responses ~circuit:_ _t ->
       check_true "shutdown outcome" (outcome = `Shutdown);
+      (* The first health answer already counts its own queue wait. *)
+      let h1 =
+        List.find
+          (fun r ->
+            match Json.parse r with
+            | Ok v -> Json.member "id" v = Some (Json.String "h1")
+            | Error _ -> false)
+          responses
+      in
+      (match Json.parse h1 with
+      | Ok v ->
+          let counters = Json.member "counters" v |> Option.get in
+          let c name = Json.member name counters |> Option.get |> Json.to_int in
+          check_true "queue wait counted" (c "queue-waits" = Some 1);
+          check_true "queue wait summed"
+            (match c "queue-wait-us" with Some us -> us >= 0 | None -> false)
+      | Error _ -> Alcotest.fail "health response unparsable");
       (* 6 non-blank lines, each answered exactly once. *)
       check_int "one response per request" 6 (List.length responses);
       List.iter
@@ -363,6 +437,48 @@ let test_serve_loop () =
            (fun s ->
              List.mem s [ "ok"; "degraded"; "error"; "shutting-down" ])
            statuses))
+
+let test_serve_cancel_while_idle () =
+  (* No input pending and none closed: the reader blocks on the pipe
+     and the dispatcher on the empty queue; tripping the latch must
+     still end the loop. *)
+  let spec = Option.get (Iscas85.by_name "c432") in
+  let circuit, placement = Iscas85.build_placed spec in
+  let cancel = Ssta_runtime.Cancel.create () in
+  let t =
+    Server.create ~cancel
+      ~reload:(fun () -> Ok (Iscas85.build_placed spec))
+      circuit placement
+  in
+  let r, w = Unix.pipe () in
+  let ic = Unix.in_channel_of_descr r in
+  let resp_path = Filename.temp_file "ssta_serve" ".resp" in
+  let out = open_out resp_path in
+  let tripper =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.1;
+        Ssta_runtime.Cancel.cancel ~reason:"test" cancel)
+      ()
+  in
+  let outcome = ref None and returned = Atomic.make false in
+  let server =
+    Thread.create
+      (fun () ->
+        outcome := Some (Server.serve t ic out);
+        Atomic.set returned true)
+      ()
+  in
+  let in_time = await ~s:1.1 returned in
+  Thread.join tripper;
+  (* End the reader's input, which also ends a loop that missed the
+     trip. *)
+  Unix.close w;
+  Thread.join server;
+  close_out out;
+  Sys.remove resp_path;
+  check_true "serve returned within 1 s of the trip" in_time;
+  check_true "cancelled outcome" (!outcome = Some `Cancelled)
 
 (* A rejected line still echoes its id when the line is a JSON object
    with a well-formed one; a bad id, bad JSON or an oversized line (never
@@ -549,6 +665,8 @@ let suite =
       case "protocol rejects malformed requests" test_protocol_decode_errors;
       case "protocol rendering" test_protocol_render;
       case "bounded request queue" test_supervisor;
+      case "a blocked take wakes on submit and on shutdown"
+        test_supervisor_take_wakes;
       slow_case "server answers the basic request set"
         test_server_basic_requests;
       slow_case "health exposes pool parking"
@@ -556,6 +674,9 @@ let suite =
       slow_case "deadline breach degrades, server survives"
         test_server_deadline_degrades_then_recovers;
       slow_case "serve loop drains and shuts down" test_serve_loop;
+      slow_case "cancel ends an idle serve loop" test_serve_cancel_while_idle;
+      slow_case "block query on an interior node is refused"
+        test_block_query_interior_node;
       slow_case "error replies echo the request id" test_error_replies_echo_id;
       slow_case "chaos acceptance: two arrival orders"
         test_chaos_acceptance ] )
