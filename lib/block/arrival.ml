@@ -3,7 +3,6 @@ module Combine = Ssta_prob.Combine
 module Dist = Ssta_prob.Dist
 module Erf = Ssta_prob.Erf
 module Params = Ssta_tech.Params
-module Derivatives = Ssta_tech.Derivatives
 module Graph = Ssta_timing.Graph
 module Layers = Ssta_correlation.Layers
 module Slots = Ssta_correlation.Slots
@@ -107,8 +106,7 @@ type gate_form = {
 }
 
 let gate_form (config : Config.t) layers placement graph id =
-  let e = Graph.electrical_exn graph id in
-  let grad = Derivatives.gradient e Params.nominal in
+  let grad = (Graph.grads graph).(id) in
   let sens = Array.of_list (List.map (Params.get grad) Params.all_rvs) in
   let x, y = Placement.coord placement id in
   let num_layers = Layers.num_layers layers in

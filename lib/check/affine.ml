@@ -2,9 +2,9 @@ module Netlist = Ssta_circuit.Netlist
 module Graph = Ssta_timing.Graph
 module Paths = Ssta_timing.Paths
 module Sta = Ssta_timing.Sta
+module Longest_path = Ssta_timing.Longest_path
 module Params = Ssta_tech.Params
 module Elmore = Ssta_tech.Elmore
-module Derivatives = Ssta_tech.Derivatives
 module Budget = Ssta_correlation.Budget
 module Config = Ssta_core.Config
 module Erf = Ssta_prob.Erf
@@ -165,9 +165,8 @@ let pp_stats (s : Solver.stats) =
    concretization at the analysis truncation is the hull of the
    certified interval and the tangent box — sound without any convexity
    assumption on the delay model. *)
-let gate_form ~trunc ~scale_all ~w0 ~intra_fraction ~d0 e =
-  let grad = Derivatives.gradient e Params.nominal in
-  let sqrt_w0 = sqrt w0 in
+let gate_form ~trunc ~bounds:(full_bound, inter_bound) ~sqrt_w0
+    ~intra_fraction ~d0 ~grad e =
   let coeffs =
     Array.of_list
       (List.map
@@ -184,12 +183,8 @@ let gate_form ~trunc ~scale_all ~w0 ~intra_fraction ~d0 e =
       0.0 Params.all_rvs
   in
   let intra_sigma = sqrt (intra_fraction *. intra_var) in
-  let full =
-    Interval.of_pair (Elmore.delay_bounds ~bound:(trunc *. scale_all) e)
-  in
-  let inter =
-    Interval.of_pair (Elmore.delay_bounds ~bound:(trunc *. sqrt_w0) e)
-  in
+  let full = Interval.of_pair (Elmore.delay_bounds ~bound:full_bound e) in
+  let inter = Interval.of_pair (Elmore.delay_bounds ~bound:inter_bound e) in
   let h = trunc *. intra_sigma in
   let total = Interval.hull full (Interval.add inter (Interval.make ~lo:(-.h) ~hi:h)) in
   let gt_lo, gt_hi =
@@ -208,26 +203,34 @@ let gate_form ~trunc ~scale_all ~w0 ~intra_fraction ~d0 e =
       intra_sigma;
       residual = Interval.make ~lo:res_lo ~hi:res_hi }
 
+(* The two truncated corner boxes every gate is certified over: the
+   full variation ([trunc * sum_u sqrt w_u] sigmas) and the inter-die
+   share ([trunc * sqrt w0]).  Neither depends on the gate. *)
+let corner_bounds (config : Config.t) =
+  let budget = config.Config.budget in
+  let trunc = config.Config.truncation in
+  let scale_all = ref 0.0 in
+  for u = 0 to Budget.layers budget - 1 do
+    scale_all := !scale_all +. sqrt (Budget.weight budget u)
+  done;
+  (trunc *. !scale_all, trunc *. sqrt (Budget.inter_fraction budget))
+
 let compute (config : Config.t) (g : Graph.t) =
   let c = g.Graph.circuit in
   let n = Netlist.num_nodes c in
-  let budget = config.Config.budget in
   let trunc = config.Config.truncation in
-  let num_layers = Budget.layers budget in
-  let scale_all = ref 0.0 in
-  for u = 0 to num_layers - 1 do
-    scale_all := !scale_all +. sqrt (Budget.weight budget u)
-  done;
-  let scale_all = !scale_all in
-  let w0 = Budget.inter_fraction budget in
+  let bounds = corner_bounds config in
+  let w0 = Budget.inter_fraction config.Config.budget in
+  let sqrt_w0 = sqrt w0 in
   let intra_fraction = Float.max 0.0 (1.0 -. w0) in
+  let grads = Graph.grads g in
   let gate = Array.make n (const 0.0) in
   match
     for id = 0 to n - 1 do
       if not (Graph.is_input g id) then
         gate.(id) <-
-          gate_form ~trunc ~scale_all ~w0 ~intra_fraction
-            ~d0:g.Graph.delay.(id)
+          gate_form ~trunc ~bounds ~sqrt_w0 ~intra_fraction
+            ~d0:g.Graph.delay.(id) ~grad:grads.(id)
             (Graph.electrical_exn g id)
     done
   with
@@ -291,7 +294,9 @@ type screen = {
   threshold : float;
 }
 
-let screen a (sta : Sta.t) ~slack =
+(* [suffix_center u] is the nominal center of node [u]'s exclusive
+   suffix, [neg_infinity] when [u] is on no complete path. *)
+let screen_by ~suffix_center (sta : Sta.t) ~slack =
   let labels = sta.Sta.labels in
   let critical = sta.Sta.critical_delay in
   (* Must match Paths.enumerate: threshold = critical - slack - eps,
@@ -304,15 +309,16 @@ let screen a (sta : Sta.t) ~slack =
   let pruned = Array.make n false in
   let nodes_pruned = ref 0 in
   for u = 0 to n - 1 do
-    let p =
-      match a.suffix.(u) with
-      | Bottom -> true (* on no complete path at all *)
-      | Form s -> labels.(u) +. s.center < threshold -. eps
-    in
+    let s = suffix_center u in
+    let p = s = neg_infinity || labels.(u) +. s < threshold -. eps in
     pruned.(u) <- p;
     if p then incr nodes_pruned
   done;
   { pruned; nodes_visited = n; nodes_pruned = !nodes_pruned; threshold }
+
+let screen a sta ~slack =
+  screen_by sta ~slack ~suffix_center:(fun u ->
+      match a.suffix.(u) with Bottom -> neg_infinity | Form s -> s.center)
 
 let prune_hook s u = s.pruned.(u)
 
@@ -320,12 +326,33 @@ let screen_counters s =
   [ ("affine-screen-nodes-pruned", s.nodes_pruned);
     ("affine-screen-nodes-visited", s.nodes_visited) ]
 
+(* [compute] fails exactly when some gate's corner box leaves the delay
+   model's domain.  {!Elmore.delay_bounds} decides that from the corner
+   parameters alone, so probing the first gate decides it for all. *)
+let corners_in_domain config (g : Graph.t) =
+  let gates = g.Graph.circuit.Netlist.gates in
+  Array.length gates = 0
+  ||
+  let e = Graph.electrical_exn g gates.(0).Netlist.id in
+  let full_bound, inter_bound = corner_bounds config in
+  match
+    ignore (Elmore.delay_bounds ~bound:full_bound e);
+    ignore (Elmore.delay_bounds ~bound:inter_bound e)
+  with
+  | () -> true
+  | exception Invalid_argument _ -> false
+
+(* The screen reads only the suffix centers, and a center is the
+   max-plus suffix of nominal delays (joins take the max of centers,
+   adds sum them), so one {!Longest_path.suffix} sweep replaces both
+   affine fixpoints. *)
 let methodology_screen config ~sta ~slack =
-  match compute config sta.Sta.graph with
-  | Error _ -> ((fun _ -> false), [])
-  | Ok a ->
-      let s = screen a sta ~slack in
-      (prune_hook s, screen_counters s)
+  let g = sta.Sta.graph in
+  if not (corners_in_domain config g) then ((fun _ -> false), [])
+  else
+    let suffix = Longest_path.suffix g in
+    let s = screen_by sta ~slack ~suffix_center:(Array.get suffix) in
+    (prune_hook s, screen_counters s)
 
 (* ----- per-node criticality ----- *)
 

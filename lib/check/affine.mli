@@ -162,10 +162,16 @@ val methodology_screen :
   sta:Ssta_timing.Sta.t ->
   slack:float ->
   (int -> bool) * (string * int) list
-(** Packaged screen for [Methodology.analyze ~screen]: computes the
-    affine analysis on the methodology's own timing graph and returns
-    the prune hook plus its counters; degrades to a no-op hook (and no
-    counters) if the affine analysis fails. *)
+(** Packaged screen for [Methodology.analyze ~screen]: the prune hook
+    plus its counters, equal on every node to
+    [screen (compute config sta.graph) sta ~slack] — without running
+    {!compute}.  The screen reads only the suffix centers, which are the
+    max-plus suffix delays of the nominal gate delays, so one
+    {!Ssta_timing.Longest_path.suffix} sweep (O(N + E)) stands in for
+    both affine fixpoints.  Degrades to a no-op hook (and no counters)
+    exactly when {!compute} would fail: the truncated corner boxes of
+    {!Ssta_tech.Elmore.delay_bounds} do not depend on the gate, so one
+    gate's check decides it for the whole graph. *)
 
 (** {1 Per-node criticality} *)
 

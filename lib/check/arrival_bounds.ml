@@ -3,7 +3,6 @@ module Graph = Ssta_timing.Graph
 module Paths = Ssta_timing.Paths
 module Params = Ssta_tech.Params
 module Elmore = Ssta_tech.Elmore
-module Derivatives = Ssta_tech.Derivatives
 module Budget = Ssta_correlation.Budget
 module Config = Ssta_core.Config
 
@@ -42,8 +41,7 @@ let pp_stats (s : Solver.stats) =
    sum of the per-gate sigmas (coefficients add before squaring), so
    summing trunc * sigma_gate along a path bounds the path's intra
    support. *)
-let intra_halfwidth_of ~trunc ~intra_fraction e =
-  let grad = Derivatives.gradient e Params.nominal in
+let intra_halfwidth_of ~trunc ~intra_fraction (grad : Params.t) =
   let var =
     List.fold_left
       (fun acc rv ->
@@ -71,6 +69,7 @@ let compute (config : Config.t) (g : Graph.t) =
   let gate_total = Array.make n Interval.zero in
   let gate_inter = Array.make n Interval.zero in
   let intra_halfwidth = Array.make n 0.0 in
+  let grads = Graph.grads g in
   match
     for id = 0 to n - 1 do
       if not (Graph.is_input g id) then begin
@@ -79,7 +78,7 @@ let compute (config : Config.t) (g : Graph.t) =
         let inter =
           Interval.of_pair (Elmore.delay_bounds ~bound:(trunc *. sqrt w0) e)
         in
-        let h = intra_halfwidth_of ~trunc ~intra_fraction e in
+        let h = intra_halfwidth_of ~trunc ~intra_fraction grads.(id) in
         gate_inter.(id) <- inter;
         intra_halfwidth.(id) <- h;
         gate_total.(id) <-

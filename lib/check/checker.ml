@@ -86,7 +86,8 @@ let own_checks =
       bounded by the affine sensitivity analysis");
     ("check-affine-screen",
      "the affine path screener's pruned enumeration reproduces the \
-      unpruned near-critical path set byte for byte");
+      unpruned near-critical path set byte for byte, and the packaged \
+      screen `run` uses prunes exactly the same nodes");
     ("check-block-vs-path",
      "the block-based engine's circuit arrival agrees with the \
       path-based answer and a fixed-seed Monte-Carlo reference within \
@@ -437,6 +438,26 @@ let render_enumeration (e : Paths.enumeration) =
 
 let check_affine_screen config (aff : Affine.analysis) sta ~slack add =
   let sc = Affine.screen aff sta ~slack in
+  (* The packaged screen skips the affine fixpoints; certify that it
+     still decides every node, and counts, exactly as this one does. *)
+  let hook, counters = Affine.methodology_screen config ~sta ~slack in
+  let hook_pruned = ref 0 and disagree = ref 0 in
+  Array.iteri
+    (fun u p ->
+      if hook u then incr hook_pruned;
+      if hook u <> p then incr disagree)
+    sc.Affine.pruned;
+  let counters_agree = counters = Affine.screen_counters sc in
+  if !disagree > 0 || not counters_agree then
+    add
+      (D.make ~rule:"check-affine-screen" ~severity:D.Error
+         ~location:D.Circuit
+         (Printf.sprintf
+            "packaged screen disagrees with the affine screen on %d of %d \
+             nodes (it prunes %d, the affine screen %d)%s"
+            !disagree sc.Affine.nodes_visited !hook_pruned
+            sc.Affine.nodes_pruned
+            (if counters_agree then "" else "; its counters differ")));
   let max_paths = config.Config.max_paths in
   let base = Sta.near_critical ~max_paths sta ~slack in
   let pruned =

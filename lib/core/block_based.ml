@@ -1,5 +1,4 @@
 module Params = Ssta_tech.Params
-module Derivatives = Ssta_tech.Derivatives
 module Erf = Ssta_prob.Erf
 module Graph = Ssta_timing.Graph
 module Layers = Ssta_correlation.Layers
@@ -97,8 +96,7 @@ type result = {
 }
 
 let gate_canonical layers placement graph id =
-  let e = Graph.electrical_exn graph id in
-  let grad = Derivatives.gradient e Params.nominal in
+  let grad = (Graph.grads graph).(id) in
   let x, y = Placement.coord placement id in
   let terms = Hashtbl.create 16 in
   List.iter

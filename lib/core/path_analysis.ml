@@ -89,8 +89,6 @@ type context = {
   health : Health.t;
   caches : Inter.caches option;  (* per-domain kernel cache shards *)
   cache_shared : bool;  (* caches owned by a longer-lived warm state *)
-  grads : Ssta_tech.Params.t array;
-      (* per-node nominal delay gradients, evaluated once per graph *)
   domains : domain_states;  (* per-domain arena shards *)
   memo : memo;
 }
@@ -149,17 +147,6 @@ let context ?health ?warm config graph placement =
       | Some { w_caches = Some c; _ } -> (Some c, true)
       | _ -> (Some (Inter.caches_create tables), false)
   in
-  (* Gate gradients depend only on each node's electricals; evaluating
-     them eagerly here (deterministic node order) lets every path reuse
-     them instead of re-deriving ~[num_rvs] [Derivatives.first] calls
-     per gate per path. *)
-  let grads =
-    Array.init (Graph.num_nodes graph) (fun id ->
-        match graph.Graph.electrical.(id) with
-        | Some e ->
-            Ssta_tech.Derivatives.gradient e Ssta_tech.Params.nominal
-        | None -> Ssta_tech.Params.zero)
-  in
   { config;
     graph;
     placement;
@@ -168,7 +155,6 @@ let context ?health ?warm config graph placement =
     health;
     caches;
     cache_shared;
-    grads;
     domains = domain_states_create ();
     memo =
       { entries = Hashtbl.create 16;
@@ -176,6 +162,7 @@ let context ?health ?warm config graph placement =
         memo_lock = Mutex.create () } }
 
 let health ctx = ctx.health
+let grads ctx = Graph.grads ctx.graph
 
 let cache_stats ctx = Option.map Inter.caches_stats ctx.caches
 let cache_shared ctx = ctx.cache_shared
@@ -228,8 +215,7 @@ let analyze ?health ctx path =
      cannot deadlock. *)
   let arena = domain_states_get ctx.domains in
   let coeffs =
-    Path_coeffs.of_path ~grads:ctx.grads ctx.graph ctx.placement ctx.layers
-      path
+    Path_coeffs.of_path ctx.graph ctx.placement ctx.layers path
   in
   let intra_var = Intra.variance ctx.config coeffs in
   let key =

@@ -67,6 +67,11 @@ val health : context -> Ssta_runtime.Health.t
 (** The ledger accumulated by every {!analyze} call through this
     context. *)
 
+val grads : context -> Ssta_tech.Params.t array
+(** The nominal gate gradients every path walk of this context reads:
+    {!Ssta_timing.Graph.grads} of its graph, so contexts built on one
+    graph share one table. *)
+
 val cache_stats : context -> Inter.cache_stats option
 (** Aggregated inter-kernel cache statistics, or [None] when the context
     was built with [config.inter_cache = false].  When the cache is

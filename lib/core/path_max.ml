@@ -1,6 +1,5 @@
 module Params = Ssta_tech.Params
 module Erf = Ssta_prob.Erf
-module Derivatives = Ssta_tech.Derivatives
 module Graph = Ssta_timing.Graph
 module Path_coeffs = Ssta_correlation.Path_coeffs
 module Slots = Ssta_correlation.Slots
@@ -34,9 +33,7 @@ let canonical_of_analysis (config : Config.t) graph (a : Path_analysis.t) =
     Array.iter
       (fun id ->
         if not (Graph.is_input graph id) then begin
-          let grad =
-            Derivatives.gradient (Graph.electrical_exn graph id) Params.nominal
-          in
+          let grad = (Graph.grads graph).(id) in
           List.iter
             (fun rv ->
               Hashtbl.replace terms

@@ -1,5 +1,4 @@
 module Params = Ssta_tech.Params
-module Derivatives = Ssta_tech.Derivatives
 module Graph = Ssta_timing.Graph
 module Paths = Ssta_timing.Paths
 module Placement = Ssta_circuit.Placement
@@ -39,6 +38,7 @@ let add_squares acc (grad : Params.t) =
   acc.(4) <- acc.(4) +. (grad.Params.vtp *. grad.Params.vtp)
 
 let of_path ?grads ?ws:_ g pl (layers : Layers.t) (path : Paths.path) =
+  let grads = match grads with Some a -> a | None -> Graph.grads g in
   let quad_levels = layers.Layers.quad_levels in
   let coeffs = Array.make (Slots.num_slots ~quad_levels) 0.0 in
   let random_sq =
@@ -56,11 +56,7 @@ let of_path ?grads ?ws:_ g pl (layers : Layers.t) (path : Paths.path) =
       beta_sum := !beta_sum +. e.Ssta_tech.Gate.beta;
       incr gate_count;
       nominal_delay := !nominal_delay +. g.Graph.delay.(id);
-      let grad =
-        match grads with
-        | Some a -> a.(id)
-        | None -> Derivatives.gradient e Params.nominal
-      in
+      let grad = grads.(id) in
       add_derivatives grad_sum 0 grad;
       let x, y = Placement.coord pl id in
       (* Intra layers start at 1; layer 0 is the inter part. *)

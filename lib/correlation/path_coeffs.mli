@@ -57,10 +57,9 @@ val of_path :
     derivatives in path order.  Derivatives are evaluated at nominal
     (the paper's zeroth-order approximation, Eq. 11).
 
-    [grads], when given, must hold for every non-input node [id] the
-    value [Derivatives.gradient (Graph.electrical_exn g id)
-    Params.nominal]; callers analyzing many paths precompute it once per
-    graph.  It leaves every output bit unchanged.  [ws] is ignored. *)
+    [grads] defaults to {!Ssta_timing.Graph.grads}[ g]; a caller's own
+    table must hold the same values (it leaves every output bit
+    unchanged).  [ws] is ignored. *)
 
 val intra_variance : t -> Budget.t -> float
 (** Eq. (14): [sum coeff^2 * sigma_layer^2] over the quad-tree slots

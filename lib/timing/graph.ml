@@ -7,7 +7,11 @@ type t = {
   electrical : Gate.electrical option array;
   delay : float array;
   fanouts : int array array;
+  grads_slot : Ssta_tech.Params.t array option Atomic.t;
 }
+
+let make circuit electrical delay fanouts =
+  { circuit; electrical; delay; fanouts; grads_slot = Atomic.make None }
 
 let of_netlist ?(wire_cap = 1.0e-15) c =
   let n = Netlist.num_nodes c in
@@ -21,7 +25,7 @@ let of_netlist ?(wire_cap = 1.0e-15) c =
       electrical.(g.Netlist.id) <- Some e;
       delay.(g.Netlist.id) <- Elmore.nominal_delay e)
     c.Netlist.gates;
-  { circuit = c; electrical; delay; fanouts }
+  make c electrical delay fanouts
 
 let with_params_of ?(wire_cap = 1.0e-15) c params_of =
   let n = Netlist.num_nodes c in
@@ -36,7 +40,7 @@ let with_params_of ?(wire_cap = 1.0e-15) c params_of =
       electrical.(id) <- Some e;
       delay.(id) <- Elmore.gate_delay e (params_of id))
     c.Netlist.gates;
-  { circuit = c; electrical; delay; fanouts }
+  make c electrical delay fanouts
 
 let with_wire_caps c wire_caps =
   let n = Netlist.num_nodes c in
@@ -59,7 +63,7 @@ let with_wire_caps c wire_caps =
       electrical.(id) <- Some e;
       delay.(id) <- Elmore.nominal_delay e)
     c.Netlist.gates;
-  { circuit = c; electrical; delay; fanouts }
+  make c electrical delay fanouts
 
 let with_drives ?(wire_cap = 1.0e-15) c drives =
   let n = Netlist.num_nodes c in
@@ -94,7 +98,7 @@ let with_drives ?(wire_cap = 1.0e-15) c drives =
       electrical.(id) <- Some e;
       delay.(id) <- Elmore.nominal_delay e)
     c.Netlist.gates;
-  { circuit = c; electrical; delay; fanouts }
+  make c electrical delay fanouts
 
 let of_placed ?(wire = Ssta_tech.Wire.default) c (pl : Ssta_circuit.Placement.t) =
   let n = Netlist.num_nodes c in
@@ -116,7 +120,7 @@ let of_placed ?(wire = Ssta_tech.Wire.default) c (pl : Ssta_circuit.Placement.t)
       electrical.(id) <- Some e;
       delay.(id) <- Elmore.nominal_delay e)
     c.Netlist.gates;
-  { circuit = c; electrical; delay; fanouts }
+  make c electrical delay fanouts
 
 let num_nodes t = Netlist.num_nodes t.circuit
 let is_input t id = Netlist.is_input t.circuit id
@@ -130,3 +134,20 @@ let fanins t id =
   if is_input t id then [||] else (Netlist.gate_of t.circuit id).Netlist.fanins
 
 let total_nominal_delay t = Array.fold_left ( +. ) 0.0 t.delay
+
+(* Two domains racing on the first call both evaluate the same
+   deterministic table; the compare-and-set keeps the first one stored,
+   so every caller sees one physical array. *)
+let rec grads t =
+  match Atomic.get t.grads_slot with
+  | Some a -> a
+  | None ->
+      let a =
+        Array.map
+          (function
+            | Some e -> Ssta_tech.Derivatives.gradient e Ssta_tech.Params.nominal
+            | None -> Ssta_tech.Params.zero)
+          t.electrical
+      in
+      ignore (Atomic.compare_and_set t.grads_slot None (Some a));
+      grads t

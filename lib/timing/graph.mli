@@ -4,14 +4,23 @@
     The paper maps the circuit to a timing graph once, evaluating every
     gate's deterministic delay and its delay derivatives at nominal
     ("these are one time calculations", Section 3).  Primary inputs are
-    zero-delay source nodes. *)
+    zero-delay source nodes.
 
-type t = {
+    The derivatives are a property of the graph too: {!grads} evaluates
+    every gate's nominal gradient on its first call and keeps the table
+    in the graph, so the path walk, the block engine and the affine
+    domain all read the same array and a long-lived graph (a served
+    design) pays for it once.  Each constructor below starts with an
+    empty table, so a graph rebuilt after an edit derives its own. *)
+
+type t = private {
   circuit : Ssta_circuit.Netlist.t;
   electrical : Ssta_tech.Gate.electrical option array;
       (** per node; [None] for primary inputs *)
   delay : float array;  (** nominal gate delay per node (s); 0 for inputs *)
   fanouts : int array array;  (** consumers per node *)
+  grads_slot : Ssta_tech.Params.t array option Atomic.t;
+      (** the {!grads} table once computed; read it through {!grads} *)
 }
 
 val of_netlist : ?wire_cap:float -> Ssta_circuit.Netlist.t -> t
@@ -58,6 +67,15 @@ val is_input : t -> int -> bool
 
 val electrical_exn : t -> int -> Ssta_tech.Gate.electrical
 (** Raises [Invalid_argument] on primary inputs. *)
+
+val grads : t -> Ssta_tech.Params.t array
+(** Per-node nominal delay gradients: element [id] is
+    [Derivatives.gradient (electrical_exn g id) Params.nominal] for a
+    gate and [Params.zero] for a primary input.  Evaluated on the first
+    call and shared afterwards (every call returns the same physical
+    array); safe to call from several domains at once — a race on the
+    first call only repeats deterministic work.  The array must not be
+    mutated. *)
 
 val fanins : t -> int -> int array
 (** Fan-ins of a node ([||] for primary inputs). *)

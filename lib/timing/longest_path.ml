@@ -44,6 +44,19 @@ let topological g =
   done;
   labels
 
+let suffix g =
+  let m = Array.make (Graph.num_nodes g) neg_infinity in
+  Array.iter (fun o -> m.(o) <- 0.0) g.Graph.circuit.Ssta_circuit.Netlist.outputs;
+  (* Consumers have larger ids, so each is final when its fan-ins are
+     visited; a consumer that reaches no output adds [neg_infinity],
+     the identity of the max. *)
+  for u = Array.length m - 1 downto 0 do
+    Array.iter
+      (fun c -> m.(u) <- Float.max m.(u) (m.(c) +. g.Graph.delay.(c)))
+      g.Graph.fanouts.(u)
+  done;
+  m
+
 let critical_delay g labels =
   Array.fold_left
     (fun acc o -> Float.max acc labels.(o))

@@ -14,6 +14,15 @@ val bellman_ford : Graph.t -> float array
 val topological : Graph.t -> float array
 (** Single forward sweep in node order (which is topological). *)
 
+val suffix : Graph.t -> float array
+(** Max-plus suffix delays, the backward twin of {!topological}: element
+    [u] is the nominal delay of the longest path from [u]'s consumers to
+    a primary output, {e exclusive} of [u]'s own gate —
+    [M(u) = max (0 if u is an output, M(c) + delay c for c in fanouts u)]
+    — and [neg_infinity] when [u] reaches no output.  One
+    reverse-topological sweep; [labels.(u) + M(u)] is the nominal delay
+    of the best complete path through [u]. *)
+
 val critical_delay : Graph.t -> float array -> float
 (** Maximum label over the primary outputs. *)
 

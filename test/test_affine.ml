@@ -5,6 +5,8 @@
    enumeration, and the criticality ranking. *)
 
 module Generators = Ssta_circuit.Generators
+module Netlist = Ssta_circuit.Netlist
+module Iscas85 = Ssta_circuit.Iscas85
 module Placement = Ssta_circuit.Placement
 module Params = Ssta_tech.Params
 module Rng = Ssta_prob.Rng
@@ -239,6 +241,110 @@ let test_screened_enumeration_identical =
           in
           String.equal (render base) (render pruned))
 
+(* The packaged screen against its oracle: the affine screen over the
+   full fixpoint must prune the same nodes and count the same. *)
+let packaged_matches_affine config sta ~slack =
+  let hook, counters = Affine.methodology_screen config ~sta ~slack in
+  let every_node f = List.for_all f (List.init (Array.length sta.Sta.labels) Fun.id) in
+  match Affine.compute config sta.Sta.graph with
+  | Error _ -> counters = [] && every_node (fun u -> not (hook u))
+  | Ok aff ->
+      let sc = Affine.screen aff sta ~slack in
+      counters = Affine.screen_counters sc
+      && every_node (fun u -> hook u = sc.Affine.pruned.(u))
+
+let screen_slacks = [ 0.0; 0.01; 0.05; 0.2; 1.0 ]
+
+let test_packaged_screen_iscas85 () =
+  List.iter
+    (fun (spec : Iscas85.spec) ->
+      let sta = Sta.analyze (Iscas85.build spec) in
+      List.iter
+        (fun k ->
+          if
+            not
+              (packaged_matches_affine Config.default sta
+                 ~slack:(k *. sta.Sta.critical_delay))
+          then
+            Alcotest.failf "%s at slack %g x critical: packaged screen differs"
+              spec.Iscas85.name k)
+        screen_slacks)
+    Iscas85.all
+
+(* [c] plus [k] two-inverter chains hanging off random nodes, feeding
+   nothing and marked as no output: gates that reach no output, with a
+   bottom affine suffix and a [neg_infinity] max-plus one. *)
+let with_dead_gates c ~k ~seed =
+  let module B = Netlist.Builder in
+  let b = B.create c.Netlist.name in
+  for id = 0 to c.Netlist.num_inputs - 1 do
+    ignore (B.add_input b (Netlist.node_name c id))
+  done;
+  Array.iter
+    (fun (g : Netlist.gate) ->
+      ignore (B.add_gate b g.Netlist.kind (Array.to_list g.Netlist.fanins)))
+    c.Netlist.gates;
+  let rng = Rng.create seed in
+  let n = Netlist.num_nodes c in
+  for _ = 1 to k do
+    let d = B.add_gate b Ssta_tech.Gate.Inv [ Rng.int rng n ] in
+    ignore (B.add_gate b Ssta_tech.Gate.Inv [ d ])
+  done;
+  Array.iter (B.mark_output b) c.Netlist.outputs;
+  B.finish b
+
+let test_packaged_screen_random =
+  qcheck ~count:30 "packaged screen = affine screen on random circuits"
+    QCheck.(triple (int_range 1 1_000_000) (int_range 0 3) (int_range 0 4))
+    (fun (seed, k, slack_idx) ->
+      let c =
+        Generators.random_layered ~name:"pkg" ~inputs:6 ~outputs:3 ~gates:50
+          ~depth:7 ~seed ()
+      in
+      let sta = Sta.analyze (with_dead_gates c ~k ~seed) in
+      packaged_matches_affine fast_config sta
+        ~slack:(List.nth screen_slacks slack_idx *. sta.Sta.critical_delay))
+
+let test_packaged_screen_dead_gates () =
+  let c = small_random () in
+  let n = Netlist.num_nodes c in
+  let sta = Sta.analyze (with_dead_gates c ~k:3 ~seed:7) in
+  let aff =
+    match Affine.compute fast_config sta.Sta.graph with
+    | Ok aff -> aff
+    | Error e -> Alcotest.failf "affine analysis failed: %s" e
+  in
+  List.iter
+    (fun k ->
+      let slack = k *. sta.Sta.critical_delay in
+      check_true "packaged screen = affine screen"
+        (packaged_matches_affine fast_config sta ~slack);
+      let hook, _ = Affine.methodology_screen fast_config ~sta ~slack in
+      for u = n to Array.length sta.Sta.labels - 1 do
+        check_true "dead gate has a bottom suffix"
+          (aff.Affine.suffix.(u) = Affine.Bottom);
+        check_true "dead gate is pruned" (hook u)
+      done)
+    screen_slacks
+
+(* A truncation wide enough that the slow corner leaves the delay
+   model's domain: the affine analysis fails, and the packaged screen
+   must degrade the same way — no-op hook, no counters. *)
+let test_packaged_screen_out_of_domain () =
+  let config = { fast_config with Config.truncation = 60.0 } in
+  let sta = Sta.analyze (small_adder ()) in
+  (match Affine.compute config sta.Sta.graph with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "expected the affine analysis to fail");
+  let hook, counters =
+    Affine.methodology_screen config ~sta
+      ~slack:(0.05 *. sta.Sta.critical_delay)
+  in
+  check_int "no counters" 0 (List.length counters);
+  for u = 0 to Array.length sta.Sta.labels - 1 do
+    check_true "no-op hook" (not (hook u))
+  done
+
 (* --- criticality ------------------------------------------------------- *)
 
 let test_criticality_ranking () =
@@ -290,4 +396,11 @@ let suite =
       test_mc_inside_circuit_envelope;
       case "screen counters" test_screen_counters;
       test_screened_enumeration_identical;
+      case "packaged screen = affine screen on ISCAS85"
+        test_packaged_screen_iscas85;
+      test_packaged_screen_random;
+      case "packaged screen prunes gates that reach no output"
+        test_packaged_screen_dead_gates;
+      case "packaged screen fails where the affine analysis does"
+        test_packaged_screen_out_of_domain;
       case "criticality ranking" test_criticality_ranking ] )

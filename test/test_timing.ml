@@ -4,6 +4,71 @@ open Helpers
 
 (* ---------------- Graph ---------------- *)
 
+(* Bit-equality of two gradient records. *)
+let same_grad (a : Ssta_tech.Params.t) (b : Ssta_tech.Params.t) =
+  List.for_all
+    (fun rv ->
+      Int64.equal
+        (Int64.bits_of_float (Ssta_tech.Params.get a rv))
+        (Int64.bits_of_float (Ssta_tech.Params.get b rv)))
+    Ssta_tech.Params.all_rvs
+
+(* [Graph.grads g] against a fresh derivative per node. *)
+let check_grads_table name g =
+  let t = Graph.grads g in
+  check_int (name ^ ": one entry per node") (Graph.num_nodes g)
+    (Array.length t);
+  for id = 0 to Graph.num_nodes g - 1 do
+    let expected =
+      if Graph.is_input g id then Ssta_tech.Params.zero
+      else
+        Ssta_tech.Derivatives.gradient (Graph.electrical_exn g id)
+          Ssta_tech.Params.nominal
+    in
+    if not (same_grad expected t.(id)) then
+      Alcotest.failf "%s: node %d gradient differs" name id
+  done;
+  check_true (name ^ ": later calls return the same table") (Graph.grads g == t)
+
+let test_graph_grads () =
+  let c = small_random () in
+  let n = Netlist.num_nodes c in
+  let pl = Placement.place c in
+  let drives = Array.init n (fun id -> 1.0 +. float_of_int (id mod 3)) in
+  check_grads_table "of_netlist" (Graph.of_netlist c);
+  check_grads_table "with_drives" (Graph.with_drives c drives);
+  check_grads_table "with_params_of"
+    (Graph.with_params_of c (fun id ->
+         Ssta_tech.Vt_class.params_for
+           (if id mod 2 = 0 then Ssta_tech.Vt_class.Low
+            else Ssta_tech.Vt_class.High)));
+  check_grads_table "with_wire_caps"
+    (Graph.with_wire_caps c (Array.init n (fun id -> 1e-15 *. float_of_int (id mod 4))));
+  check_grads_table "of_placed" (Graph.of_placed c pl);
+  (* Contexts on one graph share its table; a resized graph gets its
+     own, matching its own electricals. *)
+  let g = Graph.of_netlist c in
+  let ctx1 = Ssta_core.Path_analysis.context fast_config g pl in
+  let ctx2 = Ssta_core.Path_analysis.context fast_config g pl in
+  check_true "contexts share the graph's table"
+    (Ssta_core.Path_analysis.grads ctx1 == Ssta_core.Path_analysis.grads ctx2
+    && Ssta_core.Path_analysis.grads ctx1 == Graph.grads g);
+  let resized = Graph.with_drives c drives in
+  check_true "with_drives builds a fresh table"
+    (Graph.grads resized != Graph.grads g);
+  let gate = (Netlist.gate_of c (n - 1)).Netlist.id in
+  check_true "the resized table follows the new electricals"
+    (not (same_grad (Graph.grads resized).(gate) (Graph.grads g).(gate)))
+
+let test_graph_grads_race () =
+  let g = Graph.of_netlist (small_random ()) in
+  let spawn () = Domain.spawn (fun () -> Graph.grads g) in
+  let d1 = spawn () and d2 = spawn () in
+  let t1 = Domain.join d1 and t2 = Domain.join d2 in
+  check_true "racing first calls agree on one table"
+    (t1 == t2 && Graph.grads g == t1);
+  check_grads_table "raced" g
+
 let test_graph_of_netlist () =
   let c = small_adder () in
   let g = Graph.of_netlist c in
@@ -60,6 +125,46 @@ let test_bellman_ford_equals_topological () =
         (fun i x -> check_close ~tol:1e-12 "labels agree" topo.(i) x)
         bf)
     [ tiny_chain (); small_adder (); small_random () ]
+
+let test_suffix () =
+  let b = Netlist.Builder.create "sfx" in
+  let inv x = Netlist.Builder.add_gate b Ssta_tech.Gate.Inv [ x ] in
+  let a = Netlist.Builder.add_input b "a" in
+  let bb = Netlist.Builder.add_input b "b" in
+  let x = Netlist.Builder.add_gate b (Ssta_tech.Gate.Nand 2) [ a; bb ] in
+  let y = inv x in
+  let z = inv x in
+  let w = inv z in
+  let dead = inv a in
+  let dead2 = inv dead in
+  List.iter (Netlist.Builder.mark_output b) [ y; z; w ];
+  let g = Graph.of_netlist (Netlist.Builder.finish b) in
+  let d = g.Graph.delay and m = Longest_path.suffix g in
+  let exact msg e v = check_close ~tol:0.0 msg e v in
+  exact "output without consumers" 0.0 m.(y);
+  exact "sink output" 0.0 m.(w);
+  exact "output with a consumer" (Float.max 0.0 (m.(w) +. d.(w))) m.(z);
+  exact "interior" (Float.max (m.(y) +. d.(y)) (m.(z) +. d.(z))) m.(x);
+  exact "input past a dead branch" (m.(x) +. d.(x)) m.(a);
+  check_true "dead gates reach no output"
+    (m.(dead) = neg_infinity && m.(dead2) = neg_infinity);
+  (* labels + suffix is the best complete path through each node: the
+     critical path's nodes attain the critical delay. *)
+  let g = Graph.of_netlist (small_random ()) in
+  let labels = Longest_path.topological g in
+  let m = Longest_path.suffix g in
+  let critical = Longest_path.critical_delay g labels in
+  Array.iteri
+    (fun u l ->
+      if m.(u) > neg_infinity then
+        check_true "no path beats the critical delay"
+          (l +. m.(u) <= critical *. (1.0 +. 1e-12)))
+    labels;
+  Array.iter
+    (fun u ->
+      check_close ~tol:1e-12 "critical path nodes attain it" critical
+        (labels.(u) +. m.(u)))
+    (Longest_path.critical_path g labels)
 
 let test_critical_delay_positive () =
   let g = Graph.of_netlist (small_adder ()) in
@@ -235,6 +340,9 @@ let suite =
   ( "timing",
     [ case "graph construction" test_graph_of_netlist;
       case "fanout increases loading" test_graph_fanout_loading;
+      case "gradient table per graph" test_graph_grads;
+      case "gradient table under a first-call race" test_graph_grads_race;
+      case "max-plus suffix" test_suffix;
       case "electrical_exn on inputs" test_electrical_exn;
       case "chain labels monotone" test_chain_labels;
       case "bellman-ford = topological sweep"
