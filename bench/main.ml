@@ -604,8 +604,10 @@ let screening () =
    one whose dirty set ({g} + fanins) covers the fewest enumerated
    near-critical paths — the representative local ECO (fixing a buffer
    off the critical region), deterministic per circuit.  Timings are
-   the min of two runs.  Written to BENCH_incremental.json as the
-   edit-to-answer artifact. *)
+   the min of two runs.  [gates_retimed] counts the gates whose
+   electricals the committed edit re-derived (the graph is carried
+   across edits, so --assert holds it to the gate plus its fan-ins).
+   Written to BENCH_incremental.json as the edit-to-answer artifact. *)
 let incremental () =
   section "Incremental: dependence-cone re-analysis after one edit (jobs=1)";
   let module Impact = Ssta_check.Impact in
@@ -618,8 +620,8 @@ let incremental () =
   in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  Fmt.pr "  %-7s %8s %8s %8s %8s %6s %7s %7s %6s@." "name" "init(s)"
-    "incr(s)" "full(s)" "speedup" "cone" "reused" "reanal" "equal";
+  Fmt.pr "  %-7s %8s %8s %8s %8s %6s %7s %7s %7s %6s@." "name" "init(s)"
+    "incr(s)" "full(s)" "speedup" "cone" "retimed" "reused" "reanal" "equal";
   let rows =
     List.map
       (fun (spec : Iscas85.spec) ->
@@ -686,9 +688,15 @@ let incremental () =
         let _, probe_s =
           time (fun () -> or_fail (Impact.what_if state edit))
         in
+        let retimed () =
+          Ssta_runtime.Health.counter (Impact.ledger state)
+            "impact-gates-retimed"
+        in
+        let retimed_before = retimed () in
         let o, commit_s =
           time (fun () -> or_fail (Impact.reanalyze state edit))
         in
+        let gates_retimed = retimed () - retimed_before in
         let incr_s = Float.min probe_s commit_s in
         let edited = Impact.design_of state in
         let m_scratch, full1_s =
@@ -705,15 +713,24 @@ let incremental () =
         if not identical then
           fail "%s: incremental report diverges from the from-scratch run"
             name;
+        (* A resize re-derives the electricals of the gate and its gate
+           fan-ins only. *)
+        let retime_bound =
+          let node = Option.get (Netlist.find_node circuit gate) in
+          1 + Array.length (Netlist.gate_of circuit node).Netlist.fanins
+        in
+        if !assert_ && gates_retimed > retime_bound then
+          fail "%s: %d gates retimed, more than the %d of %s and its fan-ins"
+            name gates_retimed retime_bound gate;
         if !assert_ && incr_s >= full_s then
           fail "%s: incremental (%.4fs) not faster than full rerun (%.4fs)"
             name incr_s full_s;
-        Fmt.pr "  %-7s %8.3f %8.3f %8.3f %7.2fx %6d %7d %7d %6s@." name
+        Fmt.pr "  %-7s %8.3f %8.3f %8.3f %7.2fx %6d %7d %7d %7d %6s@." name
           init_s incr_s full_s speedup o.Impact.cone.Impact.cone_nodes
-          o.Impact.reused o.Impact.reanalyzed
+          gates_retimed o.Impact.reused o.Impact.reanalyzed
           (if identical then "yes" else "NO");
         (name, gate, init_s, incr_s, full_s, speedup,
-         o.Impact.cone.Impact.cone_nodes, o.Impact.invalidated,
+         o.Impact.cone.Impact.cone_nodes, gates_retimed, o.Impact.invalidated,
          o.Impact.reused, o.Impact.reanalyzed, identical))
       specs
   in
@@ -725,15 +742,15 @@ let incremental () =
     max_paths;
   List.iteri
     (fun i
-         (name, gate, init_s, incr_s, full_s, speedup, cone, invalidated,
-          reused, reanalyzed, identical) ->
+         (name, gate, init_s, incr_s, full_s, speedup, cone, gates_retimed,
+          invalidated, reused, reanalyzed, identical) ->
       out
-        "  {\"name\":\"%s\",\"gate\":\"%s\",\"init_s\":%.4f,\
-         \"incremental_s\":%.4f,\"full_s\":%.4f,\"speedup\":%.3f,\
-         \"cone_nodes\":%d,\"invalidated\":%d,\"reused\":%d,\
-         \"reanalyzed\":%d,\"identical\":%b}%s\n"
-        name gate init_s incr_s full_s speedup cone invalidated reused
-        reanalyzed identical
+        "  {\"name\":\"%s\",\"gate\":\"%s\",\"init_s\":%.6f,\
+         \"incremental_s\":%.6f,\"full_s\":%.6f,\"speedup\":%.3f,\
+         \"cone_nodes\":%d,\"gates_retimed\":%d,\"invalidated\":%d,\
+         \"reused\":%d,\"reanalyzed\":%d,\"identical\":%b}%s\n"
+        name gate init_s incr_s full_s speedup cone gates_retimed invalidated
+        reused reanalyzed identical
         (if i = List.length rows - 1 then "" else ","))
     rows;
   out "]}\n";

@@ -161,16 +161,6 @@ type cone = {
   full : bool;
 }
 
-module Reach = Dataflow.Make (struct
-  type t = bool
-
-  let bottom = false
-  let equal = Bool.equal
-  let join = ( || )
-  let widen ~prev:_ ~next = next
-  let pp = Format.pp_print_bool
-end)
-
 (* A gate's delay depends on its output load, which sums its consumers'
    input capacitances at their kinds and drives — so a resize/retype of
    [g] perturbs [g] and every fan-in of [g].  A move perturbs the intra
@@ -225,13 +215,24 @@ let cone_of d changes =
       (Array.make n true, Array.make n true)
     end
     else
-      let fixpoint direction =
-        (Reach.fixpoint ~direction d.circuit
-           ~init:(fun id -> dirty.(id))
-           ~transfer:(fun ~node:_ v -> v))
-          .Reach.values
+      (* Node ids are topological: ascending, every fan-in is final
+         when a node is visited; descending, every consumer has already
+         pushed into its fan-ins. *)
+      let n = Array.length dirty in
+      let forward = Array.copy dirty and backward = Array.copy dirty in
+      let fanins id =
+        if Netlist.is_input d.circuit id then [||]
+        else (Netlist.gate_of d.circuit id).Netlist.fanins
       in
-      (fixpoint Dataflow.Forward, fixpoint Dataflow.Backward)
+      for id = 0 to n - 1 do
+        if not forward.(id) then
+          forward.(id) <- Array.exists (fun f -> forward.(f)) (fanins id)
+      done;
+      for id = n - 1 downto 0 do
+        if backward.(id) then
+          Array.iter (fun f -> backward.(f) <- true) (fanins id)
+      done;
+      (forward, backward)
   in
   let dirty_count =
     Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 dirty
@@ -258,6 +259,7 @@ let cone_of d changes =
 
 type state = {
   mutable design : design;
+  mutable sta : Sta.t;
   mutable warm : Path_analysis.warm;
   cache : (int array * float, Path_analysis.t * Health.t) Hashtbl.t;
   lifetime : Health.t;
@@ -267,20 +269,13 @@ let design_of s = s.design
 let cache_size s = Hashtbl.length s.cache
 let ledger s = s.lifetime
 
-let fork s =
-  { design = s.design;
-    warm = s.warm;
-    cache = Hashtbl.copy s.cache;
-    lifetime = s.lifetime }
-
 let screen_of config =
   if config.Config.affine_prune then Some (Affine.methodology_screen config)
   else None
 
-let run_design ?pool ?reuse ?record d ~warm =
+let run_design ?pool ?reuse ?record d ~sta ~warm =
   Methodology.analyze ~config:d.config ~placement:d.placement ?pool
-    ?screen:(screen_of d.config) ~sta:(sta_of d) ~warm ?reuse ?record
-    d.circuit
+    ?screen:(screen_of d.config) ~sta ~warm ?reuse ?record d.circuit
 
 let record_into cache p pa ledger =
   Hashtbl.replace cache (p.Paths.nodes, p.Paths.delay) (pa, ledger)
@@ -292,12 +287,11 @@ let init ?pool ?(ledger = Health.create ()) d =
   | Error e -> Error e
   | Ok warm -> (
       let cache = Hashtbl.create 1024 in
-      match
-        run_design ?pool ~record:(record_into cache) d ~warm
-      with
+      let sta = sta_of d in
+      match run_design ?pool ~record:(record_into cache) d ~sta ~warm with
       | Error e -> Error e
       | Ok report ->
-          Ok ({ design = d; warm; cache; lifetime = ledger }, report))
+          Ok ({ design = d; sta; warm; cache; lifetime = ledger }, report))
 
 type outcome = {
   report : Methodology.t;
@@ -307,28 +301,46 @@ type outcome = {
   reanalyzed : int;
 }
 
-let reanalyze ?pool s edits =
+(* The gates whose kind or drive a change list alters; moves and
+   parameter deltas never enter [Graph.with_drives]. *)
+let resized changes =
+  List.filter_map
+    (function
+      | Gate_resize { node; _ } | Gate_retype { node; _ } -> Some node
+      | Cell_move _ | Config_set _ -> None)
+    changes
+
+(* The edited design's timing image, derived from the state's (the same
+   one when no gate was resized or retyped), and the number of gates
+   whose electricals it re-derived. *)
+let next_sta s next changed =
+  if changed = [] then (s.sta, 0)
+  else
+    let graph, retimed =
+      Graph.redrive s.sta.Sta.graph next.circuit next.drives ~changed
+    in
+    (Sta.relabel s.sta graph ~changed:retimed, List.length retimed)
+
+(* The body of [reanalyze] and [what_if]: the state's cache is only read
+   during the run, so a failed run or an uncommitted probe leaves it
+   untouched; a commit then drops the stale entries and records the
+   fresh analyses. *)
+let run_edit ~commit ?pool s edits =
   match resolve s.design edits with
   | Error e -> Error e
   | Ok changes -> (
       let cone = cone_of s.design changes in
       let next = apply s.design changes in
-      (* Invalidate exactly the cached paths the cone touches — or
+      (* Exactly the cached paths the cone touches are stale — or
          everything on an analysis/table-level parameter delta. *)
-      let stale =
-        if cone.full then Hashtbl.fold (fun k _ acc -> k :: acc) s.cache []
-        else
-          Hashtbl.fold
-            (fun ((nodes, _) as k) _ acc ->
-              if Array.exists (fun n -> cone.dirty.(n)) nodes then k :: acc
-              else acc)
-            s.cache []
+      let stale nodes =
+        cone.full || Array.exists (fun n -> cone.dirty.(n)) nodes
       in
-      let invalidated = List.length stale in
-      (* Work on a private cache so a failed run leaves the state
-         untouched. *)
-      let cache = Hashtbl.copy s.cache in
-      List.iter (Hashtbl.remove cache) stale;
+      let invalidated =
+        Hashtbl.fold
+          (fun (nodes, _) _ acc -> if stale nodes then acc + 1 else acc)
+          s.cache 0
+      in
       let warm_result =
         if Path_analysis.warm_compatible s.warm next.config then Ok s.warm
         else
@@ -338,25 +350,35 @@ let reanalyze ?pool s edits =
       match warm_result with
       | Error e -> Error e
       | Ok warm -> (
-          let reused = ref 0 and reanalyzed = ref 0 in
+          let sta, retimed = next_sta s next (resized changes) in
+          let reused = ref 0 and fresh = ref [] in
           let reuse p =
-            match Hashtbl.find_opt cache (p.Paths.nodes, p.Paths.delay) with
-            | Some _ as hit ->
-                incr reused;
-                hit
-            | None -> None
+            if stale p.Paths.nodes then None
+            else
+              match
+                Hashtbl.find_opt s.cache (p.Paths.nodes, p.Paths.delay)
+              with
+              | Some _ as hit ->
+                  incr reused;
+                  hit
+              | None -> None
           in
-          let record p pa ledger =
-            incr reanalyzed;
-            record_into cache p pa ledger
-          in
-          match run_design ?pool ~reuse ~record next ~warm with
+          let record p pa ledger = fresh := (p, pa, ledger) :: !fresh in
+          match run_design ?pool ~reuse ~record next ~sta ~warm with
           | Error e -> Error e
           | Ok report ->
-              s.design <- next;
-              s.warm <- warm;
-              Hashtbl.reset s.cache;
-              Hashtbl.iter (Hashtbl.add s.cache) cache;
+              let reanalyzed = List.length !fresh in
+              if commit then begin
+                s.design <- next;
+                s.sta <- sta;
+                s.warm <- warm;
+                Hashtbl.filter_map_inplace
+                  (fun (nodes, _) v -> if stale nodes then None else Some v)
+                  s.cache;
+                List.iter
+                  (fun (p, pa, ledger) -> record_into s.cache p pa ledger)
+                  (List.rev !fresh)
+              end;
               Health.counter_add s.lifetime "impact-edits"
                 (List.length changes);
               Health.counter_add s.lifetime "impact-cone-nodes"
@@ -365,22 +387,24 @@ let reanalyze ?pool s edits =
                 invalidated;
               Health.counter_add s.lifetime "impact-paths-reused" !reused;
               Health.counter_add s.lifetime "impact-paths-reanalyzed"
-                !reanalyzed;
+                reanalyzed;
+              Health.counter_add s.lifetime "impact-gates-retimed" retimed;
               Ok
                 { report;
                   cone;
                   invalidated;
                   reused = !reused;
-                  reanalyzed = !reanalyzed }))
+                  reanalyzed }))
 
-let what_if ?pool s edits = reanalyze ?pool (fork s) edits
+let reanalyze ?pool s edits = run_edit ~commit:true ?pool s edits
+let what_if ?pool s edits = run_edit ~commit:false ?pool s edits
 
 let scratch ?pool d =
   match
     Err.protect ~context:"Impact.scratch" (fun () -> Path_analysis.warm d.config)
   with
   | Error e -> Error e
-  | Ok warm -> run_design ?pool d ~warm
+  | Ok warm -> run_design ?pool d ~sta:(sta_of d) ~warm
 
 (* --- the random-edit corpus ------------------------------------------ *)
 

@@ -3,12 +3,13 @@
 
     An ECO-style edit — resize or retype a gate, move a cell, change a
     methodology parameter — perturbs only the dependence cone of the
-    touched nodes.  This module computes that cone {e statically} with
-    the monotone {!Dataflow} framework and uses it to re-analyze a
-    design incrementally: per-path statistical analyses (the O(Q³)
-    dominant cost) are cached across edits and reused for every path
-    outside the cone, and the spliced report is {b byte-identical} to a
-    from-scratch run — the contract certified by the
+    touched nodes.  This module computes that cone {e statically} and
+    uses it to re-analyze a design incrementally: per-path statistical
+    analyses (the O(Q³) dominant cost) are cached across edits and
+    reused for every path outside the cone, the timing graph, its
+    labels and its gradient table are carried from one edit to the
+    next, and the spliced report is {b byte-identical} to a from-scratch
+    run — the contract certified by the
     [check-impact-equivalence] check and fuzzed by the random-edit
     corpus ([ssta fault --edits]).
 
@@ -26,8 +27,9 @@
     the co-residents' own partitions cannot actually change, which
     makes the widening a strict superset — certified harmless by the
     byte-identity check).  The forward cone (dirty nodes to affected
-    endpoints) and backward cone (to affected path prefixes) are the
-    two reachability fixpoints of a boolean domain over the DAG.
+    endpoints) and backward cone (to affected path prefixes) are two
+    linear passes over the topological node ids: ascending over
+    fan-ins, descending back to them.
 
     A path is {e reusable} iff it contains no dirty node; the cone is
     the union slice reported to users.  Parameter deltas follow
@@ -40,7 +42,18 @@
     Designs here always use the drive-aware graph
     ({!Ssta_timing.Graph.with_drives}, all drives 1.0 until edited) so
     a resize stays a local perturbation.  The from-scratch comparand
-    {!scratch} uses the same model — byte-identity is meaningful. *)
+    {!scratch} uses the same model — byte-identity is meaningful.
+
+    {2 The carried timing image}
+
+    {!init} builds the graph and its static timing once.  An edit then
+    derives the next image from the previous one: a resize or retype of
+    [g] re-derives the electricals, delays and gradient-table entries
+    of [g] and its gate fan-ins only ({!Ssta_timing.Graph.redrive}) and
+    relabels forward from the smallest of them
+    ({!Ssta_timing.Sta.relabel}); moves and parameter deltas keep the
+    very same image.  Both are bit-identical to the full build, which
+    {!init} and {!scratch} keep. *)
 
 module Netlist = Ssta_circuit.Netlist
 module Placement = Ssta_circuit.Placement
@@ -127,9 +140,10 @@ val cone_of : design -> change list -> cone
 (** {2 Incremental re-analysis} *)
 
 type state
-(** A warm incremental-analysis image: the current design, the warm
-    inter-table/kernel-cache state, and the per-path analysis cache
-    keyed by (path nodes, path delay).  Built once by {!init}, advanced
+(** A warm incremental-analysis image: the current design, its timing
+    graph and static timing, the warm inter-table/kernel-cache state,
+    and the per-path analysis cache keyed by (path nodes, path
+    delay).  Built once by {!init}, advanced
     by {!reanalyze}, probed without commitment by {!what_if}. *)
 
 val init :
@@ -141,16 +155,13 @@ val init :
     return the baseline report.  [ledger] is the lifetime ledger the
     impact counters ([impact-edits], [impact-cone-nodes],
     [impact-paths-reused], [impact-paths-reanalyzed],
-    [impact-cache-invalidated]) accumulate into — pass the server's
+    [impact-cache-invalidated], and [impact-gates-retimed]: the gates
+    whose electricals an edit re-derived) accumulate into — pass the server's
     lifetime ledger to surface them through the [health] op. *)
 
 val design_of : state -> design
 val cache_size : state -> int
 val ledger : state -> Health.t
-
-val fork : state -> state
-(** An independent copy (shared warm tables — they are immutable-by-
-    contract — private path cache); the what-if substrate. *)
 
 type outcome = {
   report : Methodology.t;  (** spliced full report — byte-identical to
@@ -177,8 +188,9 @@ val what_if :
   state ->
   Ssta_circuit.Edit.t ->
   (outcome, Err.t) result
-(** {!reanalyze} on a {!fork}: answers the question without mutating
-    the state (the shared lifetime ledger still counts the traffic). *)
+(** {!reanalyze} without the commit: answers the question without
+    mutating the state (the lifetime ledger still counts the
+    traffic). *)
 
 val scratch :
   ?pool:Ssta_parallel.Pool.t ->

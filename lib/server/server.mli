@@ -38,8 +38,8 @@
       ({!Ssta_check.Impact}) — lint pre-validation refuses bad scripts
       with typed errors, cached per-path analyses outside the change's
       dependence cone are reused, and the edited design is committed as
-      the served image; [what-if] answers the same question on a fork
-      without committing.  The image is built lazily on first use and
+      the served image; [what-if] answers the same question without
+      committing.  The image is built lazily on first use and
       dropped on [reload].
 
     Determinism: responses for [run]/[query]/[check]/[criticality] are

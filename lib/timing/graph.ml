@@ -13,7 +13,9 @@ type t = {
 let make circuit electrical delay fanouts =
   { circuit; electrical; delay; fanouts; grads_slot = Atomic.make None }
 
-let of_netlist ?(wire_cap = 1.0e-15) c =
+let default_wire_cap = 1.0e-15
+
+let of_netlist ?(wire_cap = default_wire_cap) c =
   let n = Netlist.num_nodes c in
   let fanouts = Netlist.fanouts c in
   let electrical = Array.make n None in
@@ -27,7 +29,7 @@ let of_netlist ?(wire_cap = 1.0e-15) c =
     c.Netlist.gates;
   make c electrical delay fanouts
 
-let with_params_of ?(wire_cap = 1.0e-15) c params_of =
+let with_params_of ?(wire_cap = default_wire_cap) c params_of =
   let n = Netlist.num_nodes c in
   let fanouts = Netlist.fanouts c in
   let electrical = Array.make n None in
@@ -65,7 +67,24 @@ let with_wire_caps c wire_caps =
     c.Netlist.gates;
   make c electrical delay fanouts
 
-let with_drives ?(wire_cap = 1.0e-15) c drives =
+(* The drive-aware electrical model of gate [id]: its output load is
+   its consumers' input capacitances at their kinds and drives, plus one
+   pin if the node is a primary output.  Shared by the full build and
+   {!redrive}, so both see one load model. *)
+let drive_aware ~wire_cap c fanouts drives ~is_output id =
+  let load_cap =
+    Array.fold_left
+      (fun acc f ->
+        let kind = (Netlist.gate_of c f).Netlist.kind in
+        acc +. Gate.input_cap ~drive:drives.(f) kind)
+      (if is_output then Gate.c_gate_input else 0.0)
+      fanouts.(id)
+  in
+  let fanout = Array.length fanouts.(id) in
+  Gate.electrical ~fanout ~wire_cap ~load_cap ~drive:drives.(id)
+    (Netlist.gate_of c id).Netlist.kind
+
+let with_drives ?(wire_cap = default_wire_cap) c drives =
   let n = Netlist.num_nodes c in
   if Array.length drives <> n then
     invalid_arg "Graph.with_drives: one drive per node required";
@@ -82,18 +101,8 @@ let with_drives ?(wire_cap = 1.0e-15) c drives =
   Array.iter
     (fun (g : Netlist.gate) ->
       let id = g.Netlist.id in
-      let load_cap =
-        Array.fold_left
-          (fun acc f ->
-            let kind = (Netlist.gate_of c f).Netlist.kind in
-            acc +. Gate.input_cap ~drive:drives.(f) kind)
-          (if is_output.(id) then Gate.c_gate_input else 0.0)
-          fanouts.(id)
-      in
-      let fanout = Array.length fanouts.(id) in
       let e =
-        Gate.electrical ~fanout ~wire_cap ~load_cap ~drive:drives.(id)
-          g.Netlist.kind
+        drive_aware ~wire_cap c fanouts drives ~is_output:is_output.(id) id
       in
       electrical.(id) <- Some e;
       delay.(id) <- Elmore.nominal_delay e)
@@ -135,6 +144,10 @@ let fanins t id =
 
 let total_nominal_delay t = Array.fold_left ( +. ) 0.0 t.delay
 
+let grad_of = function
+  | Some e -> Ssta_tech.Derivatives.gradient e Ssta_tech.Params.nominal
+  | None -> Ssta_tech.Params.zero
+
 (* Two domains racing on the first call both evaluate the same
    deterministic table; the compare-and-set keeps the first one stored,
    so every caller sees one physical array. *)
@@ -142,12 +155,49 @@ let rec grads t =
   match Atomic.get t.grads_slot with
   | Some a -> a
   | None ->
-      let a =
-        Array.map
-          (function
-            | Some e -> Ssta_tech.Derivatives.gradient e Ssta_tech.Params.nominal
-            | None -> Ssta_tech.Params.zero)
-          t.electrical
-      in
+      let a = Array.map grad_of t.electrical in
       ignore (Atomic.compare_and_set t.grads_slot None (Some a));
       grads t
+
+let redrive prev c drives ~changed =
+  let n = num_nodes prev in
+  if Netlist.num_nodes c <> n || Array.length drives <> n then
+    invalid_arg "Graph.redrive: one node and one drive per previous node";
+  (* A gate's load sums its consumers' input capacitances at their kinds
+     and drives, so a changed gate retimes itself and its gate fan-ins. *)
+  let retimed =
+    List.sort_uniq Int.compare
+      (List.concat_map
+         (fun id ->
+           if Netlist.is_input c id then
+             invalid_arg "Graph.redrive: a primary input has no electricals";
+           id
+           :: List.filter
+                (fun f -> not (Netlist.is_input c f))
+                (Array.to_list (Netlist.gate_of c id).Netlist.fanins))
+         changed)
+  in
+  let electrical = Array.copy prev.electrical in
+  let delay = Array.copy prev.delay in
+  List.iter
+    (fun id ->
+      if drives.(id) <= 0.0 then
+        invalid_arg "Graph.redrive: drives must be positive";
+      let is_output = Array.mem id c.Netlist.outputs in
+      let e =
+        drive_aware ~wire_cap:default_wire_cap c prev.fanouts drives
+          ~is_output id
+      in
+      electrical.(id) <- Some e;
+      delay.(id) <- Elmore.nominal_delay e)
+    retimed;
+  let t = make c electrical delay prev.fanouts in
+  (* Carry an evaluated table: copy it and re-derive the retimed
+     entries; an unevaluated one stays lazy. *)
+  (match Atomic.get prev.grads_slot with
+  | None -> ()
+  | Some a ->
+      let a = Array.copy a in
+      List.iter (fun id -> a.(id) <- grad_of electrical.(id)) retimed;
+      Atomic.set t.grads_slot (Some a));
+  (t, retimed)

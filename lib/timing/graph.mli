@@ -10,8 +10,9 @@
     every gate's nominal gradient on its first call and keeps the table
     in the graph, so the path walk, the block engine and the affine
     domain all read the same array and a long-lived graph (a served
-    design) pays for it once.  Each constructor below starts with an
-    empty table, so a graph rebuilt after an edit derives its own. *)
+    design) pays for it once.  Each full constructor below starts with
+    an empty table; {!redrive}, the incremental twin of {!with_drives},
+    carries an evaluated one across an edit. *)
 
 type t = private {
   circuit : Ssta_circuit.Netlist.t;
@@ -33,9 +34,26 @@ val with_drives :
     (index = node id; entries for primary inputs are ignored).  A gate's
     output load is the sum of its consumers' input capacitances at
     {e their} drives (upsizing a gate speeds it up but slows its
-    fan-ins), plus one pin capacitance per primary-output connection.
+    fan-ins), plus one pin capacitance if the node is a primary output.
     Raises [Invalid_argument] on a length mismatch or non-positive
     drive. *)
+
+val redrive :
+  t -> Ssta_circuit.Netlist.t -> float array -> changed:int list -> t * int list
+(** [redrive prev c drives ~changed] is [(with_drives c drives, retimed)]
+    built from [prev], the default-[wire_cap] {!with_drives} graph of a
+    netlist with [c]'s connectivity, where [changed] holds every gate
+    whose kind or drive differs from [prev]'s.  [retimed] (ascending,
+    without duplicates) is [changed] plus the gate fan-ins of its
+    members, whose loads sum their input capacitances: only their
+    electricals, delays and gradient-table entries are re-derived,
+    through the full build's per-gate load model, and everything else,
+    [fanouts] included, comes from [prev] — so the graph equals the
+    full build bit for bit.  A {!grads} table [prev] had already
+    evaluated is copied with the retimed entries re-derived; otherwise
+    the table stays lazy.  Raises [Invalid_argument] on a node-count or
+    drives-length mismatch, a primary input in [changed] or a
+    non-positive drive of a retimed gate. *)
 
 val with_params_of :
   ?wire_cap:float ->

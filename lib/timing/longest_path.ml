@@ -1,13 +1,18 @@
+(* The best fan-in label plus the gate's own delay: the one per-node
+   expression both the fixpoint and {!relabel} evaluate. *)
+let arrival g labels id =
+  let best = ref neg_infinity in
+  Array.iter
+    (fun f -> if labels.(f) > !best then best := labels.(f))
+    (Graph.fanins g id);
+  !best +. g.Graph.delay.(id)
+
 let relax_once g labels =
   let changed = ref false in
   let n = Graph.num_nodes g in
   for id = 0 to n - 1 do
     if not (Graph.is_input g id) then begin
-      let best = ref neg_infinity in
-      Array.iter
-        (fun f -> if labels.(f) > !best then best := labels.(f))
-        (Graph.fanins g id);
-      let candidate = !best +. g.Graph.delay.(id) in
+      let candidate = arrival g labels id in
       if candidate > labels.(id) then begin
         labels.(id) <- candidate;
         changed := true
@@ -28,6 +33,26 @@ let bellman_ford g =
     if remaining > 0 && relax_once g labels then iterate (remaining - 1)
   in
   iterate n;
+  labels
+
+let relabel g labels ~changed =
+  let labels = Array.copy labels in
+  let moved = Array.make (Array.length labels) false in
+  List.iter (fun id -> moved.(id) <- true) changed;
+  (* Fan-ins have smaller ids, so one ascending pass from the smallest
+     changed id sees every fan-in final.  [moved] marks a node to
+     recompute on entry and, after it, whether its label changed. *)
+  let lo = List.fold_left min (Array.length labels) changed in
+  for id = lo to Array.length labels - 1 do
+    if
+      (not (Graph.is_input g id))
+      && (moved.(id) || Array.exists (fun f -> moved.(f)) (Graph.fanins g id))
+    then begin
+      let l = arrival g labels id in
+      moved.(id) <- l <> labels.(id);
+      labels.(id) <- l
+    end
+  done;
   labels
 
 let topological g =

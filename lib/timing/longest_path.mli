@@ -11,6 +11,14 @@ val bellman_ford : Graph.t -> float array
 (** Iterative relaxation exactly as in the paper; O(N * E) worst case,
     terminating early once a sweep changes nothing. *)
 
+val relabel : Graph.t -> float array -> changed:int list -> float array
+(** [relabel g labels ~changed] is [bellman_ford g], bit for bit, given
+    the {!bellman_ford} labels of a graph that differs from [g] only in
+    the delays of the gates in [changed] (same netlist connectivity).
+    One forward pass from the smallest changed id recomputes a node only
+    when it is in [changed] or a fan-in's label moved, with the
+    fixpoint's own per-node expression.  [labels] is not mutated. *)
+
 val topological : Graph.t -> float array
 (** Single forward sweep in node order (which is topological). *)
 

@@ -8,14 +8,18 @@ type t = {
   critical_path : Paths.path;
 }
 
-let of_graph graph =
-  let labels = Longest_path.bellman_ford graph in
+let of_labels graph labels =
   let critical_delay = Longest_path.critical_delay graph labels in
   let nodes = Longest_path.critical_path graph labels in
   let critical_path =
     { Paths.nodes; delay = Paths.recompute_delay graph nodes }
   in
   { graph; labels; critical_delay; critical_path }
+
+let of_graph graph = of_labels graph (Longest_path.bellman_ford graph)
+
+let relabel t graph ~changed =
+  of_labels graph (Longest_path.relabel graph t.labels ~changed)
 
 let analyze ?wire_cap c = of_graph (Graph.of_netlist ?wire_cap c)
 let analyze_placed ?wire c pl = of_graph (Graph.of_placed ?wire c pl)

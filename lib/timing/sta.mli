@@ -20,6 +20,12 @@ val of_graph : Graph.t -> t
 (** Run the label/critical-path computations on an existing graph (e.g.
     one built with {!Graph.with_drives}). *)
 
+val relabel : t -> Graph.t -> changed:int list -> t
+(** [relabel t g ~changed] is [of_graph g], bit for bit, when [g] differs
+    from [t.graph] only in the delays of the gates in [changed] (e.g. a
+    {!Graph.redrive} of it): the labels come from
+    {!Longest_path.relabel}, the critical delay and path from them. *)
+
 val analyze_placed :
   ?wire:Ssta_tech.Wire.params ->
   Ssta_circuit.Netlist.t ->

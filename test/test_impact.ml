@@ -7,9 +7,14 @@
 module Netlist = Ssta_circuit.Netlist
 module Placement = Ssta_circuit.Placement
 module Generators = Ssta_circuit.Generators
+module Iscas85 = Ssta_circuit.Iscas85
 module Edit = Ssta_circuit.Edit
 module Gate = Ssta_tech.Gate
 module Config = Ssta_core.Config
+module Methodology = Ssta_core.Methodology
+module Graph = Ssta_timing.Graph
+module Sta = Ssta_timing.Sta
+module Params = Ssta_tech.Params
 module Path_analysis = Ssta_core.Path_analysis
 module Report = Ssta_core.Report
 module Rng = Ssta_prob.Rng
@@ -120,15 +125,7 @@ let test_with_gate_kind_fresh_memo () =
 
 (* --- backward dataflow on a shared cone -------------------------------- *)
 
-module Reach = Dataflow.Make (struct
-  type t = bool
-
-  let bottom = false
-  let equal = Bool.equal
-  let join = ( || )
-  let widen ~prev:_ ~next = next
-  let pp = Format.pp_print_bool
-end)
+module Reach = Cone_reference.Reach
 
 let test_dataflow_backward_shared_cone () =
   let c, a, b, g1, g2, g3 = shared_cone () in
@@ -346,6 +343,224 @@ let test_random_edits_deterministic () =
   check_int "count respected" 8 (List.length edits);
   ignore (ok_exn (Impact.resolve d edits))
 
+(* --- the carried timing image -------------------------------------- *)
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_floats a b =
+  Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+let same_grad a b =
+  List.for_all (fun rv -> same_bits (Params.get a rv) (Params.get b rv))
+    Params.all_rvs
+
+let same_electrical (a : Gate.electrical option) b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+      a.Gate.kind = b.Gate.kind
+      && same_floats
+           [| a.Gate.wn; a.Gate.wp; a.Gate.cd_n; a.Gate.cd_p; a.Gate.c_out;
+              a.Gate.alpha; a.Gate.beta |]
+           [| b.Gate.wn; b.Gate.wp; b.Gate.cd_n; b.Gate.cd_p; b.Gate.c_out;
+              b.Gate.alpha; b.Gate.beta |]
+  | _ -> false
+
+(* The first difference between the timing image an edit carried and a
+   fresh [Graph.with_drives] + [Sta.of_graph] + [Graph.grads] of the
+   same design, or [None] when they agree bit for bit.  The carried
+   gradient table must already be evaluated: it is copied across edits,
+   never derived afresh. *)
+let carried_mismatch (d : Impact.design) (sta : Sta.t) =
+  let fresh =
+    Sta.of_graph (Graph.with_drives d.Impact.circuit d.Impact.drives)
+  in
+  let g = sta.Sta.graph and f = fresh.Sta.graph in
+  let first name ok = if ok then None else Some name in
+  List.find_map Fun.id
+    [ first "gate kinds"
+        (Array.for_all2
+           (fun (a : Netlist.gate) (b : Netlist.gate) ->
+             a.Netlist.kind = b.Netlist.kind)
+           g.Graph.circuit.Netlist.gates d.Impact.circuit.Netlist.gates);
+      first "electricals"
+        (Array.for_all2 same_electrical g.Graph.electrical f.Graph.electrical);
+      first "delays" (same_floats g.Graph.delay f.Graph.delay);
+      first "fanouts" (g.Graph.fanouts = f.Graph.fanouts);
+      (match Atomic.get g.Graph.grads_slot with
+      | None -> Some "gradient table not carried"
+      | Some t ->
+          first "gradient table" (Array.for_all2 same_grad t (Graph.grads f)));
+      first "labels" (same_floats sta.Sta.labels fresh.Sta.labels);
+      first "critical delay"
+        (same_bits sta.Sta.critical_delay fresh.Sta.critical_delay);
+      first "critical path"
+        (sta.Sta.critical_path.Ssta_timing.Paths.nodes
+         = fresh.Sta.critical_path.Ssta_timing.Paths.nodes
+        && same_bits sta.Sta.critical_path.Ssta_timing.Paths.delay
+             fresh.Sta.critical_path.Ssta_timing.Paths.delay) ]
+
+let check_carried label d (o : Impact.outcome) =
+  match carried_mismatch d o.Impact.report.Methodology.sta with
+  | None -> ()
+  | Some what ->
+      Alcotest.failf "%s: carried %s differs from a fresh build" label what
+
+(* [reanalyze], then the carried image against the committed design. *)
+let check_edit label state edits =
+  check_carried label (Impact.design_of state)
+    (ok_exn (Impact.reanalyze state edits))
+
+let parse script = ok_exn (Edit.parse_string_res script)
+
+let test_carried_graph_iscas () =
+  List.iter
+    (fun name ->
+      let circuit, placement =
+        Iscas85.build_placed (Option.get (Iscas85.by_name name))
+      in
+      let d = Impact.design ~placement ~config:impact_config circuit in
+      let state, _ = ok_exn (Impact.init d) in
+      let rng = Rng.create 5 in
+      (* Every op of the corpus on its own, a what-if among them... *)
+      List.iteri
+        (fun i e ->
+          let label =
+            Printf.sprintf "%s op %d (%s)" name i (Edit.to_string [ e ])
+          in
+          if i = 3 then begin
+            let before = Impact.design_of state in
+            let o = ok_exn (Impact.what_if state [ e ]) in
+            check_true (label ^ ": what-if commits nothing")
+              (Impact.design_of state == before);
+            check_carried (label ^ ": what-if")
+              (Impact.apply before (ok_exn (Impact.resolve before [ e ])))
+              o
+          end;
+          check_edit label state [ e ])
+        (Impact.random_edits ~rng ~count:8 d);
+      (* ...then a multi-op script in one edit. *)
+      check_edit (name ^ " multi-op") state
+        (Impact.random_edits ~rng ~count:4 (Impact.design_of state)))
+    [ "c432"; "c1908"; "c7552" ]
+
+let test_carried_graph_scripts () =
+  let circuit = small_random () in
+  let d = Impact.design ~config:impact_config circuit in
+  let state, baseline = ok_exn (Impact.init d) in
+  (* A multi-input gate with a gate fan-in, so an edit retimes more
+     than itself. *)
+  let gate =
+    let rec find id =
+      let g = Netlist.gate_of circuit id in
+      if Array.length g.Netlist.fanins >= 2
+         && Array.exists
+              (fun f -> not (Netlist.is_input circuit f))
+              g.Netlist.fanins
+      then g
+      else find (id + 1)
+    in
+    find circuit.Netlist.num_inputs
+  in
+  let name = Netlist.node_name circuit gate.Netlist.id in
+  let other = match gate.Netlist.kind with Gate.Nand _ -> "nor" | _ -> "nand" in
+  let script fmt = Printf.ksprintf parse fmt in
+  (* Moves and parameter deltas never enter the graph: the same image. *)
+  let same_image label edits =
+    let o = ok_exn (Impact.reanalyze state edits) in
+    check_true label
+      (o.Impact.report.Methodology.sta == baseline.Methodology.sta)
+  in
+  same_image "a move keeps the physically same timing image"
+    (script "move %s 3 4" name);
+  same_image "a parameter delta keeps it too" (parse "set confidence 0.1");
+  (* A retype then a resize of the same gate: in one script... *)
+  check_edit "retype + resize in one script" state
+    (script "retype %s %s\nresize %s 1.4" name other name);
+  (* ...and as two edits. *)
+  check_edit "retype back" state
+    (script "retype %s %s" name (Gate.name gate.Netlist.kind));
+  check_edit "then resize" state (script "resize %s 0.7" name);
+  (* [redrive] closes the changed set over gate fan-ins itself. *)
+  let graph = baseline.Methodology.sta.Sta.graph in
+  let drives = Array.make (Netlist.num_nodes circuit) 1.0 in
+  let _, retimed =
+    Graph.redrive graph circuit drives
+      ~changed:[ gate.Netlist.id; gate.Netlist.id ]
+  in
+  check_true "redrive retimes the changed gate and its gate fan-ins"
+    (retimed
+    = List.sort_uniq Int.compare
+        (gate.Netlist.id
+        :: List.filter
+             (fun f -> not (Netlist.is_input circuit f))
+             (Array.to_list gate.Netlist.fanins)));
+  check_true "redrive refuses a primary input"
+    (match Graph.redrive graph circuit drives ~changed:[ 0 ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let qcheck_carried_graph =
+  qcheck ~count:25 "carried graph equals a fresh build on random circuits"
+    QCheck.(pair (int_range 1 10_000) (int_range 1 6))
+    (fun (seed, count) ->
+      let circuit =
+        Generators.random_layered ~name:"eco" ~inputs:6 ~outputs:3 ~gates:40
+          ~depth:6 ~seed ()
+      in
+      let d = Impact.design ~config:impact_config circuit in
+      let state, _ = ok_exn (Impact.init d) in
+      let rng = Rng.create seed in
+      List.for_all
+        (fun e ->
+          let o = ok_exn (Impact.reanalyze state [ e ]) in
+          carried_mismatch (Impact.design_of state)
+            o.Impact.report.Methodology.sta
+          = None)
+        (Impact.random_edits ~rng ~count d))
+
+(* --- the cone against the worklist reference ------------------------ *)
+
+let qcheck_cone_reference =
+  qcheck ~count:60 "cone equals the worklist reachability reference"
+    QCheck.(triple (int_range 1 10_000) (int_range 1 5) (int_range 0 2))
+    (fun (seed, count, set) ->
+      let circuit =
+        Generators.random_layered ~name:"cone" ~inputs:6 ~outputs:3 ~gates:50
+          ~depth:7 ~seed ()
+      in
+      let d = Impact.design ~config:impact_config circuit in
+      let edits = Impact.random_edits ~rng:(Rng.create seed) ~count d in
+      (* 0: gate edits only; 1: plus an enumeration-only delta; 2: plus a
+         full-invalidation delta. *)
+      let edits =
+        match set with
+        | 0 -> edits
+        | 1 -> edits @ parse "set confidence 0.1"
+        | _ -> edits @ parse "set corner-k 2.5"
+      in
+      let changes = ok_exn (Impact.resolve d edits) in
+      Impact.cone_of d changes = Cone_reference.cone_of d changes)
+
+let test_cone_reference_moves () =
+  (* A move-only script on a placed ISCAS85 circuit: the leaf
+     co-resident widening feeds both passes. *)
+  let circuit, placement =
+    Iscas85.build_placed (Option.get (Iscas85.by_name "c880"))
+  in
+  let d = Impact.design ~placement ~config:impact_config circuit in
+  let rng = Rng.create 17 in
+  let moves =
+    List.filter
+      (fun (e : Edit.edit) ->
+        match e.Edit.op with Edit.Move _ -> true | _ -> false)
+      (Impact.random_edits ~rng ~count:30 d)
+  in
+  check_true "the corpus has moves" (moves <> []);
+  let changes = ok_exn (Impact.resolve d moves) in
+  check_true "cone of moves equals the reference"
+    (Impact.cone_of d changes = Cone_reference.cone_of d changes)
+
 (* --- lint rules -------------------------------------------------------- *)
 
 let fires rule ds =
@@ -416,6 +631,11 @@ let suite =
       slow_case "incremental equals scratch" test_incremental_equals_scratch;
       case "what-if does not commit" test_what_if_does_not_commit;
       case "random edit corpus deterministic" test_random_edits_deterministic;
+      slow_case "carried graph on ISCAS85 edits" test_carried_graph_iscas;
+      case "carried graph across scripts" test_carried_graph_scripts;
+      qcheck_carried_graph;
+      qcheck_cone_reference;
+      case "cone of moves equals the reference" test_cone_reference_moves;
       case "edit lint rules" test_edit_lint_rules;
       slow_case "check-impact-equivalence clean" test_check_impact_equivalence
     ] )
