@@ -53,8 +53,13 @@ module Sproto = Ssta_server.Protocol
 
 let ok_or_raise = function Ok v -> v | Error e -> Err.raise_error e
 
-(* Every JSON document goes through the one printer, one line each. *)
-let print_json v = Fmt.pr "%s@." (Json.to_string v)
+(* Every JSON document goes through the one printer, one line each,
+   written to stdout as it is produced (after whatever the formatter
+   still holds). *)
+let print_json v =
+  Format.pp_print_flush Format.std_formatter ();
+  Json.to_channel stdout v;
+  print_newline ()
 
 (* Every command body runs under this wrapper: typed errors (and stray
    exceptions, classified by [Err.of_exn]) are printed to stderr and
@@ -885,10 +890,7 @@ let run_cmd =
       (* Block mode: one topological sweep, no enumeration — the budget,
          screening and wire options of the path flow do not apply. *)
       let r = Block_engine.analyze ~config ~placement circuit in
-      if json then begin
-        print_string (Block_engine.json_report r);
-        print_newline ()
-      end
+      if json then print_json (Block_engine.json r)
       else begin
         Fmt.pr "%a" Block_engine.pp_summary r;
         if verbose then Fmt.pr "%a" Block_engine.pp_endpoints r
@@ -969,10 +971,7 @@ let run_cmd =
               | [] -> ()
           end
     end
-    else if json then begin
-      print_string (Report.json_report m);
-      print_newline ()
-    end
+    else if json then print_json (Report.json m)
     else begin
       Report.pp_table2_header Fmt.stdout ();
       Report.pp_table2_row Fmt.stdout (Report.table2_row m);

@@ -161,7 +161,8 @@ let json t =
        ("intra_sigma_s", Json.Number t.intra_sigma);
        ("confidence_point_s", Json.Number t.confidence_point) ]
     @ quantile_fields t.pdf
-    @ [ ("endpoints", Json.List (List.map endpoint_json t.endpoints));
+    @ [ ( "endpoints",
+          Json.Seq (Seq.map endpoint_json (List.to_seq t.endpoints)) );
         ("circuit_pdf", Ssta_core.Report.pdf_json t.pdf) ])
 
 let json_report t = Json.to_string (json t)

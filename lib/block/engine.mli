@@ -66,7 +66,8 @@ val json : t -> Ssta_runtime.Json.t
     {!Ssta_core.Report.pdf_json}).  Deterministic by construction —
     round-trip floats, no wall-clock — so identical results are
     byte-identical; the block-mode [--jobs] determinism tests diff this
-    artifact. *)
+    artifact.  The endpoints and the PDF density are
+    {!Ssta_runtime.Json.Seq} arrays, produced while the value prints. *)
 
 val json_report : t -> string
 (** [Json.to_string (json t)]: the report on one line. *)

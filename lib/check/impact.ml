@@ -257,16 +257,37 @@ let cone_of d changes =
 
 (* --- incremental state ------------------------------------------------ *)
 
+module Path_key = struct
+  type t = int array * float
+
+  let equal (a, da) (b, db) =
+    Int64.equal (Int64.bits_of_float da) (Int64.bits_of_float db)
+    && Array.length a = Array.length b
+    && Array.for_all2 Int.equal a b
+
+  (* Every node id, not the prefix [Hashtbl.hash] stops at, folded
+     FNV-style, then mixed so the low bits the table indexes by depend
+     on all of them. *)
+  let hash (nodes, delay) =
+    Hashtbl.hash
+      (Array.fold_left
+         (fun h id -> (h lxor id) * 0x100000001b3)
+         (Int64.to_int (Int64.bits_of_float delay))
+         nodes)
+end
+
+module Path_table = Hashtbl.Make (Path_key)
+
 type state = {
   mutable design : design;
   mutable sta : Sta.t;
   mutable warm : Path_analysis.warm;
-  cache : (int array * float, Path_analysis.t * Health.t) Hashtbl.t;
+  cache : (Path_analysis.t * Health.t) Path_table.t;
   lifetime : Health.t;
 }
 
 let design_of s = s.design
-let cache_size s = Hashtbl.length s.cache
+let cache_size s = Path_table.length s.cache
 let ledger s = s.lifetime
 
 let screen_of config =
@@ -278,7 +299,7 @@ let run_design ?pool ?reuse ?record d ~sta ~warm =
     ?screen:(screen_of d.config) ~sta ~warm ?reuse ?record d.circuit
 
 let record_into cache p pa ledger =
-  Hashtbl.replace cache (p.Paths.nodes, p.Paths.delay) (pa, ledger)
+  Path_table.replace cache (p.Paths.nodes, p.Paths.delay) (pa, ledger)
 
 let init ?pool ?(ledger = Health.create ()) d =
   match
@@ -286,7 +307,7 @@ let init ?pool ?(ledger = Health.create ()) d =
   with
   | Error e -> Error e
   | Ok warm -> (
-      let cache = Hashtbl.create 1024 in
+      let cache = Path_table.create 1024 in
       let sta = sta_of d in
       match run_design ?pool ~record:(record_into cache) d ~sta ~warm with
       | Error e -> Error e
@@ -337,7 +358,7 @@ let run_edit ~commit ?pool s edits =
         cone.full || Array.exists (fun n -> cone.dirty.(n)) nodes
       in
       let invalidated =
-        Hashtbl.fold
+        Path_table.fold
           (fun (nodes, _) _ acc -> if stale nodes then acc + 1 else acc)
           s.cache 0
       in
@@ -356,7 +377,7 @@ let run_edit ~commit ?pool s edits =
             if stale p.Paths.nodes then None
             else
               match
-                Hashtbl.find_opt s.cache (p.Paths.nodes, p.Paths.delay)
+                Path_table.find_opt s.cache (p.Paths.nodes, p.Paths.delay)
               with
               | Some _ as hit ->
                   incr reused;
@@ -372,7 +393,7 @@ let run_edit ~commit ?pool s edits =
                 s.design <- next;
                 s.sta <- sta;
                 s.warm <- warm;
-                Hashtbl.filter_map_inplace
+                Path_table.filter_map_inplace
                   (fun (nodes, _) v -> if stale nodes then None else Some v)
                   s.cache;
                 List.iter

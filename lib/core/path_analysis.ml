@@ -1,5 +1,4 @@
 module Pdf = Ssta_prob.Pdf
-module Corner = Ssta_tech.Corner
 module Graph = Ssta_timing.Graph
 module Paths = Ssta_timing.Paths
 module Layers = Ssta_correlation.Layers
@@ -235,8 +234,7 @@ let analyze ?health ctx path =
   in
   Health.merge ~into:health s.s_health;
   let worst_case =
-    Corner.path_delay ~k:ctx.config.Config.corner_k Corner.Worst
-      (Paths.path_gates ctx.graph path)
+    Paths.worst_case_delay ~corner_k:ctx.config.Config.corner_k ctx.graph path
   in
   { path;
     gate_count = Paths.path_gate_count ctx.graph path;

@@ -169,10 +169,7 @@ module Json = Ssta_runtime.Json
 let path_analysis_json (a : Path_analysis.t) =
   Json.Obj
     [ ( "nodes",
-        Json.List
-          (Array.to_list
-             (Array.map Json.int a.Path_analysis.path.Ssta_timing.Paths.nodes))
-      );
+        Json.array Json.int a.Path_analysis.path.Ssta_timing.Paths.nodes );
       ("gate_count", Json.int a.Path_analysis.gate_count);
       ("det_delay_s", Json.Number a.Path_analysis.det_delay);
       ("mean_s", Json.Number a.Path_analysis.mean);
@@ -186,10 +183,7 @@ let pdf_json (p : Pdf.t) =
   Json.Obj
     [ ("lo", Json.Number p.Pdf.lo);
       ("step", Json.Number p.Pdf.step);
-      ( "density",
-        Json.List
-          (Array.to_list (Array.map (fun d -> Json.Number d) p.Pdf.density)) )
-    ]
+      ("density", Json.array (fun d -> Json.Number d) p.Pdf.density) ]
 
 let json (m : Methodology.t) =
   let cfg = m.Methodology.config in
@@ -240,15 +234,13 @@ let json (m : Methodology.t) =
           m.Methodology.prob_critical.Ranking.analysis
             .Path_analysis.total_pdf );
       ( "paths",
-        Json.List
-          (Array.to_list
-             (Array.map
-                (fun (r : Ranking.ranked) ->
-                  Json.Obj
-                    [ ("prob_rank", Json.int r.Ranking.prob_rank);
-                      ("det_rank", Json.int r.Ranking.det_rank);
-                      ("analysis", path_analysis_json r.Ranking.analysis) ])
-                m.Methodology.ranked)) ) ]
+        Json.array
+          (fun (r : Ranking.ranked) ->
+            Json.Obj
+              [ ("prob_rank", Json.int r.Ranking.prob_rank);
+                ("det_rank", Json.int r.Ranking.det_rank);
+                ("analysis", path_analysis_json r.Ranking.analysis) ])
+          m.Methodology.ranked ) ]
 
 let json_report m = Json.to_string (json m)
 

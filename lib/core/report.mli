@@ -79,7 +79,12 @@ val json : Methodology.t -> Ssta_runtime.Json.t
     results emit byte-identical documents.  The parallel determinism
     property tests diff this artifact between [--jobs 1] and
     [--jobs N] runs.  The server embeds the value in its [run]
-    responses as is. *)
+    responses as is.
+
+    The ranked paths, their node ids and PDF densities are
+    {!Ssta_runtime.Json.Seq} arrays over [m]'s own arrays: they are
+    produced while the value prints, and the value prints the same any
+    number of times. *)
 
 val json_report : Methodology.t -> string
 (** [Json.to_string (json m)]: the report on one line. *)

@@ -5,8 +5,11 @@
     The repository deliberately carries no external JSON dependency.
     Path and block run reports, the criticality ranking, lint and check
     reports (JSON and SARIF) and every server response are built as
-    {!t} values and rendered by {!to_string}; no other code escapes a
-    JSON string or formats a JSON number.
+    {!t} values and rendered by {!to_string} or {!to_channel}; no other
+    code escapes a JSON string or formats a JSON number.  The large
+    arrays of a report (ranked paths, their node ids, endpoints, PDF
+    densities) are {!Seq} values, produced while they print, so a
+    report is never held whole as a tree.
 
     The parser is strict — it rejects exactly the malformed inputs the
     protocol fault corpus feeds it — and every rejection is a typed
@@ -14,11 +17,24 @@
     exception.
 
     The printer is deterministic: object fields print in the order the
-    caller supplied, finite numbers print in round-trip ["%.17g"] form
-    (exact integers below 2{^53} as plain integers, which is the same
-    text), non-finite numbers print as [null], and nothing about the
-    process or the clock leaks in, so identical values render
-    byte-identical documents. *)
+    caller supplied, finite numbers print in round-trip ["%.17g"] form,
+    non-finite numbers print as [null], and nothing about the process or
+    the clock leaks in, so identical values render byte-identical
+    documents.
+
+    Numbers are written in OCaml, straight into the output, with the
+    exact bytes of C's ["%.17g"]:
+    - an exact integer of magnitude below 2{^53} (not [-0]) by a digit
+      loop;
+    - a finite [x] with [1e-44 <= |x| < 1e17] by computing its 17
+      significant digits exactly ([m * 5{^s} * 2{^q}] in 30-bit limbs,
+      rounded half-even like glibc), then the ["%g"] layout: fixed
+      notation for decimal exponents in [[-4, 16]], [d.ddde-XX] below;
+    - anything else finite ([-0], subnormals, [|x| < 1e-44],
+      [|x| >= 1e17]) by the C primitive behind [Printf.sprintf "%.17g"],
+      unchanged.
+    The writers share no mutable state, so documents may print
+    concurrently from several threads or domains. *)
 
 type t =
   | Null
@@ -30,9 +46,18 @@ type t =
   | Raw of string
       (** a pre-rendered JSON document spliced verbatim into the
           output; never produced by {!parse} *)
+  | Seq of t Seq.t
+      (** an array whose elements are produced while it prints: the
+          same bytes as [List] of the same elements.  Each rendering
+          traverses the sequence once, so a sequence over an array or
+          list (which replays) may print any number of times.  Never
+          produced by {!parse}; the accessors treat it as a non-object. *)
 
 val int : int -> t
 (** [Number] of an integer. *)
+
+val array : ('a -> t) -> 'a array -> t
+(** [array f a] is the {!Seq} of [f] over [a], applied while printing. *)
 
 val parse : string -> (t, Ssta_error.t) result
 (** Parse one complete JSON document.  Strictness guarantees, each a
@@ -50,6 +75,12 @@ val to_string : t -> string
     escape the double quote, backslash, newline, carriage return and
     tab by name and other control characters as six-character unicode
     escapes. *)
+
+val to_channel : out_channel -> t -> unit
+(** The bytes of {!to_string}, written to the channel as they are
+    produced: the document is never whole in memory, only a buffer of
+    about 64 KB, emptied between array elements.  No trailing newline,
+    no flush. *)
 
 val member : string -> t -> t option
 (** Field lookup; [None] on missing field or non-object. *)

@@ -8,11 +8,17 @@ let voltage_factor ~vdd ~vt =
     invalid_arg "Elmore.voltage_factor: outside model validity domain";
   (vdd /. (headroom ** 1.3)) +. (1.0 /. linear)
 
-let gate_delay (e : Gate.electrical) (p : Params.t) =
+(* The geometry prefactor and both voltage factors depend on the
+   parameter point only, so a caller timing many gates at one point
+   computes them once. *)
+let delay_at (p : Params.t) =
   let geometry = elmore_constant *. p.Params.tox *. p.Params.leff /. eps_ox in
   let vn = voltage_factor ~vdd:p.Params.vdd ~vt:p.Params.vtn in
   let vp = voltage_factor ~vdd:p.Params.vdd ~vt:p.Params.vtp in
-  geometry *. ((e.Gate.alpha *. vn) +. (e.Gate.beta *. vp))
+  fun (e : Gate.electrical) ->
+    geometry *. ((e.Gate.alpha *. vn) +. (e.Gate.beta *. vp))
+
+let gate_delay e p = delay_at p e
 
 let nominal_delay e = gate_delay e Params.nominal
 
@@ -60,6 +66,10 @@ let delay_bounds ?(sigmas = Params.sigmas) ~bound (e : Gate.electrical) =
   (lo, gate_delay e slow)
 
 let path_delay gates p =
-  List.fold_left (fun acc e -> acc +. gate_delay e p) 0.0 gates
+  match gates with
+  | [] -> 0.0
+  | _ ->
+      let delay = delay_at p in
+      List.fold_left (fun acc e -> acc +. delay e) 0.0 gates
 
 let ps t = t *. 1e12

@@ -24,6 +24,12 @@ val voltage_factor : vdd:float -> vt:float -> float
 val gate_delay : Gate.electrical -> Params.t -> float
 (** Full nonlinear delay of one gate at a parameter point (Eq. 2). *)
 
+val delay_at : Params.t -> Gate.electrical -> float
+(** [delay_at p] is [fun e -> gate_delay e p] with the gate-independent
+    factors of Eq. 2 (geometry and both voltage factors) computed once,
+    on application to [p]: bit-identical, and it raises as
+    {!voltage_factor} does at that point. *)
+
 val nominal_delay : Gate.electrical -> float
 (** Delay at {!Params.nominal}. *)
 
@@ -49,7 +55,8 @@ val delay_bounds :
 val path_delay : Gate.electrical list -> Params.t -> float
 (** Sum of gate delays with {e shared} parameters — the fully correlated
     evaluation used for corner analysis (Eq. 5 with all gates at the same
-    point). *)
+    point).  The point's factors are computed once, and only for a
+    non-empty list: [path_delay [] p] is [0.0] for any [p]. *)
 
 val ps : float -> float
 (** Seconds to picoseconds. *)

@@ -1,5 +1,7 @@
 module Netlist = Ssta_circuit.Netlist
 module Pool = Ssta_parallel.Pool
+module Corner = Ssta_tech.Corner
+module Elmore = Ssta_tech.Elmore
 
 type path = { nodes : int array; delay : float }
 
@@ -21,6 +23,16 @@ let path_gate_count g p =
   Array.fold_left
     (fun acc id -> if Graph.is_input g id then acc else acc + 1)
     0 p.nodes
+
+let worst_case_delay ?corner_k g p =
+  if Array.for_all (Graph.is_input g) p.nodes then 0.0
+  else
+    let delay = Elmore.delay_at (Corner.point ?k:corner_k Corner.Worst) in
+    Array.fold_left
+      (fun acc id ->
+        if Graph.is_input g id then acc
+        else acc +. delay (Graph.electrical_exn g id))
+      0.0 p.nodes
 
 let recompute_delay g nodes =
   Array.fold_left (fun acc id -> acc +. g.Graph.delay.(id)) 0.0 nodes

@@ -43,6 +43,12 @@ val path_gates : Graph.t -> path -> Ssta_tech.Gate.electrical list
 val path_gate_count : Graph.t -> path -> int
 (** Number of gates on the path (the paper's Table 2 column 10). *)
 
+val worst_case_delay : ?corner_k:float -> Graph.t -> path -> float
+(** Classical corner analysis of one path: all parameters at the
+    worst-case corner simultaneously, i.e. [Corner.path_delay Worst]
+    of {!path_gates}, bit for bit, without building the list.  A path
+    without gates is [0.0] and never evaluates the corner. *)
+
 val recompute_delay : Graph.t -> int array -> float
 (** Sum of gate delays along an explicit node list (validation). *)
 

@@ -1,5 +1,4 @@
 module Elmore = Ssta_tech.Elmore
-module Corner = Ssta_tech.Corner
 
 type t = {
   graph : Graph.t;
@@ -27,9 +26,6 @@ let analyze_placed ?wire c pl = of_graph (Graph.of_placed ?wire c pl)
 let near_critical ?max_paths ?should_stop ?prune ?pool t ~slack =
   Paths.enumerate ?max_paths ?should_stop ?prune ?pool t.graph
     ~labels:t.labels ~slack
-
-let worst_case_delay ?corner_k t path =
-  Corner.path_delay ?k:corner_k Corner.Worst (Paths.path_gates t.graph path)
 
 let pp_summary fmt t =
   Format.fprintf fmt "%s: critical delay %.3f ps over %d gates"

@@ -48,8 +48,4 @@ val near_critical :
     stream prefetching without changing any output bit; see
     {!Paths.enumerate}. *)
 
-val worst_case_delay : ?corner_k:float -> t -> Paths.path -> float
-(** Classical corner analysis of one path (all parameters at the
-    worst-case corner simultaneously). *)
-
 val pp_summary : Format.formatter -> t -> unit

@@ -616,6 +616,43 @@ let test_check_impact_equivalence () =
   check_true "check id registered"
     (List.mem_assoc "check-impact-equivalence" Checker.all_checks)
 
+(* The path cache's key hashes every node id: paths that share a long
+   prefix (c6288's 20,000 paths gave 24 distinct polymorphic hashes)
+   still spread over the table. *)
+let test_path_key_hash () =
+  let key = Impact.Path_key.hash in
+  let nodes = Array.init 24 (fun i -> 3 * i) in
+  for k = 10 to 23 do
+    let other = Array.copy nodes in
+    other.(k) <- other.(k) + 1;
+    check_true
+      (Printf.sprintf "paths differing only at node %d hash differently" k)
+      (key (nodes, 1e-9) <> key (other, 1e-9))
+  done;
+  check_true "delays hash differently"
+    (key (nodes, 1e-9) <> key (nodes, Float.succ 1e-9));
+  check_true "equal keys are equal"
+    (Impact.Path_key.equal (nodes, 1e-9) (Array.copy nodes, 1e-9));
+  let circuit, _ =
+    Iscas85.build_placed (Option.get (Iscas85.by_name "c6288"))
+  in
+  let sta = Sta.analyze circuit in
+  let paths =
+    (Ssta_timing.Paths.enumerate ~max_paths:2000 sta.Sta.graph
+       ~labels:sta.Sta.labels ~slack:1.0)
+      .Ssta_timing.Paths.paths
+  in
+  let hashes =
+    List.sort_uniq compare
+      (List.map
+         (fun p ->
+           key (p.Ssta_timing.Paths.nodes, p.Ssta_timing.Paths.delay))
+         paths)
+  in
+  check_int "c6288: 2000 paths" 2000 (List.length paths);
+  check_true "c6288: at most one collision per thousand paths"
+    (List.length hashes >= 1998)
+
 let suite =
   ( "impact",
     [ case "edit parser round-trip" test_edit_parse_roundtrip;
@@ -637,5 +674,6 @@ let suite =
       qcheck_cone_reference;
       case "cone of moves equals the reference" test_cone_reference_moves;
       case "edit lint rules" test_edit_lint_rules;
+      case "path key hashes every node" test_path_key_hash;
       slow_case "check-impact-equivalence clean" test_check_impact_equivalence
     ] )

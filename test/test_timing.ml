@@ -309,9 +309,43 @@ let test_sta_analyze () =
 
 let test_sta_worst_case_exceeds_nominal () =
   let sta = Sta.analyze (small_random ()) in
-  let wc = Sta.worst_case_delay sta sta.Sta.critical_path in
+  let wc = Paths.worst_case_delay sta.Sta.graph sta.Sta.critical_path in
   check_true "corner slower than nominal" (wc > sta.Sta.critical_delay);
   check_true "corner ratio plausible" (wc < 3.0 *. sta.Sta.critical_delay)
+
+(* The corner fold over node ids equals the listed corner delay bit for
+   bit, and a gate-free path never evaluates the corner (a corner this
+   wide leaves the delay model's domain). *)
+let test_worst_case_fold () =
+  let sta =
+    Sta.analyze (Iscas85.build (Option.get (Iscas85.by_name "c1355")))
+  in
+  let g = sta.Sta.graph in
+  let paths = (Sta.near_critical ~max_paths:200 sta ~slack:1.0).Paths.paths in
+  check_int "c1355: 200 paths" 200 (List.length paths);
+  List.iter
+    (fun p ->
+      let listed =
+        Ssta_tech.Corner.path_delay Ssta_tech.Corner.Worst
+          (Paths.path_gates g p)
+      in
+      if
+        not
+          (Int64.equal
+             (Int64.bits_of_float listed)
+             (Int64.bits_of_float (Paths.worst_case_delay g p)))
+      then
+        Alcotest.failf "path of %d nodes: fold differs"
+          (Array.length p.Paths.nodes))
+    paths;
+  let input = { Paths.nodes = [| 0 |]; delay = 0.0 } in
+  check_close "gate-free path" 0.0
+    (Paths.worst_case_delay ~corner_k:1e6 g input);
+  check_raises_invalid "the corner itself is outside the model" (fun () ->
+      Ssta_tech.Corner.point ~k:1e6 Ssta_tech.Corner.Worst);
+  check_close "empty gate list" 0.0
+    (Ssta_tech.Elmore.path_delay []
+       (Ssta_tech.Corner.point Ssta_tech.Corner.Worst))
 
 let test_path_gates () =
   let sta = Sta.analyze (tiny_chain ()) in
@@ -362,4 +396,5 @@ let suite =
       case "sta driver" test_sta_analyze;
       case "worst case exceeds nominal" test_sta_worst_case_exceeds_nominal;
       case "path gate extraction" test_path_gates;
+      case "worst case folds over node ids" test_worst_case_fold;
       prop_critical_is_max ] )
