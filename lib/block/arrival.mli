@@ -28,7 +28,9 @@
     variance budget of the configuration that built it; all operators
     of one analysis must use that configuration.  Arrivals are
     immutable: no operator mutates an operand, so one arrival may be
-    shared freely (and across domains). *)
+    shared freely (and across domains).  The one exception is explicit:
+    {!recycle} hands an arrival's vector to a later {!step} of the same
+    sweep, and its caller gives that arrival up. *)
 
 (** The independent residual [R], always zero-mean. *)
 type residual =
@@ -92,7 +94,37 @@ val max : Ssta_core.Config.t -> t -> t -> t
       which can both over- and under-estimate the max (see the
       anti-correlated counterexample in HANDBOOK section 9). *)
 
+type pool
+(** A free list of coefficient vectors for one topological sweep: the
+    vectors of arrivals nothing reads any more, handed to later
+    {!step}s instead of fresh allocations.  Local to the sweep that
+    created it: it holds no state across sweeps and must not be shared
+    between domains. *)
+
+val pool : Ssta_core.Config.t -> pool
+(** An empty pool for one sweep under [config].  Under [Grid_max] the
+    pool stays empty: {!recycle} ignores it, because there {!sum} may
+    return an operand's vector. *)
+
+val recycle : pool -> t -> unit
+(** [recycle pool a] gives [a]'s coefficient vector to [pool], whose
+    next {!step} or {!max_fold} may overwrite it.  Sound only when [a]
+    was returned by {!step} under [Clark_max] (so no other arrival holds
+    its vector) and nothing reads [a] afterwards: the caller gives up
+    [a].  Empty vectors and [Grid_max] pools are ignored. *)
+
+val max_fold : pool -> Ssta_core.Config.t -> t array -> int array -> t
+(** [max_fold pool config arrivals ids] is bit for bit the left fold of
+    {!max} over [arrivals.(ids.(0))], [arrivals.(ids.(1))], ....  Under
+    [Clark_max] it takes at most one coefficient vector (from [pool]
+    when it holds one of the right length, else fresh): the first Clark
+    blend takes it and later blends overwrite it in place, so the
+    result either owns that vector or is one of the operands itself.
+    It never writes into an operand.  Raises [Invalid_argument] on
+    empty [ids]. *)
+
 val step :
+  pool ->
   Ssta_core.Config.t ->
   Ssta_correlation.Layers.t ->
   Ssta_circuit.Placement.t ->
@@ -100,22 +132,27 @@ val step :
   t array ->
   int ->
   t
-(** [step config layers placement graph arrivals id] is the arrival of
-    gate [id] given the arrivals of the graph's nodes (indexed by node
-    id): bit for bit
+(** [step pool config layers placement graph arrivals id] is the
+    arrival of gate [id] given the arrivals of the graph's nodes
+    (indexed by node id): bit for bit
     [sum config (fold max fanins) (of_gate config layers placement graph id)],
     with the fan-ins folded left to right in {!Ssta_timing.Graph.fanins}
-    order and a gate without fan-ins starting from {!zero}.
+    order ({!max_fold}) and a gate without fan-ins starting from
+    {!zero}.
 
-    Under [Clark_max] the step allocates at most one coefficient vector:
-    the fold's first Clark blend allocates it, later blends and the
-    gate's own sensitivities are written into it in place, and a fold
-    result that is one of the stored arrivals (a single fan-in, or a
-    Clark early return) is copied into it once.  It writes only into
-    that vector — never into an operand — so the immutability contract
-    above holds: [arrivals] is unchanged and the result shares no
-    mutable state with it.  Under [Grid_max] the step is the composite
-    itself.  Raises [Invalid_argument] on a primary input. *)
+    Under [Clark_max] the result always owns its coefficient vector, and
+    the step allocates at most one: the fold's first Clark blend takes
+    it, later blends and the gate's own sensitivities are written into
+    it in place, and a fold result that is one of the stored arrivals (a
+    single fan-in, or a Clark early return) is copied into it once.
+    The vector comes from [pool] when it holds one of the right length.
+    The step writes only into that vector — never
+    into an operand — so the immutability contract above holds:
+    [arrivals] is unchanged and the result shares no mutable state with
+    it, which is what makes {!recycle} of the result sound once its last
+    reader has run.  Under [Grid_max] the step is the composite itself
+    and ignores [pool].  Raises [Invalid_argument] on a primary
+    input. *)
 
 val mean : t -> float
 

@@ -47,11 +47,12 @@ let endpoint_of config ~node ~name arrival =
     confidence_point = mean +. (config.Config.confidence_sigma *. std) }
 
 (* One topological sweep.  Each interior node's arrival is reset to
-   [zero] once its last consumer has run, so only the sweep frontier
-   stays live.  Consumers are counted per fan-in edge (a gate that reads
-   a node twice holds it twice); every primary output holds one more
-   use, which is never released, for the endpoint table. *)
-let propagate config layers placement graph ~outputs =
+   [zero] once its last consumer has run, and its vector goes back to
+   [pool] for a later step, so only the sweep frontier stays live.
+   Consumers are counted per fan-in edge (a gate that reads a node twice
+   holds it twice); every primary output holds one more use, which is
+   never released, for the endpoint table. *)
+let propagate config layers placement graph ~outputs pool =
   let n = Graph.num_nodes graph in
   let zero = Arrival.zero () in
   let arrivals = Array.make n zero in
@@ -62,12 +63,16 @@ let propagate config layers placement graph ~outputs =
   Array.iter (fun o -> uses.(o) <- uses.(o) + 1) outputs;
   for id = 0 to n - 1 do
     if not (Graph.is_input graph id) then begin
-      arrivals.(id) <- Arrival.step config layers placement graph arrivals id;
+      arrivals.(id) <-
+        Arrival.step pool config layers placement graph arrivals id;
       let fanins = Graph.fanins graph id in
       for k = 0 to Array.length fanins - 1 do
         let f = fanins.(k) in
         uses.(f) <- uses.(f) - 1;
-        if uses.(f) = 0 then arrivals.(f) <- zero
+        if uses.(f) = 0 then begin
+          Arrival.recycle pool arrivals.(f);
+          arrivals.(f) <- zero
+        end
       done
     end
   done;
@@ -82,18 +87,11 @@ let analyze ?(config = Config.default) ?placement ?sta circuit =
   in
   let layers = Config.layers_for config placement in
   let outputs = circuit.Netlist.outputs in
-  let arrivals = propagate config layers placement graph ~outputs in
-  let arrival =
-    Array.fold_left
-      (fun acc o ->
-        match acc with
-        | None -> Some arrivals.(o)
-        | Some m -> Some (Arrival.max config m arrivals.(o)))
-      None outputs
-    |> function
-    | Some m -> m
-    | None -> invalid_arg "Engine.analyze: circuit has no outputs"
-  in
+  if Array.length outputs = 0 then
+    invalid_arg "Engine.analyze: circuit has no outputs";
+  let pool = Arrival.pool config in
+  let arrivals = propagate config layers placement graph ~outputs pool in
+  let arrival = Arrival.max_fold pool config arrivals outputs in
   let endpoints =
     Array.to_list outputs
     |> List.map (fun o ->

@@ -7,7 +7,13 @@
     divides the variance equally over all layers; its Table 3 studies
     explicit inter/intra splits on c432. *)
 
-type t = private { weights : float array }
+type t = private {
+  weights : float array;  (** normalized to sum to 1 *)
+  rv_var : float array;
+      (** sigma^2 of every RV on every layer, at [layer * 5 + rv_index]:
+          [let s = sigma_of_layer t ~total_sigma:(Params.sigma rv) layer
+          in s *. s], computed once by {!of_weights} *)
+}
 
 val equal : layers:int -> t
 (** The paper's default: [1/L] per layer. *)
@@ -19,7 +25,9 @@ val inter_intra : inter_fraction:float -> layers:int -> t
 
 val of_weights : float array -> t
 (** Explicit non-negative weights; normalized to sum to 1.  Raises
-    [Invalid_argument] on an empty or all-zero vector. *)
+    [Invalid_argument] on an empty or all-zero vector.  The only
+    constructor: {!equal} and {!inter_intra} call it, and it fills the
+    [rv_var] table. *)
 
 val layers : t -> int
 val weight : t -> int -> float

@@ -34,11 +34,27 @@ val slot : key -> int
 
 val var : Budget.t -> layer:int -> int -> float
 (** [var budget ~layer r] is sigma^2 of the RV of index [r] on layer
-    [layer] under [budget]. *)
+    [layer] under [budget]: a load from the budget's [rv_var] table,
+    bit for bit the square of {!Budget.sigma_of_layer}.  Raises
+    [Invalid_argument] outside the budget's layers or RVs. *)
 
 val dot : Budget.t -> float array -> float array -> float
 (** The sigma^2-weighted dot product of two vectors; the shorter one is
-    read as zero-padded. *)
+    read as zero-padded.  Summed in slot order, so the result is a
+    fixed function of the slots' values.  The lengths are checked once
+    — the shorter one must be whole partitions (a multiple of 5) on
+    layers the budget has variances for, else [Invalid_argument] —
+    and the loop then reads without bounds checks. *)
+
+val combine_into :
+  Budget.t -> float array -> wa:float -> float array -> wb:float ->
+  float array -> float
+(** [combine_into budget c ~wa a ~wb b] writes [wa * a + wb * b] into
+    every slot of [c], reading the operands as zero-padded to
+    [Array.length c], and returns the result's variance, summed in slot
+    order like {!dot} [c c] — in one pass.  Each slot is read before it
+    is written, so [c] may be [a] or [b] itself.  [Array.length c] is
+    checked as in {!dot}. *)
 
 val sq_norm : Budget.t -> ?layer:int -> float array -> float
 (** [dot budget v v], or the part of it on one layer, summed with

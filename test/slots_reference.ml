@@ -1,0 +1,44 @@
+(* The slot kernels written plainly: one checked read per slot, in slot
+   order, each RV's variance squared from [Budget.sigma_of_layer] on the
+   spot.  [Slots.dot] and [Slots.combine_into] read their variances from
+   the budget's table without bounds checks, five slots per step; they
+   are checked against these bit for bit. *)
+
+module Params = Ssta_tech.Params
+module Budget = Ssta_correlation.Budget
+module Slots = Ssta_correlation.Slots
+
+let rvs = Array.of_list Params.all_rvs
+
+(* The layer slot [i] lies on. *)
+let layer_of i =
+  let l = ref 0 in
+  while Slots.num_rvs * Slots.layer_offset (!l + 1) <= i do
+    incr l
+  done;
+  !l
+
+let var budget i =
+  let s =
+    Budget.sigma_of_layer budget
+      ~total_sigma:(Params.sigma rvs.(i mod Slots.num_rvs))
+      (layer_of i)
+  in
+  s *. s
+
+let dot budget a b =
+  let acc = ref 0.0 in
+  for i = 0 to Int.min (Array.length a) (Array.length b) - 1 do
+    acc := !acc +. (a.(i) *. b.(i) *. var budget i)
+  done;
+  !acc
+
+let combine_into budget c ~wa a ~wb b =
+  let slot v i = if i < Array.length v then v.(i) else 0.0 in
+  let acc = ref 0.0 in
+  for i = 0 to Array.length c - 1 do
+    let x = (wa *. slot a i) +. (wb *. slot b i) in
+    c.(i) <- x;
+    acc := !acc +. (x *. x *. var budget i)
+  done;
+  !acc

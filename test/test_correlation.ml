@@ -2,6 +2,7 @@ open Ssta_circuit
 open Ssta_correlation
 open Ssta_timing
 open Helpers
+module Params = Ssta_tech.Params
 
 let layers4 () =
   Layers.create ~quad_levels:4 ~random_layer:true ~die_width:100.0
@@ -129,6 +130,115 @@ let prop_variance_check =
       let b = Budget.equal ~layers in
       Float.abs (Budget.variance_check b ~total_sigma:sigma -. (sigma *. sigma))
       < 1e-12)
+
+(* ---------------- Slot kernels ---------------- *)
+
+let bits = Int64.bits_of_float
+
+let budgets =
+  [ Budget.equal ~layers:5;
+    Budget.equal ~layers:3;
+    Budget.inter_intra ~inter_fraction:0.5 ~layers:5;
+    Budget.inter_intra ~inter_fraction:0.0 ~layers:5;
+    Budget.of_weights [| 0.1; 0.2; 0.3; 0.4 |];
+    Budget.of_weights [| 3.0; 1e-3; 7.0; 0.0; 2.5 |] ]
+
+let test_var_table () =
+  List.iter
+    (fun b ->
+      for layer = 0 to Budget.layers b - 1 do
+        List.iter
+          (fun rv ->
+            let s =
+              Budget.sigma_of_layer b ~total_sigma:(Params.sigma rv) layer
+            in
+            check_true
+              (Printf.sprintf "var %d %s = sigma_of_layer^2" layer
+                 (Params.rv_name rv))
+              (bits (Slots.var b ~layer (Params.rv_index rv)) = bits (s *. s)))
+          Params.all_rvs
+      done;
+      check_raises_invalid "layer past the budget" (fun () ->
+          ignore (Slots.var b ~layer:(Budget.layers b) 0));
+      check_raises_invalid "negative layer" (fun () ->
+          ignore (Slots.var b ~layer:(-1) 0));
+      check_raises_invalid "RV index 5" (fun () ->
+          ignore (Slots.var b ~layer:0 Slots.num_rvs)))
+    budgets
+
+(* A whole-partition vector of up to [max_len] slots: empty a tenth of
+   the time, and about a fifth of its slots signed zeros. *)
+let random_vector st ~max_len =
+  let len =
+    if Random.State.int st 10 = 0 then 0
+    else Slots.num_rvs * Random.State.int st ((max_len / Slots.num_rvs) + 1)
+  in
+  Array.init len (fun _ ->
+      match Random.State.int st 10 with
+      | 0 -> -0.0
+      | 1 -> 0.0
+      | _ -> Random.State.float st 2.0 -. 1.0)
+
+let random_weight st =
+  match Random.State.int st 4 with
+  | 0 -> 1.0
+  | 1 -> 0.0
+  | _ -> Random.State.float st 1.0
+
+let same_vector x y =
+  Array.length x = Array.length y
+  && Array.for_all2 (fun u v -> bits u = bits v) x y
+
+let prop_kernels_match_reference =
+  qcheck ~count:500 "dot and combine_into = the checked reference"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let b = List.nth budgets (Random.State.int st (List.length budgets)) in
+      (* Every layer the budget has variances for. *)
+      let max_len = Slots.num_rvs * Slots.layer_offset (Budget.layers b) in
+      let x = random_vector st ~max_len and y = random_vector st ~max_len in
+      let wa = random_weight st and wb = random_weight st in
+      let n = Int.max (Array.length x) (Array.length y) in
+      let c = Array.make n nan and c_ref = Array.make n nan in
+      let v = Slots.combine_into b c ~wa x ~wb y in
+      let v_ref = Slots_reference.combine_into b c_ref ~wa x ~wb y in
+      (* In place: the longer operand is the output. *)
+      let long, short = if Array.length x >= n then (x, y) else (y, x) in
+      let inplace = Array.copy long in
+      let v_in = Slots.combine_into b inplace ~wa inplace ~wb short in
+      let v_in_ref =
+        Slots_reference.combine_into b (Array.make n nan) ~wa long ~wb short
+      in
+      bits (Slots.dot b x y) = bits (Slots_reference.dot b x y)
+      && bits (Slots.dot b x x) = bits (Slots_reference.dot b x x)
+      && bits v = bits v_ref
+      && same_vector c c_ref
+      && bits v_in = bits v_in_ref
+      && bits v = bits (Slots.dot b c c))
+
+let test_kernels_check_lengths () =
+  let b = Budget.equal ~layers:3 in
+  let whole = Array.make 25 1.0 in
+  check_raises_invalid "dot of a partial partition" (fun () ->
+      ignore (Slots.dot b (Array.make 7 1.0) (Array.make 9 1.0)));
+  check_raises_invalid "combine into a partial partition" (fun () ->
+      ignore (Slots.combine_into b (Array.make 7 0.0) ~wa:1.0 whole ~wb:1.0
+                whole));
+  (* 3 layers hold 5 * (1 + 4 + 16) = 105 slots; 106 to 425 need a
+     fourth. *)
+  let long = Array.make 425 1.0 in
+  check_raises_invalid "dot past the budget's layers" (fun () ->
+      ignore (Slots.dot b long long));
+  check_raises_invalid "combine past the budget's layers" (fun () ->
+      ignore (Slots.combine_into b (Array.make 425 0.0) ~wa:1.0 long ~wb:1.0
+                long));
+  check_true "105 slots fit 3 layers"
+    (bits (Slots.dot b (Array.make 105 1.0) (Array.make 105 1.0))
+    = bits (Slots_reference.dot b (Array.make 105 1.0) (Array.make 105 1.0)));
+  check_true "the shorter length is the one checked"
+    (Slots.dot b (Array.make 5 1.0) long
+    = Slots_reference.dot b (Array.make 5 1.0) long)
 
 (* ---------------- Path coefficients ---------------- *)
 
@@ -358,6 +468,9 @@ let suite =
       case "budget validation" test_budget_validation;
       case "Eq. 6 variance conservation" test_variance_conservation;
       prop_variance_check;
+      case "sigma^2 table = sigma_of_layer squared" test_var_table;
+      prop_kernels_match_reference;
+      case "slot kernels check their lengths once" test_kernels_check_lengths;
       case "coefficient accumulation" test_coeffs_accumulate;
       case "intra layers only in coefficients" test_coeffs_layer_structure;
       case "partition sums recover derivative totals"

@@ -107,6 +107,25 @@ let test_mark_output_idempotent () =
   let c = B.finish b in
   check_int "single output" 1 (Array.length c.Netlist.outputs)
 
+(* Outputs keep the order of their first marking, whatever repeats
+   follow. *)
+let prop_mark_output_first_order =
+  qcheck ~count:50 "outputs in first-marking order, each once"
+    QCheck.(list_of_size Gen.(int_range 1 60) (int_range 0 19))
+    (fun marks ->
+      let b = B.create "marks" in
+      let a = B.add_input b "a" in
+      let gates = Array.init 20 (fun _ -> B.add_gate b Gate.Inv [ a ]) in
+      List.iter (fun k -> B.mark_output b gates.(k)) marks;
+      let c = B.finish b in
+      let first =
+        List.fold_left
+          (fun acc k -> if List.mem k acc then acc else acc @ [ k ])
+          [] marks
+      in
+      Array.to_list c.Netlist.outputs
+      = List.map (fun k -> gates.(k)) first)
+
 let prop_builder_topological =
   qcheck ~count:30 "generated netlists are topological by construction"
     QCheck.(int_range 1 200)
@@ -131,4 +150,5 @@ let suite =
       case "logic simulation" test_simulate;
       case "gate_of" test_gate_of;
       case "mark_output idempotent" test_mark_output_idempotent;
+      prop_mark_output_first_order;
       prop_builder_topological ] )
