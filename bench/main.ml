@@ -966,6 +966,39 @@ let dim_fit_exponent points =
       if Float.abs d < 1e-12 then nan
       else ((n *. !sxy) -. (!sx *. !sy)) /. d
 
+(* The shared cell runner: [f] run [repeats] times, each after a full
+   major cycle and inside [within] (untimed set-up such as a fresh
+   pool, handed to [f]), returning the last result, the minimum wall
+   and the minor words of that fastest run.  The full cycle isolates cells from
+   each other's garbage: without it the dead major heap left by earlier
+   (uncached, high-Q) cells slows later ones by 20-40%, which poisons
+   the exponent fits.  A full major cycle (not a compaction) keeps the
+   heap pages mapped, so the timed region does not pay re-growth
+   faults. *)
+let dim_min_of ~within ~repeats f =
+  let best_wall = ref infinity and best_minor = ref 0.0 in
+  let last = ref None in
+  for _ = 1 to repeats do
+    Gc.full_major ();
+    within (fun env ->
+        let mw0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        let r = f env in
+        let wall = Unix.gettimeofday () -. t0 in
+        let minor = Gc.minor_words () -. mw0 in
+        if wall < !best_wall then begin
+          best_wall := wall;
+          best_minor := minor
+        end;
+        last := Some r)
+  done;
+  match !last with
+  | Some r -> (r, !best_wall, !best_minor)
+  | None -> invalid_arg "dim_min_of: repeats must be positive"
+
+(* [within] for cells that need no set-up. *)
+let dim_direct k = k ()
+
 let dim_config ~confidence ~q ~cache ~max_paths =
   let config = Config.with_confidence Config.default confidence in
   let config = Config.with_quality config ~intra:q ~inter:(q / 2) in
@@ -973,28 +1006,10 @@ let dim_config ~confidence ~q ~cache ~max_paths =
 
 let dim_path_cell ~circuit ~placement ~confidence ~q ~jobs ~cache ~max_paths =
   let config = dim_config ~confidence ~q ~cache ~max_paths in
-  let best_wall = ref infinity and best_minor = ref 0.0 in
-  let last = ref None in
-  for _ = 1 to dim_repeats do
-    (* Isolate cells from each other's garbage: without this the dead
-       major heap left by earlier (uncached, high-Q) cells slows later
-       ones by 20-40%, which poisons the exponent fits.  A full major
-       cycle (not a compaction) keeps the heap pages mapped, so the
-       timed region does not pay re-growth faults. *)
-    Gc.full_major ();
-    Pool.with_pool ~jobs (fun pool ->
-        let mw0 = Gc.minor_words () in
-        let t0 = Unix.gettimeofday () in
-        let m = Methodology.run ~config ~placement ~pool circuit in
-        let wall = Unix.gettimeofday () -. t0 in
-        let minor = Gc.minor_words () -. mw0 in
-        if wall < !best_wall then begin
-          best_wall := wall;
-          best_minor := minor
-        end;
-        last := Some m)
-  done;
-  let m = match !last with Some m -> m | None -> assert false in
+  let m, best_wall, best_minor =
+    dim_min_of ~within:(Pool.with_pool ~jobs) ~repeats:dim_repeats
+      (fun pool -> Methodology.run ~config ~placement ~pool circuit)
+  in
   let counters =
     List.map
       (fun n -> (n, Ssta_runtime.Health.counter m.Methodology.health n))
@@ -1002,28 +1017,18 @@ let dim_path_cell ~circuit ~placement ~confidence ~q ~jobs ~cache ~max_paths =
   in
   { c_engine = "path"; c_q = q; c_jobs = jobs; c_cache = cache;
     c_max_paths = max_paths; c_paths = Methodology.num_critical_paths m;
-    c_wall = !best_wall; c_minor = !best_minor; c_counters = counters;
+    c_wall = best_wall; c_minor = best_minor; c_counters = counters;
     c_report = Report.json_report m }
 
 let dim_block_cell ~circuit ~placement ~confidence ~q ~cache ~max_paths =
   let config = dim_config ~confidence ~q ~cache ~max_paths in
-  let best_wall = ref infinity and best_minor = ref 0.0 in
-  for _ = 1 to dim_repeats do
-    Gc.full_major ();
-    let mw0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let r = Ssta_block.Engine.analyze ~config ~placement circuit in
-    let wall = Unix.gettimeofday () -. t0 in
-    let minor = Gc.minor_words () -. mw0 in
-    ignore r;
-    if wall < !best_wall then begin
-      best_wall := wall;
-      best_minor := minor
-    end
-  done;
+  let _, best_wall, best_minor =
+    dim_min_of ~within:dim_direct ~repeats:dim_repeats (fun () ->
+        Ssta_block.Engine.analyze ~config ~placement circuit)
+  in
   { c_engine = "block"; c_q = q; c_jobs = 0; c_cache = cache;
-    c_max_paths = max_paths; c_paths = 0; c_wall = !best_wall;
-    c_minor = !best_minor; c_counters = []; c_report = "" }
+    c_max_paths = max_paths; c_paths = 0; c_wall = best_wall;
+    c_minor = best_minor; c_counters = []; c_report = "" }
 
 (* The full cartesian sweep: {Q x jobs x cache} for the path engine and
    {Q x cache} for the block engine (which takes no pool), plus the
@@ -1293,6 +1298,153 @@ let dim () =
       failwith "dim assertions failed"
 
 (* ------------------------------------------------------------------ *)
+(* Front end: what every [ssta run] pays before the analysis starts.   *)
+
+(* The designs of perfbench's cli-light workload, read from the text
+   [ssta generate] writes for them. *)
+let frontend_designs =
+  [ "c432"; "c880"; "c1908"; "c2670"; "c3540"; "c5315"; "c7552" ]
+
+let frontend_repeats = 15
+
+(* Minor-heap words per netlist node each phase may allocate (checked
+   with --assert).  Allocation volume is deterministic for a given
+   input, so unlike a wall this gate cannot flake. *)
+let frontend_minor_limits =
+  [ ("parse", 150.0); ("attach", 15.0); ("lint", 70.0) ]
+
+(* The run-time front end of [ssta run --bench --def --spef], phase by
+   phase, each phase a min-of-N cell of the shared runner: parse (the
+   three formats, from strings), attach ([Def_format.placement_of] and
+   [Spef.apply] onto the parsed netlist) and the lint pre-pass (netlist,
+   placement, SPEF and config rules, no deep checks).  Writes
+   BENCH_frontend.json. *)
+let frontend () =
+  section
+    (Printf.sprintf
+       "Front end: parse, attach and lint pre-pass (min of %d, jobs=1)"
+       frontend_repeats);
+  let module Bench_format = Ssta_circuit.Bench_format in
+  let module Def_format = Ssta_circuit.Def_format in
+  let module Spef = Ssta_circuit.Spef in
+  let module Lint = Ssta_lint.Engine in
+  let specs =
+    List.filter_map Iscas85.by_name
+      (match !only with [] -> frontend_designs | names -> names)
+  in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let ok = function
+    | Ok v -> v
+    | Error e -> failwith (Ssta_runtime.Ssta_error.to_string e)
+  in
+  Fmt.pr "  %-7s %6s %9s %9s %9s %9s %9s %9s   %s@." "name" "nodes"
+    "bench(ms)" "def(ms)" "spef(ms)" "attach" "lint" "total"
+    "minor words/node (parse attach lint)";
+  let rows =
+    List.map
+      (fun (spec : Iscas85.spec) ->
+        let name = spec.Iscas85.name in
+        let circuit = Iscas85.build spec in
+        let placement = Ssta_circuit.Placement.place circuit in
+        let bench_text = Bench_format.to_string circuit in
+        let def_text =
+          Def_format.to_string
+            (Def_format.of_placement ~design:name circuit placement)
+        in
+        let spef_text =
+          Spef.to_string (Spef.of_placement ~design:name circuit placement)
+        in
+        let cell f =
+          dim_min_of ~within:dim_direct ~repeats:frontend_repeats f
+        in
+        let c, bench_wall, bench_minor =
+          cell (fun () -> ok (Bench_format.parse_string_res ~name bench_text))
+        in
+        let def, def_wall, def_minor =
+          cell (fun () -> ok (Def_format.parse_string_res def_text))
+        in
+        let spef, spef_wall, spef_minor =
+          cell (fun () -> ok (Spef.parse_string_res spef_text))
+        in
+        let (pl, _), attach_wall, attach_minor =
+          cell (fun () ->
+              ( ok (Def_format.placement_of_res def c),
+                ok (Spef.apply_res spef c) ))
+        in
+        let ds, lint_wall, lint_minor =
+          cell (fun () ->
+              Lint.run
+                (Lint.input ~placement:pl ~spef ~config:Config.default
+                   ~deep:false c))
+        in
+        let nodes = float_of_int (Ssta_circuit.Netlist.num_nodes c) in
+        let phases =
+          [ ("parse", bench_wall +. def_wall +. spef_wall,
+             (bench_minor +. def_minor +. spef_minor) /. nodes);
+            ("attach", attach_wall, attach_minor /. nodes);
+            ("lint", lint_wall, lint_minor /. nodes) ]
+        in
+        let total = List.fold_left (fun a (_, w, _) -> a +. w) 0.0 phases in
+        if !assert_ then
+          List.iter
+            (fun (phase, _, per_node) ->
+              let limit = List.assoc phase frontend_minor_limits in
+              if per_node > limit then
+                fail "%s: %s allocates %.1f minor words per node (limit %.0f)"
+                  name phase per_node limit)
+            phases;
+        let per_node =
+          String.concat " "
+            (List.map (fun (_, _, m) -> Printf.sprintf "%.1f" m) phases)
+        in
+        Fmt.pr "  %-7s %6.0f %9.3f %9.3f %9.3f %9.3f %9.3f %9.3f   %s@." name
+          nodes (bench_wall *. 1e3) (def_wall *. 1e3) (spef_wall *. 1e3)
+          (attach_wall *. 1e3) (lint_wall *. 1e3) (total *. 1e3) per_node;
+        ( name, nodes, List.length ds,
+          [ ("bench", bench_wall, bench_minor /. nodes);
+            ("def", def_wall, def_minor /. nodes);
+            ("spef", spef_wall, spef_minor /. nodes) ],
+          phases, total ))
+      specs
+  in
+  let oc = open_out "BENCH_frontend.json" in
+  let out fmt = Printf.ksprintf (output_string oc) fmt in
+  let cells cs =
+    String.concat ","
+      (List.map
+         (fun (phase, wall, per_node) ->
+           Printf.sprintf
+             "\"%s\":{\"wall_s\":%.6f,\"minor_words_per_node\":%.1f}" phase
+             wall per_node)
+         cs)
+  in
+  out
+    "{\"schema\":\"bench-frontend/1\",\"repeats\":%d,\"limits\":{%s},\
+     \"benchmarks\":[\n"
+    frontend_repeats
+    (String.concat ","
+       (List.map
+          (fun (phase, l) -> Printf.sprintf "\"%s\":%.0f" phase l)
+          frontend_minor_limits));
+  List.iteri
+    (fun i (name, nodes, diagnostics, formats, phases, total) ->
+      out
+        "  {\"name\":\"%s\",\"nodes\":%.0f,\"diagnostics\":%d,\
+         \"parse_by_format\":{%s},\"phases\":{%s},\"total_wall_s\":%.6f}%s\n"
+        name nodes diagnostics (cells formats) (cells phases) total
+        (if i = List.length rows - 1 then "" else ","))
+    rows;
+  out "]}\n";
+  close_out oc;
+  Fmt.pr "  wrote BENCH_frontend.json@.";
+  match !failures with
+  | [] -> ()
+  | fs ->
+      List.iter (fun f -> Fmt.epr "  FAIL: %s@." f) fs;
+      failwith "frontend assertions failed"
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one kernel per artifact.                 *)
 
 let bechamel_suite () =
@@ -1378,7 +1530,7 @@ let artifacts =
     ("shapes", shapes); ("wires", wires);
     ("yield-criticality", yield_criticality); ("dual-vt", dual_vt);
     ("pipeline", pipeline); ("screening", screening); ("incremental", incremental);
-    ("blockcross", blockcross); ("dim", dim) ]
+    ("blockcross", blockcross); ("dim", dim); ("frontend", frontend) ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

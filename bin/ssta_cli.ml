@@ -905,15 +905,19 @@ let run_cmd =
     let spef_t =
       Option.map (fun p -> ok_or_raise (Spef.parse_file_res p)) spef
     in
-    (* Automatic pre-analysis lint: report (warnings only, never fatal)
-       so malformed inputs are called out before they skew the PDFs. *)
+    (* Automatic pre-analysis lint (never fatal): errors always reach
+       stderr so malformed inputs are called out before they skew the
+       PDFs; warnings only under --verbose ([ssta lint] shows them
+       all). *)
     let lint_ds =
       Lint.run
         (Lint.input ~placement ?spef:spef_t ~config ?deadline_s:deadline
            ~deep:false circuit)
     in
     let visible =
-      Lint.filter ~min_severity:Diagnostic.Warning lint_ds
+      Lint.filter
+        ~min_severity:(if verbose then Diagnostic.Warning else Diagnostic.Error)
+        lint_ds
     in
     if visible <> [] then
       Lint_reporter.text ~circuit_name:circuit.Ssta_circuit.Netlist.name
@@ -1020,7 +1024,10 @@ let run_cmd =
     if strict_budget && Methodology.is_degraded m then 3 else 0
   in
   let verbose =
-    Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print path details.")
+    Arg.(value & flag
+         & info [ "v"; "verbose" ]
+             ~doc:"Print path details, and the pre-analysis lint's warnings \
+                   on stderr (its errors are always printed).")
   in
   let json =
     Arg.(value & flag

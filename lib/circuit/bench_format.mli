@@ -13,7 +13,12 @@
 
     Signals may be referenced before their defining line; the parser
     resolves definitions in dependency order (the file must still be
-    combinational — cyclic definitions are an error). *)
+    combinational — cyclic definitions are an error).
+
+    The reader walks the text with a {!Scan} cursor and interns every
+    name it reads as a {!Netlist.Builder.symbol}, so each occurrence is
+    hashed once into the index the finished netlist keeps, and
+    resolution works on symbols. *)
 
 exception Parse_error of Ssta_runtime.Ssta_error.position * string
 (** Position (line and, where recoverable, column) plus message.

@@ -18,68 +18,116 @@ let fail line msg = raise (Parse_error (Err.position ~line (), msg))
 let fail_tok line line_text token msg =
   raise (Parse_error (Err.position_of_token ~line ~line_text token, msg))
 
-let tokens_of_line line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
+(* A coordinate token: [float_of_string]'s language, finite values
+   only. *)
+let coordinate (cur : Scan.t) =
+  match Scan.float_token cur with
+  | f when Float.is_finite f -> f
+  | _ ->
+      let s = Scan.token cur in
+      raise
+        (Parse_error (Scan.token_position cur, "non-finite coordinate: " ^ s))
+  | exception Scan.Not_a_number ->
+      let s = Scan.token cur in
+      raise
+        (Parse_error (Scan.token_position cur, "expected a number, got " ^ s))
 
-let float_token lineno line_text s =
-  match float_of_string_opt s with
-  | Some f when Float.is_finite f -> f
-  | Some _ -> fail_tok lineno line_text s ("non-finite coordinate: " ^ s)
-  | None -> fail_tok lineno line_text s ("expected a number, got " ^ s)
+(* The rest of a component line: the first [PLACED ( x y] run of
+   tokens.  y is checked before x, so of two bad coordinates the error
+   names y. *)
+let rec placed cur =
+  if not (Scan.next_token cur) then None
+  else if not (Scan.token_is cur "PLACED") then placed cur
+  else begin
+    let after = cur.Scan.pos in
+    let retry () = Scan.seek cur after; placed cur in
+    if Scan.next_token cur && Scan.token_is cur "(" && Scan.next_token cur
+    then begin
+      let x_start = cur.Scan.tok_start in
+      if Scan.next_token cur then begin
+        let y = coordinate cur in
+        Scan.seek cur x_start;
+        ignore (Scan.next_token cur);
+        Some (coordinate cur, y)
+      end
+      else retry ()
+    end
+    else retry ()
+  end
 
+(* The statement a line starts with decides it (its first tokens are
+   compared in place); unknown statements are skipped.  A component is
+   [- name master ... PLACED ( x y ) ...] with the first [PLACED ( x y]
+   run of tokens giving the location. *)
 let parse_string text =
-  let lines = String.split_on_char '\n' text in
   let design = ref "" in
   let units = ref 1000 in
   let die_w = ref 0.0 and die_h = ref 0.0 in
   let components = ref [] in
   let in_components = ref false in
-  List.iteri
-    (fun i raw ->
-      let lineno = i + 1 in
-      match tokens_of_line raw with
-      | [] -> ()
-      | "DESIGN" :: name :: _ -> design := name
-      | "UNITS" :: "DISTANCE" :: "MICRONS" :: v :: _ ->
-          (match int_of_string_opt v with
-          | Some u when u > 0 -> units := u
-          | Some _ | None -> fail_tok lineno raw v "bad UNITS value")
-      | "DIEAREA" :: rest -> (
-          (* DIEAREA ( x0 y0 ) ( x1 y1 ) ; *)
-          let numbers =
-            List.filter_map (fun tok -> float_of_string_opt tok) rest
-          in
-          match numbers with
-          | [ x0; y0; x1; y1 ]
-            when List.for_all Float.is_finite [ x0; y0; x1; y1 ] ->
-              let u = float_of_int !units in
-              die_w := (x1 -. x0) /. u;
-              die_h := (y1 -. y0) /. u
-          | _ -> fail lineno "DIEAREA expects two finite corner points")
-      | "COMPONENTS" :: _ -> in_components := true
-      | "END" :: "COMPONENTS" :: _ -> in_components := false
-      | "END" :: "DESIGN" :: _ -> ()
-      | "-" :: name :: master :: rest when !in_components ->
-          (* - name master + PLACED ( x y ) N ; *)
-          let rec find_placed = function
-            | "PLACED" :: "(" :: x :: y :: _ ->
-                Some (float_token lineno raw x, float_token lineno raw y)
-            | _ :: tl -> find_placed tl
-            | [] -> None
-          in
-          (match find_placed rest with
-          | Some (x, y) ->
-              let u = float_of_int !units in
-              components :=
-                { comp_name = name; master; x = x /. u; y = y /. u }
-                :: !components
-          | None ->
-              fail_tok lineno raw name
-                ("component without PLACED location: " ^ name))
-      | _ -> ())
-    lines;
+  let masters = Name_index.create 16 in
+  let cur = Scan.of_string text in
+  let next () = Scan.next_token cur in
+  let is lit = Scan.token_is cur lit in
+  while Scan.next_line cur do
+    let lineno = cur.Scan.line in
+    if next () then
+      if is "DESIGN" then (if next () then design := Scan.token cur)
+      else if is "UNITS" then begin
+        if next () && is "DISTANCE" && next () && is "MICRONS" && next () then
+          match Scan.int_token cur with
+          | u when u > 0 -> units := u
+          | _ | (exception Scan.Not_a_number) ->
+              raise (Parse_error (Scan.token_position cur, "bad UNITS value"))
+      end
+      else if is "DIEAREA" then begin
+        (* DIEAREA ( x0 y0 ) ( x1 y1 ) ; — every number-like token
+           counts *)
+        let c = Array.make 4 0.0 and n = ref 0 in
+        while next () do
+          match Scan.float_token cur with
+          | f ->
+              if !n < 4 then c.(!n) <- f;
+              incr n
+          | exception Scan.Not_a_number -> ()
+        done;
+        if !n = 4 && Array.for_all Float.is_finite c then begin
+          let u = float_of_int !units in
+          die_w := (c.(2) -. c.(0)) /. u;
+          die_h := (c.(3) -. c.(1)) /. u
+        end
+        else fail lineno "DIEAREA expects two finite corner points"
+      end
+      else if is "COMPONENTS" then in_components := true
+      else if is "END" then begin
+        if next () && is "COMPONENTS" then in_components := false
+      end
+      else if is "-" && !in_components then begin
+        (* - name master ... *)
+        if next () then begin
+          let name_start = cur.Scan.tok_start and name_end = cur.Scan.tok_end in
+          if next () then begin
+            let master =
+              Name_index.intern_sub masters text cur.Scan.tok_start
+                (cur.Scan.tok_end - cur.Scan.tok_start)
+            in
+            let comp_name =
+              String.sub text name_start (name_end - name_start)
+            in
+            match placed cur with
+            | Some (x, y) ->
+                let u = float_of_int !units in
+                components :=
+                  { comp_name; master = Name_index.key masters master;
+                    x = x /. u; y = y /. u }
+                  :: !components
+            | None ->
+                fail_tok lineno (Scan.line_text cur) comp_name
+                  ("component without PLACED location: " ^ comp_name)
+          end
+        end
+      end
+  done;
   if !design = "" then fail 0 "missing DESIGN statement";
   { design = !design;
     units_per_micron = !units;
@@ -164,29 +212,33 @@ let of_placement ~design (c : Netlist.t) (pl : Placement.t) =
     die_height = pl.Placement.die_height;
     components }
 
+(* Each component resolves through the netlist's name index and writes
+   its node's coordinates in place (the last component of a name wins);
+   [hit] counts each matched node once. *)
 let placement_of t (c : Netlist.t) =
-  let table = Hashtbl.create 256 in
-  List.iter (fun comp -> Hashtbl.replace table comp.comp_name (comp.x, comp.y))
+  let n = Netlist.num_nodes c in
+  let xs = Array.make n 0.0 and ys = Array.make n 0.0 in
+  let hit = Bytes.make n '\000' and matched = ref 0 in
+  List.iter
+    (fun comp ->
+      match Netlist.node_id c comp.comp_name with
+      | -1 -> ()
+      | id ->
+          xs.(id) <- comp.x;
+          ys.(id) <- comp.y;
+          if Bytes.get hit id = '\000' then begin
+            Bytes.set hit id '\001';
+            incr matched
+          end)
     t.components;
-  let matched = ref 0 in
-  let coords =
-    Array.init (Netlist.num_nodes c) (fun id ->
-        match Hashtbl.find_opt table (Netlist.node_name c id) with
-        | Some xy ->
-            incr matched;
-            xy
-        | None -> (0.0, 0.0))
-  in
   if !matched * 2 < Netlist.num_gates c then
     invalid_arg "Def_format.placement_of: DEF does not match this netlist";
   let die_width = Float.max t.die_width 1.0 in
   let die_height = Float.max t.die_height 1.0 in
   Placement.with_coords ~die_width ~die_height
-    (Array.map
-       (fun (x, y) ->
-         (Float.min (Float.max x 0.0) die_width,
-          Float.min (Float.max y 0.0) die_height))
-       coords)
+    (Array.init n (fun id ->
+         (Float.min (Float.max xs.(id) 0.0) die_width,
+          Float.min (Float.max ys.(id) 0.0) die_height)))
 
 let placement_of_res t c =
   match placement_of t c with

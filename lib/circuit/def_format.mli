@@ -33,6 +33,8 @@ type t = {
 }
 
 val parse_string : string -> t
+(** Read through a {!Scan} cursor; raises {!Parse_error}. *)
+
 val parse_file : string -> t
 
 val parse_string_res : string -> (t, Ssta_runtime.Ssta_error.t) result
@@ -47,8 +49,9 @@ val of_placement : design:string -> Netlist.t -> Placement.t -> t
     pads, not components), master names like ["NAND2"], ["INV"]. *)
 
 val placement_of : t -> Netlist.t -> Placement.t
-(** Re-import coordinates onto a netlist by matching component names to
-    gate names.  Gates without a component fall back to (0, 0); raises
+(** Re-import coordinates onto a netlist by looking each component's
+    name up in the netlist's name index (the last component of a name
+    wins).  Gates without a component fall back to (0, 0); raises
     [Invalid_argument] if fewer than half the gates are matched (wrong
     netlist/DEF pairing). *)
 

@@ -13,6 +13,7 @@ type t = {
   gates : gate array;
   outputs : int array;
   node_names : string array;
+  index : Name_index.t;
   cache : cache;
 }
 
@@ -29,14 +30,12 @@ let node_name c id =
   if id < 0 || id >= num_nodes c then invalid_arg "Netlist.node_name: bad id";
   c.node_names.(id)
 
+let node_id c name =
+  let slot = Name_index.find c.index name in
+  if slot < 0 then -1 else Name_index.value c.index slot
+
 let find_node c name =
-  let n = num_nodes c in
-  let rec search i =
-    if i >= n then None
-    else if String.equal c.node_names.(i) name then Some i
-    else search (i + 1)
-  in
-  search 0
+  match node_id c name with -1 -> None | id -> Some id
 
 let fanout_counts c =
   match c.cache.c_fanout_counts with
@@ -151,48 +150,63 @@ module Builder = struct
     mutable outs : int list;  (* reversed, deduped *)
     marked : (int, unit) Hashtbl.t;  (* the node ids in [outs] *)
     mutable sealed_inputs : bool;
-    seen_names : (string, unit) Hashtbl.t;
+    index : Name_index.t;  (* name -> node id; -1 for a bare symbol *)
   }
 
   let create bname =
     { bname; inputs = []; bgates = []; gate_names = []; next_id = 0;
       num_in = 0; outs = []; marked = Hashtbl.create 64;
-      sealed_inputs = false; seen_names = Hashtbl.create 64 }
+      sealed_inputs = false; index = Name_index.create 64 }
 
-  let register_name b name =
-    if Hashtbl.mem b.seen_names name then
-      invalid_arg ("Netlist.Builder: duplicate node name " ^ name);
-    Hashtbl.add b.seen_names name ()
+  let symbol b text off len = Name_index.intern_sub b.index text off len
+  let symbol_name b slot = Name_index.key b.index slot
+  let symbol_node b slot = Name_index.value b.index slot
+  let num_symbols b = Name_index.length b.index
 
-  let add_input b name =
+  (* Give the symbol's name to node [id]; each name names one node. *)
+  let claim b slot id =
+    if Name_index.value b.index slot >= 0 then
+      invalid_arg
+        ("Netlist.Builder: duplicate node name " ^ Name_index.key b.index slot);
+    Name_index.set_value b.index slot id
+
+  let add_input_symbol b slot =
     if b.sealed_inputs then
       invalid_arg "Netlist.Builder.add_input: gates already added";
-    register_name b name;
     let id = b.next_id in
-    b.inputs <- name :: b.inputs;
+    claim b slot id;
+    b.inputs <- Name_index.key b.index slot :: b.inputs;
     b.next_id <- id + 1;
     b.num_in <- b.num_in + 1;
     id
 
-  let add_gate ?name b kind fanins =
+  let add_input b name = add_input_symbol b (Name_index.intern b.index name)
+
+  let add_gate_symbol b slot kind fanins =
     b.sealed_inputs <- true;
     let id = b.next_id in
-    let name = match name with Some n -> n | None -> "n" ^ string_of_int id in
-    register_name b name;
+    claim b slot id;
     let arity = Gate.fan_in kind in
-    if List.length fanins <> arity then
+    if Array.length fanins <> arity then
       invalid_arg
         (Printf.sprintf "Netlist.Builder.add_gate: %s expects %d fan-ins"
            (Gate.name kind) arity);
-    List.iter
+    Array.iter
       (fun f ->
         if f < 0 || f >= id then
           invalid_arg "Netlist.Builder.add_gate: fan-in must be a prior node")
       fanins;
-    b.bgates <- { id; kind; fanins = Array.of_list fanins } :: b.bgates;
-    b.gate_names <- name :: b.gate_names;
+    b.bgates <- { id; kind; fanins } :: b.bgates;
+    b.gate_names <- Name_index.key b.index slot :: b.gate_names;
     b.next_id <- id + 1;
     id
+
+  let add_gate ?name b kind fanins =
+    let name =
+      match name with Some n -> n | None -> "n" ^ string_of_int b.next_id
+    in
+    add_gate_symbol b (Name_index.intern b.index name) kind
+      (Array.of_list fanins)
 
   let mark_output b id =
     if id < 0 || id >= b.next_id then
@@ -207,12 +221,14 @@ module Builder = struct
     if b.bgates = [] then invalid_arg "Netlist.Builder.finish: no gates";
     if b.outs = [] then invalid_arg "Netlist.Builder.finish: no outputs";
     let node_names =
-      Array.of_list (List.rev b.inputs @ List.rev b.gate_names)
+      Array.of_list (List.rev_append b.inputs (List.rev b.gate_names))
     in
+    Name_index.trim b.index;
     { name = b.bname;
       num_inputs = b.num_in;
       gates = Array.of_list (List.rev b.bgates);
       outputs = Array.of_list (List.rev b.outs);
       node_names;
+      index = b.index;
       cache = { c_fanouts = None; c_fanout_counts = None } }
 end

@@ -23,6 +23,11 @@ type t = private {
   gates : gate array;  (** gate with id [num_inputs + i] at index [i] *)
   outputs : int array;  (** node ids designated as primary outputs *)
   node_names : string array;  (** one name per node id *)
+  index : Name_index.t;
+      (** name to node id: the table the {!Builder} filled while the
+          netlist was built, kept instead of rebuilt; slots whose value
+          is [-1] are names a parser saw that name no node.  Read-only:
+          use {!node_id}/{!find_node}. *)
   cache : cache;
 }
 
@@ -37,7 +42,13 @@ val gate_of : t -> int -> gate
     inputs. *)
 
 val node_name : t -> int -> string
+
+val node_id : t -> string -> int
+(** The node a name denotes, or [-1]: one hash through [index],
+    no allocation. *)
+
 val find_node : t -> string -> int option
+(** {!node_id} as an option. *)
 
 val fanouts : t -> int array array
 (** [fanouts c].(id) lists the gate node-ids that consume node [id];
@@ -96,10 +107,39 @@ module Builder : sig
       gate's arity.  A default name [n<id>] is used when [name] is
       omitted. *)
 
+  (** {2 Symbols}
+
+      A parser resolves names straight through the builder's name index
+      (which becomes the netlist's [index]): every name it reads
+      is interned once as a {e symbol} — a dense slot, sliced from the
+      text only the first time it is seen — and a symbol becomes a node
+      when it is declared as an input or defines a gate. *)
+
+  val symbol : t -> string -> int -> int -> int
+  (** [symbol b text off len] is the symbol of the name
+      [String.sub text off len], interned (naming no node yet) on first
+      sight. *)
+
+  val symbol_name : t -> int -> string
+
+  val symbol_node : t -> int -> int
+  (** The node id a symbol names, or [-1] while it names none. *)
+
+  val num_symbols : t -> int
+  (** Symbols so far; they are numbered [0 .. num_symbols b - 1]. *)
+
+  val add_input_symbol : t -> int -> int
+  (** {!add_input} under a symbol's name. *)
+
+  val add_gate_symbol : t -> int -> Ssta_tech.Gate.kind -> int array -> int
+  (** {!add_gate} under a symbol's name; the fan-in array becomes the
+      gate's own. *)
+
   val mark_output : t -> int -> unit
   (** Declare an existing node to be a primary output (idempotent). *)
 
   val finish : t -> netlist
   (** Validate and freeze.  Raises [Invalid_argument] if the netlist has
-      no inputs, no gates, or no outputs. *)
+      no inputs, no gates, or no outputs.  The netlist takes over the
+      builder's name index, so the builder must not be used again. *)
 end

@@ -6,38 +6,37 @@ type t = { design : string; caps : (string * float) list }
 
 let fail line msg = raise (Parse_error (Err.position ~line (), msg))
 
-let fail_tok line line_text token msg =
-  raise (Parse_error (Err.position_of_token ~line ~line_text token, msg))
-
-let tokens_of_line line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
-
+(* [*DESIGN name] and [*D_NET net cap] lines count; other [*] header
+   lines and anything else are skipped. *)
 let parse_string text =
   let design = ref "" in
   let caps = ref [] in
   let pf = 1e-12 in
-  List.iteri
-    (fun i raw ->
-      let lineno = i + 1 in
-      match tokens_of_line raw with
-      | [] -> ()
-      | "*DESIGN" :: name :: _ -> design := name
-      | "*D_NET" :: net :: cap :: _ -> (
-          match float_of_string_opt cap with
-          | Some c when c >= 0.0 && Float.is_finite c ->
-              caps := (net, c *. pf) :: !caps
-          | Some c when Float.is_nan c || not (Float.is_finite c) ->
-              fail_tok lineno raw cap
-                ("non-finite capacitance on net " ^ net)
-          | Some _ ->
-              fail_tok lineno raw cap ("negative capacitance on net " ^ net)
-          | None -> fail_tok lineno raw cap ("bad capacitance value: " ^ cap))
-      | "*D_NET" :: _ -> fail lineno "*D_NET needs a net name and a value"
-      | tok :: _ when String.length tok > 0 && tok.[0] = '*' -> ()
-      | _ -> ())
-    (String.split_on_char '\n' text);
+  let cur = Scan.of_string text in
+  while Scan.next_line cur do
+    let lineno = cur.Scan.line in
+    if Scan.next_token cur then
+      if Scan.token_is cur "*DESIGN" then begin
+        if Scan.next_token cur then design := Scan.token cur
+      end
+      else if Scan.token_is cur "*D_NET" then begin
+        if not (Scan.next_token cur) then
+          fail lineno "*D_NET needs a net name and a value";
+        let net_start = cur.Scan.tok_start and net_end = cur.Scan.tok_end in
+        if not (Scan.next_token cur) then
+          fail lineno "*D_NET needs a net name and a value";
+        let net () = String.sub text net_start (net_end - net_start) in
+        let bad msg = raise (Parse_error (Scan.token_position cur, msg)) in
+        match Scan.float_token cur with
+        | c when c >= 0.0 && Float.is_finite c ->
+            caps := (net (), c *. pf) :: !caps
+        | c when Float.is_nan c || not (Float.is_finite c) ->
+            bad ("non-finite capacitance on net " ^ net ())
+        | _ -> bad ("negative capacitance on net " ^ net ())
+        | exception Scan.Not_a_number ->
+            bad ("bad capacitance value: " ^ Scan.token cur)
+      end
+  done;
   if !design = "" then fail 0 "missing *DESIGN";
   { design = !design; caps = List.rev !caps }
 
@@ -97,18 +96,24 @@ let of_placement ?(wire = Ssta_tech.Wire.default) ~design (c : Netlist.t) pl =
   in
   { design; caps }
 
+(* Each net resolves through the netlist's name index and writes its
+   node's capacitance in place (the last record of a net wins); [hit]
+   counts each matched node once. *)
 let apply t (c : Netlist.t) =
-  let table = Hashtbl.create 256 in
-  List.iter (fun (net, cap) -> Hashtbl.replace table net cap) t.caps;
-  let matched = ref 0 in
-  let caps =
-    Array.init (Netlist.num_nodes c) (fun id ->
-        match Hashtbl.find_opt table (Netlist.node_name c id) with
-        | Some cap ->
-            incr matched;
-            cap
-        | None -> 0.0)
-  in
+  let n = Netlist.num_nodes c in
+  let caps = Array.make n 0.0 in
+  let hit = Bytes.make n '\000' and matched = ref 0 in
+  List.iter
+    (fun (net, cap) ->
+      match Netlist.node_id c net with
+      | -1 -> ()
+      | id ->
+          caps.(id) <- cap;
+          if Bytes.get hit id = '\000' then begin
+            Bytes.set hit id '\001';
+            incr matched
+          end)
+    t.caps;
   if !matched * 2 < Netlist.num_gates c then
     invalid_arg "Spef.apply: SPEF does not match this netlist";
   caps

@@ -25,6 +25,8 @@ type t = {
 }
 
 val parse_string : string -> t
+(** Read through a {!Scan} cursor; raises {!Parse_error}. *)
+
 val parse_file : string -> t
 
 val parse_string_res : string -> (t, Ssta_runtime.Ssta_error.t) result
@@ -43,9 +45,10 @@ val of_placement :
     of {!Ssta_timing.Graph.of_placed}. *)
 
 val apply : t -> Netlist.t -> float array
-(** Per-node wire capacitances (farads), 0 for unannotated nets.
-    Raises [Invalid_argument] if fewer than half the gates are
-    annotated (wrong netlist/SPEF pairing). *)
+(** Per-node wire capacitances (farads), 0 for unannotated nets; each
+    net is looked up in the netlist's name index (the last record of a
+    net wins).  Raises [Invalid_argument] if fewer than half the gates
+    are annotated (wrong netlist/SPEF pairing). *)
 
 val apply_res :
   t -> Netlist.t -> (float array, Ssta_runtime.Ssta_error.t) result

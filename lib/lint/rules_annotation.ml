@@ -14,36 +14,50 @@ let rules =
     ("def-duplicate-component", "DEF component name appears more than once");
     ("def-low-coverage", "fewer than half the gates have a DEF component") ]
 
-let name_table c =
-  let table = Hashtbl.create 256 in
-  for id = 0 to Netlist.num_nodes c - 1 do
-    Hashtbl.replace table (Netlist.node_name c id) id
-  done;
-  table
+(* Repeated names, resolved through the netlist's name index: a name
+   the netlist knows is tracked by its node id, only the others (names
+   of no node, rare) go through a string table. *)
+type seen = { nodes : Bytes.t; others : (string, unit) Hashtbl.t }
+
+let seen c =
+  { nodes = Bytes.make (Netlist.num_nodes c) '\000'; others = Hashtbl.create 8 }
+
+(* Records the name (node [id], or -1 for a name of no node) and tells
+   whether it was seen before. *)
+let repeated seen id name =
+  if id >= 0 then begin
+    let again = Bytes.get seen.nodes id <> '\000' in
+    Bytes.set seen.nodes id '\001';
+    again
+  end
+  else begin
+    let again = Hashtbl.mem seen.others name in
+    if not again then Hashtbl.add seen.others name ();
+    again
+  end
 
 let check_spef ?(cap_limit = 1e-10) (spef : Spef.t) c =
-  let table = name_table c in
   let ds = ref [] in
   let emit d = ds := d :: !ds in
-  let seen = Hashtbl.create 256 in
+  let seen = seen c in
   let matched = ref 0 in
   List.iter
     (fun (net, cap) ->
-      (match Hashtbl.find_opt table net with
-      | None ->
+      let id = Netlist.node_id c net in
+      (match id with
+      | -1 ->
           emit
             (D.make ~rule:"spef-orphan-net" ~severity:D.Error
                ~location:(D.Net net)
                ~hint:"check that the SPEF was extracted from this netlist"
                "annotation names a node absent from the netlist")
-      | Some _ -> incr matched);
-      if Hashtbl.mem seen net then
+      | _ -> incr matched);
+      if repeated seen id net then
         emit
           (D.make ~rule:"spef-duplicate-net" ~severity:D.Warning
              ~location:(D.Net net)
              ~hint:"the last record wins in Spef.apply"
-             "net annotated more than once")
-      else Hashtbl.add seen net ();
+             "net annotated more than once");
       if (not (Float.is_finite cap)) || cap < 0.0 then
         emit
           (D.make ~rule:"spef-negative-cap" ~severity:D.Error
@@ -66,28 +80,26 @@ let check_spef ?(cap_limit = 1e-10) (spef : Spef.t) c =
   List.rev !ds
 
 let check_def (def : Def_format.t) c =
-  let table = name_table c in
   let ds = ref [] in
   let emit d = ds := d :: !ds in
-  let seen = Hashtbl.create 256 in
+  let seen = seen c in
   let matched = ref 0 in
   let w = def.Def_format.die_width and h = def.Def_format.die_height in
   List.iter
     (fun (comp : Def_format.component) ->
       let name = comp.Def_format.comp_name in
-      (match Hashtbl.find_opt table name with
-      | Some id when not (Netlist.is_input c id) -> incr matched
-      | Some _ | None ->
-          emit
-            (D.make ~rule:"def-unknown-component" ~severity:D.Warning
-               ~location:(D.Net name)
-               ~hint:"check that the DEF was written for this netlist"
-               "component matches no gate of the netlist"));
-      if Hashtbl.mem seen name then
+      let id = Netlist.node_id c name in
+      if id >= 0 && not (Netlist.is_input c id) then incr matched
+      else
+        emit
+          (D.make ~rule:"def-unknown-component" ~severity:D.Warning
+             ~location:(D.Net name)
+             ~hint:"check that the DEF was written for this netlist"
+             "component matches no gate of the netlist");
+      if repeated seen id name then
         emit
           (D.make ~rule:"def-duplicate-component" ~severity:D.Warning
-             ~location:(D.Net name) "component name appears more than once")
-      else Hashtbl.add seen name ();
+             ~location:(D.Net name) "component name appears more than once");
       let x = comp.Def_format.x and y = comp.Def_format.y in
       if
         (not (Float.is_finite x && Float.is_finite y))

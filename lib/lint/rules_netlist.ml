@@ -17,6 +17,38 @@ let rules =
 
 let node_loc c id = D.Node { id; name = Netlist.node_name c id }
 
+let kind_code = function
+  | Gate.Inv -> 0
+  | Gate.Buf -> 1
+  | Gate.Nand _ -> 2
+  | Gate.Nor _ -> 3
+  | Gate.And _ -> 4
+  | Gate.Or _ -> 5
+  | Gate.Xor2 -> 6
+  | Gate.Xnor2 -> 7
+
+let gate_key (g : Netlist.gate) =
+  let f = g.Netlist.fanins and code = kind_code g.Netlist.kind in
+  match Array.length f with
+  | 1 -> [| code; f.(0) |]
+  | 2 -> [| code; Int.min f.(0) f.(1); Int.max f.(0) f.(1) |]
+  | n ->
+      let sorted = Array.copy f in
+      Array.sort Int.compare sorted;
+      let key = Array.make (n + 1) code in
+      Array.blit sorted 0 key 1 n;
+      key
+
+module Gate_key = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) = a = b
+
+  let hash (a : t) =
+    Array.fold_left (fun h x -> (h * 1000003) lxor x) (Array.length a) a
+    land max_int
+end)
+
 let check ?(fanout_limit = 64) c =
   let n = Netlist.num_nodes c in
   let counts = Netlist.fanout_counts c in
@@ -61,18 +93,15 @@ let check ?(fanout_limit = 64) c =
              ~hint:"the gate's fan-out cone never reaches a primary output"
              "gate is unreachable from every primary output"))
     c.Netlist.gates;
-  (* net-duplicate-gate: same kind, same fan-in multiset. *)
-  let seen : (string, int) Hashtbl.t = Hashtbl.create 256 in
+  (* net-duplicate-gate: same kind, same fan-in multiset, keyed on ints:
+     the kind's code followed by the sorted fan-ins (the arity is the
+     key's length). *)
+  let seen = Gate_key.create (Netlist.num_gates c) in
   Array.iter
     (fun (g : Netlist.gate) ->
-      let ins = Array.to_list g.Netlist.fanins |> List.sort Int.compare in
-      let key =
-        Gate.name g.Netlist.kind
-        ^ "/" ^ string_of_int (Array.length g.Netlist.fanins)
-        ^ ":" ^ String.concat "," (List.map string_of_int ins)
-      in
-      match Hashtbl.find_opt seen key with
-      | None -> Hashtbl.add seen key g.Netlist.id
+      let key = gate_key g in
+      match Gate_key.find_opt seen key with
+      | None -> Gate_key.add seen key g.Netlist.id
       | Some first ->
           emit
             (D.make ~rule:"net-duplicate-gate" ~severity:D.Info
@@ -85,12 +114,13 @@ let check ?(fanout_limit = 64) c =
   (* net-constant-gate: XOR/XNOR with every fan-in the same node. *)
   Array.iter
     (fun (g : Netlist.gate) ->
-      let all_same =
+      (* a thunk: only XOR/XNOR gates pay for the check *)
+      let all_same () =
         Array.length g.Netlist.fanins >= 2
         && Array.for_all (fun f -> f = g.Netlist.fanins.(0)) g.Netlist.fanins
       in
       match g.Netlist.kind with
-      | Gate.Xor2 | Gate.Xnor2 when all_same ->
+      | Gate.Xor2 | Gate.Xnor2 when all_same () ->
           let value = if g.Netlist.kind = Gate.Xor2 then "0" else "1" in
           emit
             (D.make ~rule:"net-constant-gate" ~severity:D.Warning

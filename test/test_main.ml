@@ -10,6 +10,7 @@ let () =
       Test_tech.suite;
       Test_netlist.suite;
       Test_formats.suite;
+      Test_frontend.suite;
       Test_generators.suite;
       Test_iscas85.suite;
       Test_timing.suite;

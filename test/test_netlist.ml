@@ -139,6 +139,66 @@ let prop_builder_topological =
           Array.for_all (fun f -> f < g.Netlist.id) g.Netlist.fanins)
         c.Netlist.gates)
 
+(* The name index against the definition: the first node carrying the
+   name, found by scanning every node. *)
+let linear_find (c : Netlist.t) name =
+  let rec go i =
+    if i >= Netlist.num_nodes c then None
+    else if String.equal (Netlist.node_name c i) name then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let check_find_node what (c : Netlist.t) =
+  let probe name =
+    if Netlist.find_node c name <> linear_find c name then
+      Alcotest.failf "%s: find_node %S disagrees with the linear scan" what
+        name;
+    check_int (what ^ ": node_id")
+      (Option.value ~default:(-1) (linear_find c name))
+      (Netlist.node_id c name)
+  in
+  Array.iter
+    (fun name ->
+      probe name;
+      probe (name ^ "x");
+      probe (String.sub name 0 (String.length name - 1)))
+    c.Netlist.node_names;
+  List.iter probe [ ""; "no_such_node"; "n"; "G"; " " ]
+
+let test_find_node_index () =
+  let circuits =
+    ("c432", Iscas85.build (Option.get (Iscas85.by_name "c432")))
+    :: List.map
+         (fun seed ->
+           ( Printf.sprintf "random %d" seed,
+             Generators.random_layered ~name:"r" ~inputs:6 ~outputs:3
+               ~gates:(40 + seed) ~depth:6 ~seed () ))
+         [ 1; 2; 3 ]
+  in
+  List.iter
+    (fun (what, c) ->
+      check_find_node what c;
+      (* a fresh netlist from an edit keeps every name *)
+      let g =
+        Array.to_list c.Netlist.gates
+        |> List.find (fun (g : Netlist.gate) ->
+               Array.length g.Netlist.fanins = 2)
+      in
+      let swapped =
+        if g.Netlist.kind = Gate.Nand 2 then Gate.Nor 2 else Gate.Nand 2
+      in
+      check_find_node (what ^ " after with_gate_kind")
+        (Netlist.with_gate_kind c g.Netlist.id swapped))
+    circuits;
+  (* a name the parser read but that names no node (the operand of a
+     definition shadowed by an input) is absent *)
+  let c =
+    Bench_format.parse_string "INPUT(A)\nOUTPUT(Y)\nA = NOT(Q)\nY = BUF(A)\n"
+  in
+  check_find_node "shadowed definition" c;
+  check_true "operand of a dropped definition" (Netlist.find_node c "Q" = None)
+
 let suite =
   ( "netlist",
     [ case "builder basics" test_builder_basic;
@@ -151,4 +211,5 @@ let suite =
       case "gate_of" test_gate_of;
       case "mark_output idempotent" test_mark_output_idempotent;
       prop_mark_output_first_order;
-      prop_builder_topological ] )
+      prop_builder_topological;
+      case "find_node = a linear scan" test_find_node_index ] )
