@@ -78,21 +78,6 @@ let equal a b =
       && Interval.equal a.residual b.residual
   | _ -> false
 
-let widen ~prev ~next =
-  match (prev, next) with
-  | Bottom, x | x, Bottom -> x
-  | Form p, Form n ->
-      Form
-        { center = (if n.center > p.center then infinity else n.center);
-          coeffs =
-            Array.map2
-              (fun prev next -> Interval.widen ~prev ~next)
-              p.coeffs n.coeffs;
-          intra_sigma =
-            (if n.intra_sigma > p.intra_sigma then infinity
-             else n.intra_sigma);
-          residual = Interval.widen ~prev:p.residual ~next:n.residual }
-
 let pp fmt = function
   | Bottom -> Format.pp_print_string fmt "_|_"
   | Form f ->
@@ -136,37 +121,17 @@ type analysis = {
   suffix : t array;
   circuit : t;
   trunc : float;
-  forward_stats : string;
-  backward_stats : string;
 }
-
-module Domain = struct
-  type nonrec t = t
-
-  let bottom = Bottom
-  let equal = equal
-  let join = join
-  let widen = widen
-  let pp = pp
-end
-
-module Solver = Dataflow.Make (Domain)
-
-let pp_stats (s : Solver.stats) =
-  Printf.sprintf "visits=%d updates=%d widenings=%d converged=%b"
-    s.Solver.visits s.Solver.updates s.Solver.widenings s.Solver.converged
 
 (* One gate's delay as a form.  The linear part is the tangent plane at
    nominal, split into the inter-die share (per-RV coefficients scaled
    by sigma * sqrt w0) and the orthogonal intra-die sigma; the residual
-   is whatever the exact corner range of the Elmore model
-   (Arrival_bounds' certified gate interval) sticks out beyond the
-   tangent box, clamped so it always contains 0.  By construction the
-   concretization at the analysis truncation is the hull of the
-   certified interval and the tangent box — sound without any convexity
-   assumption on the delay model. *)
-let gate_form ~trunc ~bounds:(full_bound, inter_bound) ~sqrt_w0
-    ~intra_fraction ~d0 ~grad e =
+   is whatever the certified gate interval of Arrival_bounds sticks out
+   beyond the tangent box, clamped so it always contains 0.  By
+   construction the concretization at the analysis truncation is the
+   hull of the certified interval and the tangent box — sound without
+   any convexity assumption on the delay model. *)
+let gate_form (k : Arrival_bounds.corners) ~sqrt_w0 ~d0 ~grad e =
   let coeffs =
     Array.of_list
       (List.map
@@ -175,23 +140,15 @@ let gate_form ~trunc ~bounds:(full_bound, inter_bound) ~sqrt_w0
              (Params.get grad rv *. Params.sigma rv *. sqrt_w0))
          Params.all_rvs)
   in
-  let intra_var =
-    List.fold_left
-      (fun acc rv ->
-        let d = Params.get grad rv and s = Params.sigma rv in
-        acc +. (d *. d *. s *. s))
-      0.0 Params.all_rvs
-  in
-  let intra_sigma = sqrt (intra_fraction *. intra_var) in
-  let full = Interval.of_pair (Elmore.delay_bounds ~bound:full_bound e) in
-  let inter = Interval.of_pair (Elmore.delay_bounds ~bound:inter_bound e) in
-  let h = trunc *. intra_sigma in
-  let total = Interval.hull full (Interval.add inter (Interval.make ~lo:(-.h) ~hi:h)) in
+  let intra_sigma = Arrival_bounds.intra_sigma k grad in
+  let box = Arrival_bounds.gate_box k ~intra_sigma e in
   let gt_lo, gt_hi =
-    match Interval.range total with Some r -> r | None -> (d0, d0)
+    match Interval.range box.Arrival_bounds.total with
+    | Some r -> r
+    | None -> (d0, d0)
   in
   let half =
-    trunc
+    k.Arrival_bounds.trunc
     *. (Array.fold_left (fun acc c -> acc +. Interval.magnitude c) 0.0 coeffs
        +. intra_sigma)
   in
@@ -203,80 +160,32 @@ let gate_form ~trunc ~bounds:(full_bound, inter_bound) ~sqrt_w0
       intra_sigma;
       residual = Interval.make ~lo:res_lo ~hi:res_hi }
 
-(* The two truncated corner boxes every gate is certified over: the
-   full variation ([trunc * sum_u sqrt w_u] sigmas) and the inter-die
-   share ([trunc * sqrt w0]).  Neither depends on the gate. *)
-let corner_bounds (config : Config.t) =
-  let budget = config.Config.budget in
-  let trunc = config.Config.truncation in
-  let scale_all = ref 0.0 in
-  for u = 0 to Budget.layers budget - 1 do
-    scale_all := !scale_all +. sqrt (Budget.weight budget u)
-  done;
-  (trunc *. !scale_all, trunc *. sqrt (Budget.inter_fraction budget))
-
 let compute (config : Config.t) (g : Graph.t) =
-  let c = g.Graph.circuit in
-  let n = Netlist.num_nodes c in
-  let trunc = config.Config.truncation in
-  let bounds = corner_bounds config in
-  let w0 = Budget.inter_fraction config.Config.budget in
-  let sqrt_w0 = sqrt w0 in
-  let intra_fraction = Float.max 0.0 (1.0 -. w0) in
+  let n = Graph.num_nodes g in
+  let k = Arrival_bounds.corners config in
+  let sqrt_w0 = sqrt (Budget.inter_fraction config.Config.budget) in
   let grads = Graph.grads g in
   let gate = Array.make n (const 0.0) in
   match
     for id = 0 to n - 1 do
       if not (Graph.is_input g id) then
         gate.(id) <-
-          gate_form ~trunc ~bounds ~sqrt_w0 ~intra_fraction
-            ~d0:g.Graph.delay.(id) ~grad:grads.(id)
+          gate_form k ~sqrt_w0 ~d0:g.Graph.delay.(id) ~grad:grads.(id)
             (Graph.electrical_exn g id)
     done
   with
   | exception Invalid_argument msg -> Error msg
   | () ->
-      let forward =
-        Solver.fixpoint ~direction:Dataflow.Forward c
-          ~init:(fun id ->
-            if Netlist.is_input c id then const 0.0 else Bottom)
-          ~transfer:(fun ~node inflow -> add inflow gate.(node))
-      in
-      let arrival = forward.Solver.values in
-      let is_output = Array.make n false in
-      Array.iter (fun id -> is_output.(id) <- true) c.Netlist.outputs;
-      (* Backward value: suffix including the node's own gate; the
-         exclusive suffix is recovered per node below, exactly as in
-         Arrival_bounds. *)
-      let backward =
-        Solver.fixpoint ~direction:Dataflow.Backward c
-          ~init:(fun id -> if is_output.(id) then const 0.0 else Bottom)
-          ~transfer:(fun ~node inflow -> add inflow gate.(node))
-      in
-      let fanouts = Netlist.fanouts c in
-      let suffix =
-        Array.init n (fun id ->
-            let from_consumers =
-              Array.fold_left
-                (fun acc cid -> join acc backward.Solver.values.(cid))
-                Bottom fanouts.(id)
-            in
-            if is_output.(id) then join (const 0.0) from_consumers
-            else from_consumers)
-      in
-      let circuit =
-        Array.fold_left
-          (fun acc id -> join acc arrival.(id))
-          Bottom c.Netlist.outputs
+      let s =
+        Arrival_bounds.sweep ~bottom:Bottom ~zero:(const 0.0) ~join ~add
+          g.Graph.circuit gate
       in
       Ok
         { gate;
-          arrival;
-          suffix;
-          circuit;
-          trunc;
-          forward_stats = pp_stats forward.Solver.stats;
-          backward_stats = pp_stats backward.Solver.stats }
+          arrival = s.Arrival_bounds.arrival;
+          suffix = s.Arrival_bounds.suffix;
+          circuit = s.Arrival_bounds.circuit;
+          trunc = k.Arrival_bounds.trunc }
 
 let path_form a (path : Paths.path) =
   Array.fold_left
@@ -327,25 +236,23 @@ let screen_counters s =
     ("affine-screen-nodes-visited", s.nodes_visited) ]
 
 (* [compute] fails exactly when some gate's corner box leaves the delay
-   model's domain.  {!Elmore.delay_bounds} decides that from the corner
-   parameters alone, so probing the first gate decides it for all. *)
+   model's domain, which the corners alone decide: probing the first
+   gate decides it for all. *)
 let corners_in_domain config (g : Graph.t) =
   let gates = g.Graph.circuit.Netlist.gates in
   Array.length gates = 0
   ||
-  let e = Graph.electrical_exn g gates.(0).Netlist.id in
-  let full_bound, inter_bound = corner_bounds config in
   match
-    ignore (Elmore.delay_bounds ~bound:full_bound e);
-    ignore (Elmore.delay_bounds ~bound:inter_bound e)
+    Arrival_bounds.gate_box (Arrival_bounds.corners config) ~intra_sigma:0.0
+      (Graph.electrical_exn g gates.(0).Netlist.id)
   with
-  | () -> true
+  | _ -> true
   | exception Invalid_argument _ -> false
 
 (* The screen reads only the suffix centers, and a center is the
    max-plus suffix of nominal delays (joins take the max of centers,
    adds sum them), so one {!Longest_path.suffix} sweep replaces both
-   affine fixpoints. *)
+   affine sweeps. *)
 let methodology_screen config ~sta ~slack =
   let g = sta.Sta.graph in
   if not (corners_in_domain config g) then ((fun _ -> false), [])

@@ -5,8 +5,8 @@
     and an intra-die residue.  That is exactly the shape of an affine
     form (a zonotope in the five-dimensional inter-die parameter space),
     so the decomposition can be run as a static analysis: propagate one
-    affine form per node through the timing DAG with the monotone
-    {!Dataflow} solver and every node gets a certified sensitivity
+    affine form per node through the timing DAG with
+    {!Arrival_bounds.val-sweep} and every node gets a certified sensitivity
     vector plus a conservative residual — tight enough to rank paths,
     unlike the scalar intervals of {!Arrival_bounds}.
 
@@ -17,7 +17,7 @@
 
     where [x_i] is the standardized inter-die deviation of RV [i]
     (so [|x_i| <= trunc]), [c_i] is an interval of admissible
-    coefficients (a singleton for a single gate; joins widen it),
+    coefficients (a singleton for a single gate; joins grow it),
     [intra_sigma] bounds the standard deviation of the concentrated
     intra-die part of any represented path (per-gate sigmas add along a
     path before squaring — Eq. 14 — so the sum of per-gate bounds is a
@@ -75,11 +75,6 @@ val join : t -> t -> t
 
 val equal : t -> t -> bool
 
-val widen : prev:t -> next:t -> t
-(** Components that grew jump to infinity (the DAG fixpoint converges
-    without ever widening; this exists to satisfy the solver
-    contract). *)
-
 val pp : Format.formatter -> t -> unit
 
 val concretize : trunc:float -> t -> Interval.t
@@ -96,26 +91,24 @@ val sigma_upper : t -> float
 
 type analysis = {
   gate : t array;  (** per-gate delay form; [const 0] for inputs *)
-  arrival : t array;  (** forward fixpoint: input-to-node, inclusive *)
+  arrival : t array;  (** forward sweep: input-to-node, inclusive *)
   suffix : t array;
-      (** backward fixpoint: node-to-output, {e exclusive} of the
+      (** backward sweep: node-to-output, {e exclusive} of the
           node's own gate *)
   circuit : t;  (** join of the arrival forms at the primary outputs *)
   trunc : float;  (** truncation the gate residuals were certified at *)
-  forward_stats : string;  (** solver convergence summary *)
-  backward_stats : string;
 }
 
 val compute :
   Ssta_core.Config.t -> Ssta_timing.Graph.t -> (analysis, string) result
-(** One forward and one backward pass of the {!Dataflow} solver.  Each
-    gate's form takes its center from the graph's nominal delay, its
-    coefficients from the analytic derivatives
+(** {!Arrival_bounds.val-sweep} over the gate forms, with {!join} and
+    {!add}.  Each gate's form takes its center from the graph's nominal
+    delay, its coefficients from the analytic derivatives
     ({!Ssta_tech.Derivatives.gradient}) scaled by [sigma * sqrt w0],
-    its intra bound from the orthogonal complement of the inter-die
-    split, and its residual from the exact Elmore corner bounds
-    ({!Ssta_tech.Elmore.delay_bounds}) — so the gate concretization
-    always contains the certified interval of {!Arrival_bounds}.
+    its intra bound from {!Arrival_bounds.intra_sigma}, and its
+    residual from the certified {!Arrival_bounds.gate_box} — so the
+    gate concretization always contains the certified interval of
+    {!Arrival_bounds}.
     [Error] when a truncated corner leaves the delay model's physical
     domain (same failure mode as {!Arrival_bounds.compute}). *)
 
@@ -168,7 +161,7 @@ val methodology_screen :
     {!compute}.  The screen reads only the suffix centers, which are the
     max-plus suffix delays of the nominal gate delays, so one
     {!Ssta_timing.Longest_path.suffix} sweep (O(N + E)) stands in for
-    both affine fixpoints.  Degrades to a no-op hook (and no counters)
+    both affine sweeps.  Degrades to a no-op hook (and no counters)
     exactly when {!compute} would fail: the truncated corner boxes of
     {!Ssta_tech.Elmore.delay_bounds} do not depend on the gate, so one
     gate's check decides it for the whole graph. *)

@@ -438,7 +438,7 @@ let render_enumeration (e : Paths.enumeration) =
 
 let check_affine_screen config (aff : Affine.analysis) sta ~slack add =
   let sc = Affine.screen aff sta ~slack in
-  (* The packaged screen skips the affine fixpoints; certify that it
+  (* The packaged screen skips the affine sweeps; certify that it
      still decides every node, and counts, exactly as this one does. *)
   let hook, counters = Affine.methodology_screen config ~sta ~slack in
   let hook_pruned = ref 0 and disagree = ref 0 in

@@ -38,22 +38,6 @@ let add a b =
   | Bottom, _ | _, Bottom -> Bottom
   | Range a, Range b -> Range { lo = a.lo +. b.lo; hi = a.hi +. b.hi }
 
-let widen ~prev ~next =
-  match prev, next with
-  | Bottom, x | x, Bottom -> x
-  | Range p, Range n ->
-      Range
-        { lo = (if n.lo < p.lo then neg_infinity else p.lo);
-          hi = (if n.hi > p.hi then infinity else p.hi) }
-
-let widen_sup ~prev ~next =
-  match prev, next with
-  | Bottom, x | x, Bottom -> x
-  | Range p, Range n ->
-      let lo = if n.lo > p.lo then infinity else p.lo in
-      let hi = if n.hi > p.hi then infinity else p.hi in
-      Range { lo; hi = Float.max lo hi }
-
 let contains ?(slack = 0.0) i x =
   match i with
   | Bottom -> false

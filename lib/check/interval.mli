@@ -4,18 +4,16 @@
     [Bottom] (the empty set).  Two join structures are exposed because
     the verifier uses the same carrier under two different orders:
 
-    - the {e containment} order ([subset] / [hull] / [widen]) — the
-      classic interval domain of abstract interpretation, used wherever
-      an interval stands for "the set of values this quantity can
-      take"; and
-    - the {e max-plus} order ([sup] / [widen_sup]) — componentwise
-      [max], used by the arrival-time analysis where joining two path
-      prefixes at a node takes the worst case of each bound
-      independently ([arrival = max] over fan-ins, then [+] the gate
-      delay).
+    - the {e containment} order ([subset] / [hull]) — the classic
+      interval domain of abstract interpretation, used wherever an
+      interval stands for "the set of values this quantity can take";
+      and
+    - the {e max-plus} order ([sup]) — componentwise [max], used by the
+      arrival-time analysis where joining two path prefixes at a node
+      takes the worst case of each bound independently ([arrival = max]
+      over fan-ins, then [+] the gate delay).
 
-    Both are join-semilattices with [Bottom] as the least element, so
-    either can instantiate the dataflow framework. *)
+    Both are join-semilattices with [Bottom] as the least element. *)
 
 type t = Bottom | Range of { lo : float; hi : float }
 
@@ -45,13 +43,6 @@ val sup : t -> t -> t
 
 val add : t -> t -> t
 (** Interval sum; [Bottom] is absorbing. *)
-
-val widen : prev:t -> next:t -> t
-(** Containment-order widening: a bound that moved outward jumps to the
-    corresponding infinity. *)
-
-val widen_sup : prev:t -> next:t -> t
-(** Max-plus widening: a component that grew jumps to [+inf]. *)
 
 val contains : ?slack:float -> t -> float -> bool
 (** Membership, with the interval widened by [slack] (default 0) on both

@@ -125,6 +125,11 @@ let parse_string text =
     | [] -> fail0 "unterminated module header"
   in
   let body = skip_header rest in
+  (* Every net name is interned once as a builder symbol (the index the
+     netlist keeps); resolution below works on symbols only. *)
+  let b = B.create module_name in
+  let sym name = B.symbol b name 0 (String.length name) in
+  let name_of = B.symbol_name b in
   (* collect statements *)
   let inputs = ref [] and outputs = ref [] in
   let instances = ref [] in
@@ -140,11 +145,11 @@ let parse_string text =
     | (Keyword "endmodule", _) :: _ -> ()
     | (Keyword "input", _) :: rest ->
         let names, rest = idents_until_semi [] rest in
-        inputs := !inputs @ names;
+        inputs := !inputs @ List.map sym names;
         statements rest
     | (Keyword "output", _) :: rest ->
         let names, rest = idents_until_semi [] rest in
-        outputs := !outputs @ names;
+        outputs := !outputs @ List.map sym names;
         statements rest
     | (Keyword "wire", _) :: rest ->
         let _, rest = idents_until_semi [] rest in
@@ -162,7 +167,7 @@ let parse_string text =
         match rest with
         | (LParen, _) :: rest ->
             let rec connections acc = function
-              | (Ident s, _) :: rest -> connections (s :: acc) rest
+              | (Ident s, _) :: rest -> connections (sym s :: acc) rest
               | (Comma, _) :: rest -> connections acc rest
               | (RParen, _) :: (Semicolon, _) :: rest -> (List.rev acc, rest)
               | (RParen, l) :: _ -> failp l "expected ';' after instance"
@@ -180,66 +185,66 @@ let parse_string text =
   statements body;
   let instances = List.rev !instances in
   (* Build the netlist, resolving definitions in dependency order. *)
-  let builder = B.create module_name in
-  let ids = Hashtbl.create 256 in
-  let defs = Hashtbl.create 256 in
+  let nsyms = B.num_symbols b in
+  let defs = Array.make nsyms None in
   List.iter
     (fun (prim, conns, l) ->
       match conns with
       | out :: ins ->
-          if ins = [] then failp l ("instance with no inputs: " ^ out);
-          if Hashtbl.mem defs out then failp l ("net driven twice: " ^ out);
-          Hashtbl.add defs out (prim, ins, l)
+          if ins = [] then failp l ("instance with no inputs: " ^ name_of out);
+          if Option.is_some defs.(out) then
+            failp l ("net driven twice: " ^ name_of out);
+          defs.(out) <- Some (prim, ins, l)
       | [] -> failp l "instance with no connections")
     instances;
   List.iter
-    (fun name ->
-      if Hashtbl.mem ids name then fail0 ("duplicate input: " ^ name);
-      Hashtbl.replace ids name (B.add_input builder name))
+    (fun s ->
+      if B.symbol_node b s >= 0 then fail0 ("duplicate input: " ^ name_of s);
+      ignore (B.add_input_symbol b s))
     !inputs;
-  let visiting = Hashtbl.create 64 in
-  let rec resolve signal =
-    match Hashtbl.find_opt ids signal with
-    | Some id -> id
-    | None -> (
-        if Hashtbl.mem visiting signal then
-          fail0 ("combinational cycle through " ^ signal);
-        Hashtbl.add visiting signal ();
-        match Hashtbl.find_opt defs signal with
-        | None -> fail0 ("undriven net: " ^ signal)
-        | Some (prim, ins, l) ->
-            let fanins = List.map resolve ins in
-            let arity = List.length ins in
-            let kind =
-              let bench_name =
-                match prim with
-                | "not" -> "NOT"
-                | "buf" -> "BUF"
-                | p -> String.uppercase_ascii p
-              in
-              match Gate.of_name bench_name arity with
-              | Some k -> k
-              | None ->
-                  failp l
-                    (Printf.sprintf "unsupported %s with %d inputs" prim arity)
+  let visiting = Bytes.make nsyms '\000' in
+  let rec resolve s =
+    let id = B.symbol_node b s in
+    if id >= 0 then id
+    else begin
+      if Bytes.get visiting s <> '\000' then
+        fail0 ("combinational cycle through " ^ name_of s);
+      Bytes.set visiting s '\001';
+      match defs.(s) with
+      | None -> fail0 ("undriven net: " ^ name_of s)
+      | Some (prim, ins, l) ->
+          let fanins = Array.of_list (List.map resolve ins) in
+          let arity = Array.length fanins in
+          let kind =
+            let bench_name =
+              match prim with
+              | "not" -> "NOT"
+              | "buf" -> "BUF"
+              | p -> String.uppercase_ascii p
             in
-            let id = B.add_gate ~name:signal builder kind fanins in
-            Hashtbl.remove visiting signal;
-            Hashtbl.replace ids signal id;
-            id)
+            match Gate.of_name bench_name arity with
+            | Some k -> k
+            | None ->
+                failp l
+                  (Printf.sprintf "unsupported %s with %d inputs" prim arity)
+          in
+          let id = B.add_gate_symbol b s kind fanins in
+          Bytes.set visiting s '\000';
+          id
+    end
   in
   List.iter (fun (_, conns, _) ->
       match conns with out :: _ -> ignore (resolve out) | [] -> ())
     instances;
   List.iter
-    (fun name ->
-      match Hashtbl.find_opt ids name with
-      | Some id -> B.mark_output builder id
-      | None -> fail0 ("output is never driven: " ^ name))
+    (fun s ->
+      match B.symbol_node b s with
+      | -1 -> fail0 ("output is never driven: " ^ name_of s)
+      | id -> B.mark_output b id)
     !outputs;
   (* Surface structural failures (no inputs/gates/outputs) as parse
      errors: the input text is what is malformed. *)
-  try B.finish builder with Invalid_argument msg -> fail0 msg
+  try B.finish b with Invalid_argument msg -> fail0 msg
 
 let parse_file path =
   let ic = open_in path in

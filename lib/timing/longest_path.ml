@@ -1,5 +1,5 @@
 (* The best fan-in label plus the gate's own delay: the one per-node
-   expression both the fixpoint and {!relabel} evaluate. *)
+   expression both {!bellman_ford} and {!relabel} evaluate. *)
 let arrival g labels id =
   let best = ref neg_infinity in
   Array.iter
@@ -7,32 +7,20 @@ let arrival g labels id =
     (Graph.fanins g id);
   !best +. g.Graph.delay.(id)
 
-let relax_once g labels =
-  let changed = ref false in
-  let n = Graph.num_nodes g in
-  for id = 0 to n - 1 do
+(* The paper's relaxation, one round: fan-ins have smaller ids, so an
+   ascending pass relaxes every edge after its tail is final, and a
+   second round would change nothing. *)
+let bellman_ford g =
+  let labels =
+    Array.init (Graph.num_nodes g) (fun id ->
+        if Graph.is_input g id then 0.0 else neg_infinity)
+  in
+  for id = 0 to Array.length labels - 1 do
     if not (Graph.is_input g id) then begin
       let candidate = arrival g labels id in
-      if candidate > labels.(id) then begin
-        labels.(id) <- candidate;
-        changed := true
-      end
+      if candidate > labels.(id) then labels.(id) <- candidate
     end
   done;
-  !changed
-
-let bellman_ford g =
-  let n = Graph.num_nodes g in
-  let labels =
-    Array.init n (fun id -> if Graph.is_input g id then 0.0 else neg_infinity)
-  in
-  (* At most N sweeps are ever needed; the DAG structure means far fewer
-     in practice (node order is topological, so one suffices — but we
-     keep the paper's fixed-point iteration and stop when stable). *)
-  let rec iterate remaining =
-    if remaining > 0 && relax_once g labels then iterate (remaining - 1)
-  in
-  iterate n;
   labels
 
 let relabel g labels ~changed =
@@ -51,20 +39,6 @@ let relabel g labels ~changed =
       let l = arrival g labels id in
       moved.(id) <- l <> labels.(id);
       labels.(id) <- l
-    end
-  done;
-  labels
-
-let topological g =
-  let n = Graph.num_nodes g in
-  let labels = Array.make n 0.0 in
-  for id = 0 to n - 1 do
-    if not (Graph.is_input g id) then begin
-      let best = ref 0.0 in
-      Array.iter
-        (fun f -> if labels.(f) > !best then best := labels.(f))
-        (Graph.fanins g id);
-      labels.(id) <- !best +. g.Graph.delay.(id)
     end
   done;
   labels

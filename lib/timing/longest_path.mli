@@ -2,14 +2,16 @@
 
     The paper computes the delay label of every node — the maximum
     arrival time from the source — with Bellman-Ford (Section 3.1).
-    Because a netlist is a DAG by construction, a single topological
-    sweep gives the same labels in O(N + E); both are implemented and
-    cross-checked in the tests.  The arrival of a node includes its own
-    gate delay (inputs arrive at 0). *)
+    Netlist node ids are ordered so that every fan-in precedes its
+    gate, so the first relaxation round in id order already leaves
+    every label final: it is also the last, and costs O(N + E).  The
+    tests keep a repeat-until-stable relaxation as the paper's reference
+    and compare the two bit for bit.  The arrival of a node includes its
+    own gate delay (inputs arrive at 0). *)
 
 val bellman_ford : Graph.t -> float array
-(** Iterative relaxation exactly as in the paper; O(N * E) worst case,
-    terminating early once a sweep changes nothing. *)
+(** One Bellman-Ford round in ascending id order: each gate's label is
+    relaxed to the best fan-in label plus its own delay. *)
 
 val relabel : Graph.t -> float array -> changed:int list -> float array
 (** [relabel g labels ~changed] is [bellman_ford g], bit for bit, given
@@ -17,18 +19,16 @@ val relabel : Graph.t -> float array -> changed:int list -> float array
     the delays of the gates in [changed] (same netlist connectivity).
     One forward pass from the smallest changed id recomputes a node only
     when it is in [changed] or a fan-in's label moved, with the
-    fixpoint's own per-node expression.  [labels] is not mutated. *)
-
-val topological : Graph.t -> float array
-(** Single forward sweep in node order (which is topological). *)
+    same per-node expression as {!bellman_ford}.  [labels] is not
+    mutated. *)
 
 val suffix : Graph.t -> float array
-(** Max-plus suffix delays, the backward twin of {!topological}: element
+(** Max-plus suffix delays, the backward twin of {!bellman_ford}: element
     [u] is the nominal delay of the longest path from [u]'s consumers to
     a primary output, {e exclusive} of [u]'s own gate —
     [M(u) = max (0 if u is an output, M(c) + delay c for c in fanouts u)]
-    — and [neg_infinity] when [u] reaches no output.  One
-    reverse-topological sweep; [labels.(u) + M(u)] is the nominal delay
+    — and [neg_infinity] when [u] reaches no output.  One descending
+    sweep over the node ids; [labels.(u) + M(u)] is the nominal delay
     of the best complete path through [u]. *)
 
 val critical_delay : Graph.t -> float array -> float

@@ -1,23 +1,20 @@
 (* The worklist form of [Impact.cone_of]: the dirty set by the same
    rules, then the forward and backward slices as the two
-   boolean-reachability fixpoints of the monotone [Dataflow] solver.
+   boolean-reachability fixpoints of the test-side [Worklist] solver.
    The two linear passes of [Impact.cone_of] are checked against it. *)
 
 module Netlist = Ssta_circuit.Netlist
 module Placement = Ssta_circuit.Placement
 module Layers = Ssta_correlation.Layers
 module Config = Ssta_core.Config
-module Dataflow = Ssta_check.Dataflow
 module Impact = Ssta_check.Impact
 
-module Reach = Dataflow.Make (struct
+module Reach = Worklist.Make (struct
   type t = bool
 
   let bottom = false
   let equal = Bool.equal
   let join = ( || )
-  let widen ~prev:_ ~next = next
-  let pp = Format.pp_print_bool
 end)
 
 let dirty_of (d : Impact.design) changes =
@@ -62,12 +59,11 @@ let cone_of (d : Impact.design) changes : Impact.cone =
   let slice direction =
     if full then Array.make n true
     else
-      (Reach.fixpoint ~direction d.Impact.circuit
-         ~init:(fun id -> dirty.(id))
-         ~transfer:(fun ~node:_ v -> v))
-        .Reach.values
+      Reach.fixpoint ~direction d.Impact.circuit
+        ~init:(fun id -> dirty.(id))
+        ~transfer:(fun ~node:_ v -> v)
   in
-  let forward = slice Dataflow.Forward and backward = slice Dataflow.Backward in
+  let forward = slice Worklist.Forward and backward = slice Worklist.Backward in
   let count p = Seq.length (Seq.filter p (Seq.init n Fun.id)) in
   { Impact.dirty;
     forward;

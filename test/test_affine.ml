@@ -2,7 +2,8 @@
    hulled (distribution-free) maximum vs the naive Gaussian Clark max,
    refinement of the interval domain along explicit paths, Monte-Carlo
    containment of the circuit form, byte-identity of screened
-   enumeration, and the criticality ranking. *)
+   enumeration, the one-pass sweeps against the worklist oracle, and
+   the criticality ranking. *)
 
 module Generators = Ssta_circuit.Generators
 module Netlist = Ssta_circuit.Netlist
@@ -11,6 +12,7 @@ module Placement = Ssta_circuit.Placement
 module Params = Ssta_tech.Params
 module Rng = Ssta_prob.Rng
 module Sta = Ssta_timing.Sta
+module Graph = Ssta_timing.Graph
 module Paths = Ssta_timing.Paths
 module Config = Ssta_core.Config
 module Monte_carlo = Ssta_core.Monte_carlo
@@ -83,17 +85,6 @@ let test_join_is_hull () =
     && hi cj >= hi (Affine.concretize ~trunc g) -. 1e-12);
   check_true "bottom is join identity" (Affine.join Affine.Bottom f = f);
   check_true "join is max" (Affine.equal (Affine.max f g) j)
-
-let test_widen () =
-  let f = simple_form 2.0 0.5 in
-  check_true "stable form not widened"
-    (Affine.equal (Affine.widen ~prev:f ~next:f) f);
-  let grown = simple_form 3.0 0.5 in
-  match Affine.widen ~prev:f ~next:grown with
-  | Affine.Form w ->
-      check_true "grown center escapes to infinity"
-        (w.Affine.center = Float.infinity)
-  | Affine.Bottom -> Alcotest.fail "widen returned bottom"
 
 (* --- the hulled max is sound where the Gaussian Clark max is not ------ *)
 
@@ -345,6 +336,92 @@ let test_packaged_screen_out_of_domain () =
     check_true "no-op hook" (not (hook u))
   done
 
+(* --- the one-pass sweeps against the worklist oracle ------------------ *)
+
+(* Bit-for-bit structural equality: marshalling writes the raw bits of
+   every float, so equal strings mean equal structures, -0.0 and NaN
+   payloads included. *)
+let same_bits a b =
+  String.equal
+    (Marshal.to_string a [ Marshal.No_sharing ])
+    (Marshal.to_string b [ Marshal.No_sharing ])
+
+(* An order-sensitive domain: [join] and [add] mix hashes without
+   commuting, so folding the predecessors in another order, or dropping
+   a gate value anywhere, changes some node's value — which the interval
+   and affine joins (exact max and hull) would not reveal. *)
+module Trace = struct
+  type t = int option
+
+  let bottom = None
+  let equal = ( = )
+  let mix a b = ((a * 1_000_003) + b) land 0x3fff_ffff
+
+  let join a b =
+    match (a, b) with
+    | None, x | x, None -> x
+    | Some a, Some b -> Some (mix a b)
+
+  let zero = Some 1
+
+  let add a b =
+    match (a, b) with
+    | None, _ | _, None -> None
+    | Some a, Some b -> Some (mix (mix a 7) b)
+end
+
+module Trace_recurrence = Bounds_reference.Recurrence (Trace)
+
+let sweeps_match_oracle config c =
+  let g = Graph.of_netlist c in
+  let intervals =
+    Result.map
+      (fun (b : Arrival_bounds.t) ->
+        Arrival_bounds.
+          ( b.gate_total, b.gate_inter, b.intra_halfwidth, b.arrival,
+            b.suffix, b.circuit ))
+      (Arrival_bounds.compute config g)
+  in
+  let affine =
+    Result.map
+      (fun (a : Affine.analysis) ->
+        Affine.(a.gate, a.arrival, a.suffix, a.circuit))
+      (Affine.compute config g)
+  in
+  let gate = Array.init (Netlist.num_nodes c) (fun id -> Some (Trace.mix id 12345)) in
+  let s =
+    Arrival_bounds.sweep ~bottom:Trace.bottom ~zero:Trace.zero
+      ~join:Trace.join ~add:Trace.add c gate
+  in
+  same_bits intervals (Bounds_reference.interval_bounds config g)
+  && same_bits affine (Bounds_reference.affine_bounds config g)
+  && Arrival_bounds.(s.arrival, s.suffix, s.circuit)
+     = Trace_recurrence.run c gate
+
+let test_sweeps_match_oracle_random =
+  qcheck ~count:40 "sweeps = worklist oracle on random circuits, bit for bit"
+    QCheck.(
+      quad (int_range 1 1_000_000) (int_range 2 10) (int_range 10 120)
+        (int_range 0 3))
+    (fun (seed, depth, gates, k) ->
+      let c =
+        Generators.random_layered ~name:"oracle" ~inputs:6 ~outputs:4 ~gates
+          ~depth ~seed ()
+      in
+      sweeps_match_oracle fast_config (with_dead_gates c ~k ~seed))
+
+let test_sweeps_match_oracle_iscas85 () =
+  List.iter
+    (fun name ->
+      let c = Iscas85.build (Option.get (Iscas85.by_name name)) in
+      check_true (name ^ " sweeps = worklist oracle")
+        (sweeps_match_oracle Config.default c))
+    [ "c432"; "c880"; "c1355" ];
+  check_true "out-of-domain errors = worklist oracle"
+    (sweeps_match_oracle
+       { fast_config with Config.truncation = 60.0 }
+       (small_adder ()))
+
 (* --- criticality ------------------------------------------------------- *)
 
 let test_criticality_ranking () =
@@ -387,7 +464,6 @@ let suite =
   ( "affine",
     [ case "const/add/scale algebra" test_const_add_scale;
       case "join is the componentwise hull" test_join_is_hull;
-      case "widen escapes grown components" test_widen;
       case "hulled max sound where Gaussian Clark max is not"
         test_hulled_max_vs_clark;
       case "arrival centers match Bellman-Ford labels"
@@ -403,4 +479,7 @@ let suite =
         test_packaged_screen_dead_gates;
       case "packaged screen fails where the affine analysis does"
         test_packaged_screen_out_of_domain;
+      test_sweeps_match_oracle_random;
+      case "sweeps = worklist oracle on ISCAS85, bit for bit"
+        test_sweeps_match_oracle_iscas85;
       case "criticality ranking" test_criticality_ranking ] )

@@ -1,5 +1,5 @@
-(* Static verification subsystem: the interval domain, the monotone
-   dataflow solver, arrival-time bounds against Monte-Carlo samples, the
+(* Static verification subsystem: the interval domain, the test-side
+   worklist oracle, arrival-time bounds against Monte-Carlo samples, the
    PDF sanitizer, the whole-program checker (clean runs and seeded
    violations), reporter determinism and the check-id registry. *)
 
@@ -20,7 +20,6 @@ module D = Ssta_lint.Diagnostic
 module Lint = Ssta_lint.Engine
 module Lint_reporter = Ssta_lint.Reporter
 module Interval = Ssta_check.Interval
-module Dataflow = Ssta_check.Dataflow
 module Arrival_bounds = Ssta_check.Arrival_bounds
 module Pdfsan = Ssta_check.Pdfsan
 module Checker = Ssta_check.Checker
@@ -69,37 +68,15 @@ let test_interval_basics () =
     && Interval.subset Interval.bottom ~of_:a
     && not (Interval.subset b ~of_:a))
 
-let test_interval_widen () =
-  let prev = Interval.make ~lo:0.0 ~hi:1.0 in
-  let grown = Interval.make ~lo:(-1.0) ~hi:2.0 in
-  (match Interval.widen ~prev ~next:grown with
-  | Interval.Range { lo; hi } ->
-      check_true "widen escapes both ways"
-        (lo = Float.neg_infinity && hi = Float.infinity)
-  | Interval.Bottom -> Alcotest.fail "widen returned bottom");
-  (* A stable bound must not be widened away. *)
-  (match Interval.widen ~prev ~next:(Interval.make ~lo:0.0 ~hi:2.0) with
-  | Interval.Range { lo; hi } ->
-      check_true "stable lo kept" (lo = 0.0 && hi = Float.infinity)
-  | Interval.Bottom -> Alcotest.fail "widen returned bottom");
-  (match Interval.widen_sup ~prev ~next:(Interval.make ~lo:0.5 ~hi:2.0) with
-  | Interval.Range { hi; _ } ->
-      check_true "widen_sup escapes hi" (hi = Float.infinity)
-  | Interval.Bottom -> Alcotest.fail "widen_sup returned bottom")
+(* --- the worklist oracle ----------------------------------------------- *)
 
-(* --- dataflow solver ------------------------------------------------- *)
-
-module Hull_domain = struct
+module Solver = Worklist.Make (struct
   type t = Interval.t
 
   let bottom = Interval.bottom
   let equal = Interval.equal
   let join = Interval.hull
-  let widen = Interval.widen
-  let pp = Interval.pp
-end
-
-module Solver = Dataflow.Make (Hull_domain)
+end)
 
 let depth_transfer c ~node v =
   if Netlist.is_input c node then v
@@ -111,7 +88,6 @@ let test_dataflow_forward_chain () =
     if Netlist.is_input c id then Interval.zero else Interval.bottom
   in
   let r = Solver.fixpoint c ~init ~transfer:(depth_transfer c) in
-  check_true "converged" r.Solver.stats.Solver.converged;
   (* Every node's value is its gate depth, exactly. *)
   Array.iter
     (fun o ->
@@ -119,7 +95,7 @@ let test_dataflow_forward_chain () =
       for id = 0 to Netlist.num_nodes c - 1 do
         if not (Netlist.is_input c id) then incr depth
       done;
-      match r.Solver.values.(o) with
+      match r.(o) with
       | Interval.Range { lo; hi } ->
           check_close "chain output depth" (float_of_int !depth) lo;
           check_close "chain output depth hi" (float_of_int !depth) hi
@@ -133,67 +109,18 @@ let test_dataflow_backward () =
     else Interval.bottom
   in
   let r =
-    Solver.fixpoint ~direction:Dataflow.Backward c ~init
+    Solver.fixpoint ~direction:Worklist.Backward c ~init
       ~transfer:(depth_transfer c)
   in
-  check_true "backward converged" r.Solver.stats.Solver.converged;
   (* The input sees the whole chain of gates below it. *)
   let gates = ref 0 in
   for id = 0 to Netlist.num_nodes c - 1 do
     if not (Netlist.is_input c id) then incr gates
   done;
-  match r.Solver.values.(0) with
+  match r.(0) with
   | Interval.Range { hi; _ } ->
       check_close "input suffix depth" (float_of_int !gates) hi
   | Interval.Bottom -> Alcotest.fail "input unreached"
-
-(* Node ids are topological and the worklist is seeded in id order, so a
-   monotone transfer converges in exactly one pass — every node popped
-   once, no re-visits.  That makes the per-node update cap unreachable
-   through netlist cascades; it is a backstop for degenerate
-   configurations, exercised below with a zero cap. *)
-let test_dataflow_one_pass () =
-  let c = small_adder () in
-  let init id =
-    if Netlist.is_input c id then Interval.zero else Interval.bottom
-  in
-  let r = Solver.fixpoint c ~init ~transfer:(depth_transfer c) in
-  check_true "converged" r.Solver.stats.Solver.converged;
-  check_int "one pop per node" (Netlist.num_nodes c)
-    r.Solver.stats.Solver.visits;
-  check_true "no widening needed" (r.Solver.stats.Solver.widenings = 0)
-
-let test_dataflow_widening_applied () =
-  (* With [widen_after:0] every committed update routes through the
-     widening operator; the solve must still converge to sound (possibly
-     infinite) bounds. *)
-  let c = Generators.chain ~name:"chain" ~length:12 () in
-  let init id =
-    if Netlist.is_input c id then Interval.zero else Interval.bottom
-  in
-  let r =
-    Solver.fixpoint ~widen_after:0 c ~init ~transfer:(depth_transfer c)
-  in
-  check_true "widening converges" r.Solver.stats.Solver.converged;
-  check_true "widening was exercised" (r.Solver.stats.Solver.widenings > 0);
-  Array.iter
-    (fun o ->
-      match r.Solver.values.(o) with
-      | Interval.Range _ -> ()
-      | Interval.Bottom -> Alcotest.fail "output unreached under widening")
-    c.Netlist.outputs
-
-let test_dataflow_cap_backstop () =
-  let c = Generators.chain ~name:"chain" ~length:12 () in
-  let init id =
-    if Netlist.is_input c id then Interval.zero else Interval.bottom
-  in
-  let r =
-    Solver.fixpoint ~widen_after:1_000 ~max_updates_per_node:0 c ~init
-      ~transfer:(depth_transfer c)
-  in
-  check_true "cap reports non-convergence"
-    (not r.Solver.stats.Solver.converged)
 
 (* --- Elmore corner bounds -------------------------------------------- *)
 
@@ -559,12 +486,8 @@ let test_check_registry () =
 let suite =
   ( "check",
     [ case "interval basics" test_interval_basics;
-      case "interval widening" test_interval_widen;
       case "dataflow forward chain" test_dataflow_forward_chain;
       case "dataflow backward" test_dataflow_backward;
-      case "dataflow one-pass on topological DAG" test_dataflow_one_pass;
-      case "dataflow widening applied" test_dataflow_widening_applied;
-      case "dataflow cap backstop" test_dataflow_cap_backstop;
       case "Elmore corner bounds" test_delay_bounds_basic;
       test_delay_bounds_contain_samples;
       case "arrival bounds structure and duality"

@@ -151,19 +151,57 @@ let test_verilog_forward_refs_and_unnamed_instances () =
   check_int "two gates" 2 (Netlist.num_gates c);
   check_true "double inversion" ((Netlist.output_values c [| true |]).(0))
 
+(* Each malformed module must fail with exactly this message and
+   position (line, column; 0, 0 when the error has no single token). *)
 let test_verilog_errors () =
-  let expect text =
+  let hdr = "module m (a, b, y);\ninput a, b;\noutput y;\n" in
+  let expect (label, line, col, message, text) =
     match Verilog.parse_string text with
-    | exception Verilog.Parse_error _ -> ()
-    | _ -> Alcotest.failf "expected Parse_error for %S" text
+    | exception Verilog.Parse_error (pos, msg) ->
+        Alcotest.(check (triple int int string))
+          label (line, col, message)
+          (pos.Ssta_runtime.Ssta_error.line, pos.col, msg)
+    | _ -> Alcotest.failf "%s: expected Parse_error for %S" label text
   in
-  expect "module m (a); input a; endmodule";
-  (* no outputs -> builder failure is Invalid_argument; catch both *)
-  expect "module m (a, y);\ninput a;\noutput y;\nfrob g (y, a);\nendmodule\n";
-  expect "module m (a, y);\ninput a;\noutput y;\nnot (y, w);\nendmodule\n";
-  expect "module m (a, y);\ninput a;\noutput y;\nnot (y, y);\nendmodule\n";
-  expect "module m (a, y);\ninput a;\noutput y;\nnot (y, a;\nendmodule\n";
-  expect "module m (a, y);\ninput a;\noutput y;\nnot (y, a);\n"
+  List.iter expect
+    [ ("no gates", 0, 0, "Netlist.Builder.finish: no gates",
+       "module m (a); input a; endmodule");
+      ("unknown primitive", 4, 1, "unexpected token in module body",
+       "module m (a, y);\ninput a;\noutput y;\nfrob g (y, a);\nendmodule\n");
+      ("undriven net", 0, 0, "undriven net: w",
+       "module m (a, y);\ninput a;\noutput y;\nnot (y, w);\nendmodule\n");
+      ("self loop", 0, 0, "combinational cycle through y",
+       "module m (a, y);\ninput a;\noutput y;\nnot (y, y);\nendmodule\n");
+      ("bad connection list", 4, 10, "bad connection list",
+       "module m (a, y);\ninput a;\noutput y;\nnot (y, a;\nendmodule\n");
+      ("missing endmodule", 0, 0, "missing endmodule",
+       "module m (a, y);\ninput a;\noutput y;\nnot (y, a);\n");
+      ("duplicate input", 0, 0, "duplicate input: a",
+       "module m (a, y);\ninput a, a;\noutput y;\nnot (y, a);\nendmodule\n");
+      ("duplicate input across declarations", 0, 0, "duplicate input: b",
+       hdr ^ "input b;\nnot g1 (y, a);\nendmodule\n");
+      ("net driven twice", 5, 3, "net driven twice: y",
+       hdr ^ "not (y, a);\n  buf g2 (y, b);\nendmodule\n");
+      ("driven twice before duplicate input", 6, 1, "net driven twice: y",
+       hdr ^ "input a;\nnot (y, a);\nbuf (y, b);\nendmodule\n");
+      ("combinational cycle", 0, 0, "combinational cycle through w",
+       hdr ^ "and g1 (w, a, v);\nand g2 (v, w, b);\nnot g3 (y, w);\nendmodule\n");
+      ("cycle through an output", 0, 0, "combinational cycle through y",
+       hdr ^ "nand g1 (y, a, y);\nendmodule\n");
+      ("undriven operand", 0, 0, "undriven net: q",
+       hdr ^ "and g1 (w, a, q);\nnot g3 (y, w);\nendmodule\n");
+      ("output never driven", 0, 0, "output is never driven: z",
+       hdr ^ "output z;\nnot g1 (y, a);\nendmodule\n");
+      ("no inputs", 0, 0, "output is never driven: y",
+       "module m (y);\noutput y;\nendmodule\n");
+      ("unsupported arity", 4, 1, "unsupported xor with 3 inputs",
+       hdr ^ "xor g1 (y, a, b, a);\nendmodule\n");
+      ("unsupported not arity", 4, 1, "unsupported not with 2 inputs",
+       hdr ^ "not g1 (y, a, b);\nendmodule\n");
+      ("instance with no inputs", 4, 1, "instance with no inputs: y",
+       hdr ^ "not g1 (y);\nendmodule\n");
+      ("instance with no connections", 4, 1, "instance with no connections",
+       hdr ^ "not g1 ();\nendmodule\n") ]
 
 let test_verilog_roundtrip_suite () =
   List.iter

@@ -21,7 +21,6 @@ module Rng = Ssta_prob.Rng
 module Err = Ssta_runtime.Ssta_error
 module D = Ssta_lint.Diagnostic
 module Rules_edit = Ssta_lint.Rules_edit
-module Dataflow = Ssta_check.Dataflow
 module Impact = Ssta_check.Impact
 module Checker = Ssta_check.Checker
 open Helpers
@@ -130,10 +129,9 @@ module Reach = Cone_reference.Reach
 let test_dataflow_backward_shared_cone () =
   let c, a, b, g1, g2, g3 = shared_cone () in
   let reach_from seed =
-    (Reach.fixpoint ~direction:Dataflow.Backward c
-       ~init:(fun id -> id = seed)
-       ~transfer:(fun ~node:_ v -> v))
-      .Reach.values
+    Reach.fixpoint ~direction:Worklist.Backward c
+      ~init:(fun id -> id = seed)
+      ~transfer:(fun ~node:_ v -> v)
   in
   (* Seeding one output slices out exactly its transitive support —
      the shared gate g1 and both inputs, but not the sibling output. *)
