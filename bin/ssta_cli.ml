@@ -212,18 +212,6 @@ let engine_opt =
                  statistical sum/max; faster on large circuits, \
                  approximate at reconvergent fan-out).")
 
-let max_policy_opt =
-  let policy_conv =
-    Arg.enum
-      (List.map (fun p -> (Config.max_policy_name p, p)) Config.max_policies)
-  in
-  Arg.(value & opt policy_conv Config.Clark_max
-       & info [ "max-policy" ] ~docv:"POLICY"
-           ~doc:"Statistical max policy of the block engine: 'clark' \
-                 (moment-matched max of correlated Gaussians, sound \
-                 under correlation) or 'grid' (grid-exact max assuming \
-                 independent operands).")
-
 let wire_opt =
   Arg.(value & flag & info [ "wires" ]
          ~doc:"Use the placement-aware interconnect loading model.")
@@ -626,7 +614,7 @@ let check_cmd =
 (* diff *)
 let diff_cmd =
   let action name bench verilog def qi qj c k mp inter_fraction shape
-      no_inter_cache engine max_policy edits_file edit_ops jobs json verify =
+      no_inter_cache engine edits_file edit_ops jobs json verify =
     guarded @@ fun () ->
     let circuit, placement = load_circuit ?verilog ~bench ~def name in
     let config =
@@ -634,7 +622,7 @@ let diff_cmd =
         ~max_paths:mp ~inter_fraction ~shape
         ~inter_cache:(not no_inter_cache)
     in
-    let config = { config with Config.engine; block_max = max_policy } in
+    let config = { config with Config.engine } in
     let edits =
       match (edits_file, edit_ops) with
       | Some path, [] -> ok_or_raise (Edit.parse_file_res path)
@@ -869,13 +857,13 @@ let diff_cmd =
     Term.(const action $ circuit_arg $ bench_opt $ verilog_opt $ def_opt
           $ quality_intra_opt $ quality_inter_opt $ confidence_opt
           $ corner_k_opt $ max_paths_opt $ inter_fraction_opt $ shape_opt
-          $ no_inter_cache_opt $ engine_opt $ max_policy_opt $ edits_file
+          $ no_inter_cache_opt $ engine_opt $ edits_file
           $ edit_ops $ jobs_opt $ json $ verify)
 
 (* run *)
 let run_cmd =
   let action name bench verilog def spef qi qj c k mp inter_fraction shape
-      no_inter_cache engine max_policy wires deadline max_cells strict_budget
+      no_inter_cache engine wires deadline max_cells strict_budget
       jobs no_affine_prune criticality json verbose =
     guarded @@ fun () ->
     let circuit, placement = load_circuit ?verilog ~bench ~def name in
@@ -885,7 +873,7 @@ let run_cmd =
         ~inter_cache:(not no_inter_cache)
     in
     let config = { config with Config.affine_prune = not no_affine_prune } in
-    let config = { config with Config.engine; block_max = max_policy } in
+    let config = { config with Config.engine } in
     if config.Config.engine = Config.Block then begin
       (* Block mode: one topological sweep, no enumeration — the budget,
          screening and wire options of the path flow do not apply. *)
@@ -1055,7 +1043,7 @@ let run_cmd =
     Term.(const action $ circuit_arg $ bench_opt $ verilog_opt $ def_opt
           $ spef_opt $ quality_intra_opt $ quality_inter_opt $ confidence_opt
           $ corner_k_opt $ max_paths_opt $ inter_fraction_opt $ shape_opt
-          $ no_inter_cache_opt $ engine_opt $ max_policy_opt $ wire_opt
+          $ no_inter_cache_opt $ engine_opt $ wire_opt
           $ deadline_opt $ max_cells_opt $ strict_budget_opt $ jobs_opt
           $ no_affine_prune $ criticality $ json $ verbose)
 

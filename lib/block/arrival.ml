@@ -1,5 +1,4 @@
 module Pdf = Ssta_prob.Pdf
-module Combine = Ssta_prob.Combine
 module Dist = Ssta_prob.Dist
 module Erf = Ssta_prob.Erf
 module Params = Ssta_tech.Params
@@ -10,15 +9,13 @@ module Budget = Ssta_correlation.Budget
 module Placement = Ssta_circuit.Placement
 module Config = Ssta_core.Config
 
-type residual = Gauss of float | Grid of Pdf.t
-
 type t = {
   mean : float;
   coeffs : float array;
       (** shared-layer coefficients by {!Slots.slot}; shorter vectors are
           zero-padded ([[||]] is all zero) *)
   shared_var : float;  (** variance of the shared part, under the budget *)
-  resid : residual;
+  resid : float;  (** variance of the independent residual *)
 }
 
 (* The coefficient vectors use the shared {!Ssta_correlation.Slots}
@@ -33,7 +30,7 @@ let combine budget ~wa a ~wb b =
 (* ----- construction ----- *)
 
 let zero_arrival =
-  { mean = 0.0; coeffs = [||]; shared_var = 0.0; resid = Gauss 0.0 }
+  { mean = 0.0; coeffs = [||]; shared_var = 0.0; resid = 0.0 }
 
 let zero () = zero_arrival
 
@@ -133,7 +130,7 @@ let of_gate config layers placement graph id =
   { mean = g.delay;
     coeffs;
     shared_var = g.gate_shared_var;
-    resid = Gauss g.random_var }
+    resid = g.random_var }
 
 (* ----- accessors ----- *)
 
@@ -144,8 +141,7 @@ let coeff t key =
   let i = Slots.slot key in
   if i < Array.length t.coeffs then t.coeffs.(i) else 0.0
 
-let resid_variance = function Gauss v -> v | Grid p -> Pdf.variance p
-let variance (_ : Config.t) t = t.shared_var +. resid_variance t.resid
+let variance (_ : Config.t) t = t.shared_var +. t.resid
 let std config t = sqrt (Float.max 0.0 (variance config t))
 
 let inter_variance (config : Config.t) t =
@@ -164,61 +160,24 @@ let intra_sigma config t =
 let confidence_point (config : Config.t) t =
   mean t +. (config.Config.confidence_sigma *. std config t)
 
-(* ----- grids ----- *)
+(* ----- concretization ----- *)
 
-(* A width is worth a grid only when it is visible at the scale of the
-   arrival mean; grid PDFs whose support is many orders of magnitude
-   below the mean would lose all cell resolution to float absorption
-   once shifted. *)
-let significant_sigma ~scale sigma =
-  sigma > 1e-6 *. Float.max (Float.abs scale) 1e-15
-
-let gaussian_grid (config : Config.t) sigma =
-  Dist.truncated_gaussian ~n:config.Config.quality_intra
-    ~bound:config.Config.truncation ~mu:0.0 ~sigma ()
-
-(* A residual as a grid, or [None] when it is negligible at [scale]. *)
-let resid_grid config ~scale = function
-  | Grid p -> Some p
-  | Gauss v ->
-      let sigma = sqrt (Float.max 0.0 v) in
-      if significant_sigma ~scale sigma then Some (gaussian_grid config sigma)
-      else None
-
+(* One truncated Gaussian of the shared plus residual variance, shifted
+   by the mean (a sum of independent Gaussians is Gaussian).  A width is
+   worth a grid only when it is visible at the scale of the mean; grid
+   PDFs whose support is many orders of magnitude below the mean would
+   lose all cell resolution to float absorption once shifted. *)
 let total_pdf (config : Config.t) t =
   let n = config.Config.quality_intra in
-  let mu = t.mean in
-  match t.resid with
-  | Gauss v -> (
-      match resid_grid config ~scale:mu (Gauss (t.shared_var +. v)) with
-      | Some g -> Pdf.shift g mu
-      | None -> Pdf.point_mass ~n mu)
-  | Grid r -> (
-      match resid_grid config ~scale:mu (Gauss t.shared_var) with
-      | Some s -> Pdf.shift (Combine.sum ~n r s) mu
-      | None -> Pdf.shift r mu)
-
-let quantile config t q = Pdf.quantile (total_pdf config t) q
+  let sigma = sqrt (Float.max 0.0 (t.shared_var +. t.resid)) in
+  if sigma > 1e-6 *. Float.max (Float.abs t.mean) 1e-15 then
+    Pdf.shift
+      (Dist.truncated_gaussian ~n ~bound:config.Config.truncation ~mu:0.0
+         ~sigma ())
+      t.mean
+  else Pdf.point_mass ~n t.mean
 
 (* ----- operators ----- *)
-
-(* The residual of [a + b]: variances add; a {!Grid} side forces a
-   convolution, with a {!Gauss} other side materialized at the scale of
-   its own arrival's mean. *)
-let sum_resid (config : Config.t) a b =
-  let n = config.Config.quality_intra in
-  match (a.resid, b.resid) with
-  | Gauss va, Gauss vb -> Gauss (va +. vb)
-  | Grid ra, rb ->
-      Grid
-        (match resid_grid config ~scale:b.mean rb with
-        | Some gb -> Combine.sum ~n ra gb
-        | None -> ra)
-  | ra, Grid rb ->
-      Grid
-        (match resid_grid config ~scale:a.mean ra with
-        | Some ga -> Combine.sum ~n ga rb
-        | None -> rb)
 
 let sum (config : Config.t) a b =
   let coeffs, shared_var =
@@ -226,22 +185,20 @@ let sum (config : Config.t) a b =
     else if Array.length b.coeffs = 0 then (a.coeffs, a.shared_var)
     else combine config.Config.budget ~wa:1.0 a.coeffs ~wb:1.0 b.coeffs
   in
-  { mean = a.mean +. b.mean; coeffs; shared_var; resid = sum_resid config a b }
+  { mean = a.mean +. b.mean; coeffs; shared_var; resid = a.resid +. b.resid }
 
 (* ----- the per-sweep vector pool ----- *)
 
-type pool = { clark : bool; mutable free : float array list }
+type pool = { mutable free : float array list }
 
-let pool (config : Config.t) =
-  { clark = config.Config.block_max = Config.Clark_max; free = [] }
+let pool () = { free = [] }
 
-(* The public operators' pool: nothing is recycled into it, so it stays
-   empty and is never written. *)
-let no_pool = { clark = false; free = [] }
+(* The pool of {!max}: nothing is recycled into it, so it stays empty
+   and is never written, which is what lets every domain share it. *)
+let no_pool = pool ()
 
 let recycle pool t =
-  if pool.clark && Array.length t.coeffs > 0 then
-    pool.free <- t.coeffs :: pool.free
+  if Array.length t.coeffs > 0 then pool.free <- t.coeffs :: pool.free
 
 (* A vector of [n] slots no arrival reads: the pool's last recycled one
    when it has that length, else a fresh one. *)
@@ -281,54 +238,20 @@ let clark_into ~into pool (config : Config.t) a b =
       Slots.combine_into config.Config.budget coeffs ~wa:phi a.coeffs
         ~wb:(1.0 -. phi) b.coeffs
     in
-    let resid = Gauss (Float.max 0.0 (var -. shared_var)) in
-    { mean; coeffs; shared_var; resid }
+    { mean; coeffs; shared_var; resid = Float.max 0.0 (var -. shared_var) }
   end
 
-(* P(A >= B) for independent grid operands: sum_i m_A(i) * F_B(x_i). *)
-let tightness pa pb =
-  let acc = ref 0.0 in
-  for i = 0 to Pdf.size pa - 1 do
-    acc := !acc +. (Pdf.mass_at pa i *. Pdf.cdf pb (Pdf.x_at pa i))
-  done;
-  Float.min 1.0 (Float.max 0.0 !acc)
-
-let grid_max (config : Config.t) a b =
-  let n = config.Config.quality_intra in
-  let ta = total_pdf config a and tb = total_pdf config b in
-  let m = Combine.binop ~n Float.max ta tb in
-  let mx = Pdf.moments m in
-  let max_mean = mx.Pdf.m_mean and max_var = mx.Pdf.m_var in
-  let phi = tightness ta tb in
-  let coeffs, shared_var =
-    combine config.Config.budget ~wa:phi a.coeffs ~wb:(1.0 -. phi) b.coeffs
-  in
-  let resid_var = Float.max 0.0 (max_var -. shared_var) in
-  let resid =
-    (* Keep the exact max's shape: recenter the grid and deflate it so
-       shared + residual variance reproduces the grid moments. *)
-    if significant_sigma ~scale:max_mean (sqrt resid_var) && max_var > 0.0
-    then
-      Grid (Pdf.scale (Pdf.shift m (-.max_mean)) (sqrt (resid_var /. max_var)))
-    else Gauss 0.0
-  in
-  { mean = max_mean; coeffs; shared_var; resid }
-
-let max (config : Config.t) a b =
-  match config.Config.block_max with
-  | Config.Clark_max -> clark_into ~into:[||] no_pool config a b
-  | Config.Grid_max -> grid_max config a b
+let max config a b = clark_into ~into:[||] no_pool config a b
 
 (* ----- folds and the engine's per-gate step ----- *)
 
 (* [max] folded left to right over [arrivals.(ids.(k))], bit for bit,
-   under the Clark policy, with every blend in one vector this call
-   owns: the first blend takes it from the pool, later blends overwrite
-   it in place (the blend is elementwise, so [c := phi c + (1 - phi) b]
-   is safe).  Returns the fold result and that vector ([[||]] when no
-   blend happened).  When the result's vector is not the owned one, the
-   result is one of the stored arrivals (a single operand, or a Clark
-   early return). *)
+   with every blend in one vector this call owns: the first blend takes
+   it from the pool, later blends overwrite it in place (the blend is
+   elementwise, so [c := phi c + (1 - phi) b] is safe).  Returns the
+   fold result and that vector ([[||]] when no blend happened).  When
+   the result's vector is not the owned one, the result is one of the
+   stored arrivals (a single operand, or a Clark early return). *)
 let clark_fold pool config arrivals ids =
   let owned = ref [||] and input = ref arrivals.(ids.(0)) in
   for k = 1 to Array.length ids - 1 do
@@ -339,75 +262,53 @@ let clark_fold pool config arrivals ids =
   done;
   (!input, !owned)
 
-let max_fold pool (config : Config.t) arrivals ids =
+let max_fold pool config arrivals ids =
   if Array.length ids = 0 then invalid_arg "Arrival.max_fold: no operands";
-  match config.Config.block_max with
-  | Config.Clark_max -> fst (clark_fold pool config arrivals ids)
-  | Config.Grid_max ->
-      let acc = ref arrivals.(ids.(0)) in
-      for k = 1 to Array.length ids - 1 do
-        acc := grid_max config !acc arrivals.(ids.(k))
-      done;
-      !acc
+  fst (clark_fold pool config arrivals ids)
 
 (* One gate of the sweep: [sum (fold max fanins) (of_gate id)], bit
-   for bit.  Under the Clark policy the result's vector is always one
-   this call owns: the fold's blend vector when it holds the fold
-   result at full length, else one from the pool into which the fold
-   result is copied (it is a stored arrival, or shorter).  The gate's
-   sensitivities are then added in place. *)
+   for bit.  The result's vector is always one this call owns: the
+   fold's blend vector when it holds the fold result at full length,
+   else one from the pool into which the fold result is copied (it is a
+   stored arrival, or shorter).  The gate's sensitivities are then
+   added in place. *)
 let step pool (config : Config.t) layers placement graph arrivals id =
   let fanins = Graph.fanins graph id in
-  let nf = Array.length fanins in
-  match config.Config.block_max with
-  | Config.Grid_max ->
-      let input =
-        if nf = 0 then zero_arrival else max_fold pool config arrivals fanins
+  let a, owned =
+    if Array.length fanins = 0 then (zero_arrival, [||])
+    else clark_fold pool config arrivals fanins
+  in
+  let g = gate_form config layers placement graph id in
+  let la = Array.length a.coeffs in
+  let n = Int.max la g.len in
+  let coeffs =
+    if a.coeffs == owned && la = n then owned
+    else begin
+      let c =
+        if Array.length owned = n && a.coeffs != owned then owned
+        else take pool n
       in
-      sum config input (of_gate config layers placement graph id)
-  | Config.Clark_max ->
-      let a, owned =
-        if nf = 0 then (zero_arrival, [||])
-        else clark_fold pool config arrivals fanins
-      in
-      let g = gate_form config layers placement graph id in
-      let la = Array.length a.coeffs in
-      let n = Int.max la g.len in
-      let coeffs =
-        if a.coeffs == owned && la = n then owned
-        else begin
-          let c =
-            if Array.length owned = n && a.coeffs != owned then owned
-            else take pool n
-          in
-          Array.blit a.coeffs 0 c 0 la;
-          Array.fill c la (n - la) 0.0;
-          c
-        end
-      in
-      let shared_var =
-        if la = 0 then begin
-          (* [sum] takes the gate's own vector and variance. *)
-          put_sens g coeffs ~add:false;
-          g.gate_shared_var
-        end
-        else if g.len = 0 then a.shared_var
-        else begin
-          (* [sum] adds +0.0 to every other slot; leaving them as they
-             are differs only on a -0.0 slot, which no dot product
-             sees. *)
-          put_sens g coeffs ~add:true;
-          (* The same slot-order accumulation [combine] performs. *)
-          Slots.dot config.Config.budget coeffs coeffs
-        end
-      in
-      let gate =
-        { mean = g.delay;
-          coeffs = [||];
-          shared_var = 0.0;
-          resid = Gauss g.random_var }
-      in
-      { mean = a.mean +. g.delay;
-        coeffs;
-        shared_var;
-        resid = sum_resid config a gate }
+      Array.blit a.coeffs 0 c 0 la;
+      Array.fill c la (n - la) 0.0;
+      c
+    end
+  in
+  let shared_var =
+    if la = 0 then begin
+      (* [sum] takes the gate's own vector and variance. *)
+      put_sens g coeffs ~add:false;
+      g.gate_shared_var
+    end
+    else if g.len = 0 then a.shared_var
+    else begin
+      (* [sum] adds +0.0 to every other slot; leaving them as they are
+         differs only on a -0.0 slot, which no dot product sees. *)
+      put_sens g coeffs ~add:true;
+      (* The same slot-order accumulation [combine] performs. *)
+      Slots.dot config.Config.budget coeffs coeffs
+    end
+  in
+  { mean = a.mean +. g.delay;
+    coeffs;
+    shared_var;
+    resid = a.resid +. g.random_var }

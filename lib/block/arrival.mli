@@ -16,13 +16,11 @@
       correlation (Eq. 14's variance split) through merges: two arrivals
       that share upstream gates share slots, and their covariance is the
       sigma^2-weighted dot product of their vectors;
-    - [R] is the independent residual, seeded by each gate's per-gate
-      random-layer variance.  It is carried as a variance alone
-      ({!Gauss}): sums of independent Gaussians add variances and
+    - [R] is the independent zero-mean Gaussian residual, seeded by
+      each gate's per-gate random-layer variance and carried as that
+      variance alone: sums of independent Gaussians add variances and
       Clark's max re-matches a Gaussian anyway.  Grids appear only when
-      an arrival is concretized ({!total_pdf}, at endpoints) and under
-      the grid max policy, whose result keeps the exact max's shape as
-      a {!Grid} residual.
+      an arrival is concretized ({!total_pdf}, at endpoints).
 
     An arrival's cached shared-layer variance is computed under the
     variance budget of the configuration that built it; all operators
@@ -32,22 +30,17 @@
     {!recycle} hands an arrival's vector to a later {!step} of the same
     sweep, and its caller gives that arrival up. *)
 
-(** The independent residual [R], always zero-mean. *)
-type residual =
-  | Gauss of float  (** a Gaussian, by its variance *)
-  | Grid of Ssta_prob.Pdf.t  (** a discretized PDF (grid max policy) *)
-
 type t
 
 val make :
   Ssta_core.Config.t ->
   ?mean:float ->
   ?terms:(Ssta_correlation.Slots.key * float) list ->
-  residual ->
+  float ->
   t
-(** [make config ~mean ~terms resid] builds an arrival from explicit
+(** [make config ~mean ~terms resid_var] builds an arrival from explicit
     shared-layer coefficients (a later binding of a key replaces an
-    earlier one).  Raises [Invalid_argument] on a key outside the
+    earlier one) and the variance of its independent residual.  Raises [Invalid_argument] on a key outside the
     config's shared layers ([layer >= quad_levels]) or partition
     range. *)
 
@@ -64,35 +57,24 @@ val of_gate :
 (** [of_gate config layers placement graph id] is the delay contribution
     of gate [id]: nominal delay as the mean, first-order sensitivities
     to every shared-layer RV at the gate's spatial partitions, and the
-    per-gate random-layer variance as a {!Gauss} residual.  Raises
+    per-gate random-layer variance as the residual.  Raises
     [Invalid_argument] on a primary input. *)
 
 val sum : Ssta_core.Config.t -> t -> t -> t
 (** Statistical sum: exact on the shared part (means and coefficients
-    add slot by slot); {!Gauss} residuals add their variances.  A
-    {!Grid} operand forces a grid convolution
-    ({!Ssta_prob.Combine.sum} at [quality_intra] cells), with a
-    {!Gauss} other side materialized as a truncated Gaussian.  Exact
-    for independent residuals, which holds by construction along any
+    add slot by slot); the residual variances add.  Exact for
+    independent residuals, which holds by construction along any
     path. *)
 
 val max : Ssta_core.Config.t -> t -> t -> t
-(** Statistical max at a merge point, per [config.block_max]:
-
-    - [Clark_max] — Clark's (1961) moment-matched max of correlated
-      Gaussians, with the covariance taken from the shared coefficient
-      vectors; the result's residual is the matched leftover variance
-      ({!Gauss}).  Sound under correlation, Gaussian-approximate in
-      shape.
-    - [Grid_max] — the grid-exact independent max: both operands are
-      concretized to total PDFs and combined with
-      P(max <= x) = F(x) G(x); shared coefficients are blended by the
-      tightness probability and the recentered max grid (deflated so
-      shared + residual variance matches the exact grid moments) becomes
-      the {!Grid} residual.  Exact in shape for independent operands but
-      {e unsound} when they share terms — it ignores their correlation,
-      which can both over- and under-estimate the max (see the
-      anti-correlated counterexample in HANDBOOK section 9). *)
+(** Statistical max at a merge point: Clark's (1961) moment-matched
+    max of correlated Gaussians, with the covariance taken from the
+    shared coefficient vectors.  The shared coefficients are blended by
+    the tightness probability P(A > B) and the variance they leave
+    unexplained becomes the residual.  Sound under correlation,
+    Gaussian-approximate in shape.  When the means differ by more than
+    8 standard deviations of [A - B], the larger operand itself is
+    returned. *)
 
 type pool
 (** A free list of coefficient vectors for one topological sweep: the
@@ -101,26 +83,24 @@ type pool
     created it: it holds no state across sweeps and must not be shared
     between domains. *)
 
-val pool : Ssta_core.Config.t -> pool
-(** An empty pool for one sweep under [config].  Under [Grid_max] the
-    pool stays empty: {!recycle} ignores it, because there {!sum} may
-    return an operand's vector. *)
+val pool : unit -> pool
+(** An empty pool for one sweep. *)
 
 val recycle : pool -> t -> unit
 (** [recycle pool a] gives [a]'s coefficient vector to [pool], whose
     next {!step} or {!max_fold} may overwrite it.  Sound only when [a]
-    was returned by {!step} under [Clark_max] (so no other arrival holds
-    its vector) and nothing reads [a] afterwards: the caller gives up
-    [a].  Empty vectors and [Grid_max] pools are ignored. *)
+    was returned by {!step} (so no other arrival holds its vector) and
+    nothing reads [a] afterwards: the caller gives up [a].  Empty
+    vectors are ignored. *)
 
 val max_fold : pool -> Ssta_core.Config.t -> t array -> int array -> t
 (** [max_fold pool config arrivals ids] is bit for bit the left fold of
-    {!max} over [arrivals.(ids.(0))], [arrivals.(ids.(1))], ....  Under
-    [Clark_max] it takes at most one coefficient vector (from [pool]
-    when it holds one of the right length, else fresh): the first Clark
-    blend takes it and later blends overwrite it in place, so the
-    result either owns that vector or is one of the operands itself.
-    It never writes into an operand.  Raises [Invalid_argument] on
+    {!max} over [arrivals.(ids.(0))], [arrivals.(ids.(1))], ....  It
+    takes at most one coefficient vector (from [pool] when it holds one
+    of the right length, else fresh): the first Clark blend takes it
+    and later blends overwrite it in place, so the result either owns
+    that vector or is one of the operands itself.  It never writes into
+    an operand.  Raises [Invalid_argument] on
     empty [ids]. *)
 
 val step :
@@ -140,26 +120,25 @@ val step :
     order ({!max_fold}) and a gate without fan-ins starting from
     {!zero}.
 
-    Under [Clark_max] the result always owns its coefficient vector, and
-    the step allocates at most one: the fold's first Clark blend takes
-    it, later blends and the gate's own sensitivities are written into
-    it in place, and a fold result that is one of the stored arrivals (a
+    The result always owns its coefficient vector, and the step
+    allocates at most one: the fold's first Clark blend takes it, later
+    blends and the gate's own sensitivities are written into it in
+    place, and a fold result that is one of the stored arrivals (a
     single fan-in, or a Clark early return) is copied into it once.
     The vector comes from [pool] when it holds one of the right length.
-    The step writes only into that vector — never
-    into an operand — so the immutability contract above holds:
+    The step writes only into that vector — never into an operand — so
+    the immutability contract above holds:
     [arrivals] is unchanged and the result shares no mutable state with
     it, which is what makes {!recycle} of the result sound once its last
-    reader has run.  Under [Grid_max] the step is the composite itself
-    and ignores [pool].  Raises [Invalid_argument] on a primary
-    input. *)
+    reader has run.  Raises [Invalid_argument] on a primary input. *)
 
 val mean : t -> float
 
 val coeff : t -> Ssta_correlation.Slots.key -> float
 (** The shared-layer coefficient of one RV (0 when absent). *)
 
-val residual : t -> residual
+val residual : t -> float
+(** The variance of the independent residual. *)
 
 val variance : Ssta_core.Config.t -> t -> float
 (** Total variance: shared layer terms plus the residual. *)
@@ -179,13 +158,7 @@ val confidence_point : Ssta_core.Config.t -> t -> float
     ranking point. *)
 
 val total_pdf : Ssta_core.Config.t -> t -> Ssta_prob.Pdf.t
-(** Concretize to one delay PDF at [quality_intra] cells, shifted by the
-    mean: with a {!Gauss} residual, one truncated Gaussian of the shared
-    plus residual variance (a sum of independent Gaussians is
-    Gaussian); with a {!Grid} residual, the grid convolved with a
-    truncated Gaussian of the shared variance.  Degenerate arrivals
+(** Concretize to one delay PDF at [quality_intra] cells: a truncated
+    Gaussian of the shared plus residual variance (a sum of independent
+    Gaussians is Gaussian), shifted by the mean.  Degenerate arrivals
     concretize to a point mass. *)
-
-val quantile : Ssta_core.Config.t -> t -> float -> float
-(** Quantile of {!total_pdf} (rebuilt per call; cache the PDF when
-    reading several quantiles). *)

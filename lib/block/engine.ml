@@ -35,16 +35,15 @@ type t = {
 }
 
 let endpoint_of config ~node ~name arrival =
-  let mean = Arrival.mean arrival and std = Arrival.std config arrival in
   { node;
     name;
     arrival;
     pdf = Arrival.total_pdf config arrival;
-    mean;
-    std;
+    mean = Arrival.mean arrival;
+    std = Arrival.std config arrival;
     inter_sigma = Arrival.inter_sigma config arrival;
     intra_sigma = Arrival.intra_sigma config arrival;
-    confidence_point = mean +. (config.Config.confidence_sigma *. std) }
+    confidence_point = Arrival.confidence_point config arrival }
 
 (* One topological sweep.  Each interior node's arrival is reset to
    [zero] once its last consumer has run, and its vector goes back to
@@ -89,7 +88,7 @@ let analyze ?(config = Config.default) ?placement ?sta circuit =
   let outputs = circuit.Netlist.outputs in
   if Array.length outputs = 0 then
     invalid_arg "Engine.analyze: circuit has no outputs";
-  let pool = Arrival.pool config in
+  let pool = Arrival.pool () in
   let arrivals = propagate config layers placement graph ~outputs pool in
   let arrival = Arrival.max_fold pool config arrivals outputs in
   let endpoints =
@@ -99,7 +98,6 @@ let analyze ?(config = Config.default) ?placement ?sta circuit =
              ~name:(Netlist.node_name circuit o)
              arrivals.(o))
   in
-  let mean = Arrival.mean arrival and std = Arrival.std config arrival in
   { config;
     circuit_name = circuit.Netlist.name;
     num_gates = Netlist.num_gates circuit;
@@ -107,11 +105,11 @@ let analyze ?(config = Config.default) ?placement ?sta circuit =
     endpoints;
     arrival;
     pdf = Arrival.total_pdf config arrival;
-    mean;
-    std;
+    mean = Arrival.mean arrival;
+    std = Arrival.std config arrival;
     inter_sigma = Arrival.inter_sigma config arrival;
     intra_sigma = Arrival.intra_sigma config arrival;
-    confidence_point = mean +. (config.Config.confidence_sigma *. std);
+    confidence_point = Arrival.confidence_point config arrival;
     runtime_s = Unix.gettimeofday () -. started }
 
 (* ----- deterministic JSON report -----

@@ -4,20 +4,17 @@
 
     Where the path engine's cost is O(paths * Q^3) after enumeration,
     this engine visits every gate exactly once at O(slots) per visit
-    under the Clark policy (425 shared-layer slots at the default 4
-    quad-tree layers; Q-point grids only at the endpoints) — the
-    crossover is measured per benchmark by the [blockcross] bench
-    artifact.  A gate with k fan-ins costs 2k - 1 passes over its
+    (425 shared-layer slots at the default 4 quad-tree layers; Q-point
+    grids only at the endpoints) — the crossover is measured per
+    benchmark by the [blockcross] bench artifact.  A gate with k fan-ins costs 2k - 1 passes over its
     vector (a covariance and a blend per Clark merge, one final
     variance), each a slot-order sum with the sigma^2 read from the
     budget's table; the vector comes from a free list of the sweep's
     dead arrivals, so the sweep allocates about one vector per primary
-    output plus its peak frontier.  The grid max policy adds O(Q^2)
-    grid work per merge.  The price is approximation at reconvergent
-    fan-out (Clark's max, or the independence assumption of the grid
-    max); the [check-block-vs-path] checker cross-validates the result
-    against the path-based answer and Monte Carlo on every ISCAS85
-    circuit. *)
+    output plus its peak frontier.  The price is approximation at
+    reconvergent fan-out (Clark's Gaussian max); the
+    [check-block-vs-path] checker cross-validates the result against
+    the path-based answer and Monte Carlo on every ISCAS85 circuit. *)
 
 (** Per primary-output arrival statistics. *)
 type endpoint = {
@@ -58,8 +55,8 @@ val analyze :
 (** [analyze circuit] runs deterministic STA plus one statistical
     topological sweep (the circuit's node order is topological by
     construction).  The default placement is
-    {!Ssta_circuit.Placement.place}; the max policy and grid quality
-    come from [config].  [sta] substitutes a pre-built deterministic
+    {!Ssta_circuit.Placement.place}; the grid quality comes from
+    [config].  [sta] substitutes a pre-built deterministic
     analysis (e.g. on a drive-aware graph,
     {!Ssta_timing.Graph.with_drives}) — its graph must describe
     [circuit].  The sweep's vector free list is local to the call, so

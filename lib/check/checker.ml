@@ -555,9 +555,15 @@ let check_block_vs_path config circuit placement (m : Methodology.t) add =
   if Float.abs (r.Block_engine.mean -. mc_mean) > mean_tol then
     fail "block mean %.6g s outside the MC band %.6g +- %.6g s"
       r.Block_engine.mean mc_mean mean_tol;
-  if Float.abs (r.Block_engine.std -. mc_std) > 0.35 *. mc_std then
-    fail "block sigma %.6g s disagrees with MC sigma %.6g s (>35%%)"
-      r.Block_engine.std mc_std;
+  (* The sample sigma's standard error is sigma / sqrt(2 (n - 1)), 5% of
+     sigma at 200 samples.  The 6% allowance is Clark's own sigma error:
+     against a 2000-die MC it reaches 5.3% (c1355) on ISCAS85. *)
+  let std_tol =
+    (4.0 *. mc_std /. sqrt (2.0 *. (n -. 1.0))) +. (0.06 *. mc_std)
+  in
+  if Float.abs (r.Block_engine.std -. mc_std) > std_tol then
+    fail "block sigma %.6g s outside the MC band %.6g +- %.6g s"
+      r.Block_engine.std mc_std std_tol;
   let median = Pdf.quantile r.Block_engine.pdf 0.5 in
   (* The sample median's standard error is ~1.2533 sigma / sqrt(n). *)
   let median_tol = (5.0 *. se) +. (0.01 *. Float.abs mc_mean) in

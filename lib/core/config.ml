@@ -7,11 +7,11 @@ let engine_name = function Path -> "path" | Block -> "block"
 
 let engines = [ Path; Block ]
 
-type max_policy = Clark_max | Grid_max
+type max_policy = Clark_max
 
-let max_policy_name = function Clark_max -> "clark" | Grid_max -> "grid"
+let max_policy_name Clark_max = "clark"
 
-let max_policies = [ Clark_max; Grid_max ]
+let max_policies = [ Clark_max ]
 
 type t = {
   quality_intra : int;

@@ -21,19 +21,20 @@ val engine_name : engine -> string
 val engines : engine list
 (** All engines, in declaration order (for CLI enumerations). *)
 
-(** Policy for the statistical [max] at block-engine merge points:
-    [Clark_max] is Clark's moment-matched max of correlated Gaussians
-    (sound under correlation, Gaussian-approximate); [Grid_max] is the
-    grid-exact independent max P(max <= x) = F(x)G(x) (exact shape, but
-    unsound when the operands share inter-die terms — see the design
-    note in DESIGN.md). *)
-type max_policy = Clark_max | Grid_max
+(** The statistical [max] at block-engine merge points: Clark's
+    moment-matched max of correlated Gaussians (sound under correlation,
+    Gaussian-approximate), the only policy (HANDBOOK section 9).  The
+    type, the [block_max] field and {!max_policies} stay so that the
+    protocol's ["max_policy":"clark"], which [serve-block] sends with
+    every request, and code that sets [block_max] from it keep
+    working. *)
+type max_policy = Clark_max
 
 val max_policy_name : max_policy -> string
-(** Stable lowercase name (["clark"] / ["grid"]). *)
+(** Stable lowercase name (["clark"]), as JSON reports print it. *)
 
 val max_policies : max_policy list
-(** All max policies, in declaration order (for CLI enumerations). *)
+(** All max policies (for the protocol's enumeration). *)
 
 type t = {
   quality_intra : int;  (** intra-PDF discretization (paper: 100) *)
@@ -64,7 +65,7 @@ type t = {
       (** which engine answers queries (default [Path], the paper's
           flow); [Block] switches to the one-pass topological engine *)
   block_max : max_policy;
-      (** merge-point max policy of the block engine (default
+      (** merge-point max policy of the block engine (always
           [Clark_max]); ignored by the path engine *)
 }
 

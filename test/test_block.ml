@@ -1,12 +1,12 @@
 (* The block-based engine: the statistical sum/max operator algebra
-   (Clark moments against closed forms, the grid-exact independent max
-   against closed forms and Monte Carlo), correlation preservation
-   through reconvergent fan-out, containment of the block answer in the
-   affine envelope on random circuits, and byte-identity of the JSON
-   report across worker counts. *)
+   (Clark moments against closed forms and against a quadrature oracle
+   of the bivariate-normal max), correlation preservation through
+   reconvergent fan-out, containment of the block answer in the affine
+   envelope on random circuits, and byte-identity of the JSON report
+   across worker counts. *)
 
 module Pdf = Ssta_prob.Pdf
-module Dist = Ssta_prob.Dist
+module Erf = Ssta_prob.Erf
 module Rng = Ssta_prob.Rng
 module Params = Ssta_tech.Params
 module Gate = Ssta_tech.Gate
@@ -27,16 +27,10 @@ module Arrival = Ssta_block.Arrival
 module Engine = Ssta_block.Engine
 open Helpers
 
-let grid_config = { Config.default with Config.block_max = Config.Grid_max }
-
-(* Synthetic arrivals: a zero-mean grid residual (or none) plus
-   optional shared terms. *)
-let arrival ?(mean = 0.0) ?(terms = []) resid =
-  Arrival.make Config.default ~mean ~terms
-    (match resid with None -> Arrival.Gauss 0.0 | Some p -> Arrival.Grid p)
-
-let std_normal_resid () =
-  Some (Dist.truncated_gaussian ~n:400 ~bound:6.0 ~mu:0.0 ~sigma:1.0 ())
+(* Synthetic arrivals: a residual of variance [var] plus optional
+   shared terms. *)
+let arrival ?(mean = 0.0) ?(terms = []) var =
+  Arrival.make Config.default ~mean ~terms var
 
 (* A layer-0 key, and the coefficient that gives it unit variance under
    the default budget (so tests can speak in unit-variance terms). *)
@@ -56,19 +50,12 @@ let unit_coeff =
 
 let test_sum_moments () =
   let config = Config.default in
-  let half_var_resid sigma =
-    Some (Dist.truncated_gaussian ~n:400 ~bound:6.0 ~mu:0.0 ~sigma ())
-  in
-  let a =
-    arrival ~mean:1.0 ~terms:[ (key, unit_coeff) ] (half_var_resid 0.5)
-  in
-  let b =
-    arrival ~mean:2.0 ~terms:[ (key, 0.5 *. unit_coeff) ] (half_var_resid 0.5)
-  in
+  let a = arrival ~mean:1.0 ~terms:[ (key, unit_coeff) ] 0.25 in
+  let b = arrival ~mean:2.0 ~terms:[ (key, 0.5 *. unit_coeff) ] 0.25 in
   let s = Arrival.sum config a b in
   check_close "sum of means" 3.0 (Arrival.mean s);
   (* Var(A+B) = va + vb + 2 cov: shared coefficients add exactly. *)
-  check_close ~tol:5e-3 "sum variance includes the covariance" 2.75
+  check_close ~tol:1e-12 "sum variance includes the covariance" 2.75
     (Arrival.variance config s);
   let m = Pdf.moments (Arrival.total_pdf config s) in
   check_close ~tol:5e-3 "total-pdf mean matches" 3.0 m.Pdf.m_mean;
@@ -76,70 +63,166 @@ let test_sum_moments () =
 
 let test_clark_independent_normals () =
   let config = Config.default in
-  let a = arrival (std_normal_resid ()) in
-  let b = arrival (std_normal_resid ()) in
-  let m = Arrival.max config a b in
+  let m = Arrival.max config (arrival 1.0) (arrival 1.0) in
   (* X, Y iid N(0,1): E[max] = 1/sqrt(pi), Var[max] = 1 - 1/pi, and
      Clark's moment matching is exact for jointly Gaussian inputs. *)
-  check_close ~tol:2e-3 "Clark mean = 1/sqrt(pi)"
+  check_close ~tol:1e-12 "Clark mean = 1/sqrt(pi)"
     (1.0 /. sqrt Float.pi) (Arrival.mean m);
-  check_close ~tol:5e-3 "Clark variance = 1 - 1/pi"
+  check_close ~tol:1e-12 "Clark variance = 1 - 1/pi"
     (1.0 -. (1.0 /. Float.pi))
     (Arrival.variance config m)
 
 let test_clark_correlated_shared_term () =
   let config = Config.default in
   let rho = 0.6 in
-  let a = arrival ~terms:[ (key, unit_coeff) ] None in
-  let b =
-    arrival
-      ~terms:[ (key, rho *. unit_coeff) ]
-      (Some
-         (Dist.truncated_gaussian ~n:400 ~bound:6.0 ~mu:0.0
-            ~sigma:(sqrt (1.0 -. (rho *. rho)))
-            ()))
-  in
+  let a = arrival ~terms:[ (key, unit_coeff) ] 0.0 in
+  let b = arrival ~terms:[ (key, rho *. unit_coeff) ] (1.0 -. (rho *. rho)) in
   let m = Arrival.max config a b in
   (* Both std normal with correlation rho: E[max] = theta * phi(0) with
      theta = sqrt(2 - 2 rho). *)
   let theta = sqrt (2.0 -. (2.0 *. rho)) in
-  check_close ~tol:2e-3 "Clark mean with correlation"
+  check_close ~tol:1e-12 "Clark mean with correlation"
     (theta /. sqrt (2.0 *. Float.pi))
     (Arrival.mean m);
-  check_close ~tol:5e-3 "Clark variance with correlation"
+  check_close ~tol:1e-12 "Clark variance with correlation"
     (1.0 -. (theta *. theta /. (2.0 *. Float.pi)))
     (Arrival.variance config m)
 
-let test_grid_max_uniforms () =
-  let u () =
-    (* zero-mean uniform residual, shifted to U(0,1) via the mean *)
-    arrival ~mean:0.5 (Some (Dist.uniform ~n:400 ~lo:(-0.5) ~hi:0.5 ()))
-  in
-  let m = Arrival.max grid_config (u ()) (u ()) in
-  (* X, Y iid U(0,1): max has CDF x^2, mean 2/3, variance 1/18 — a
-     shape no Gaussian moment matching can represent exactly. *)
-  check_close ~tol:5e-3 "grid max mean = 2/3" (2.0 /. 3.0) (Arrival.mean m);
-  check_close ~tol:2e-2 "grid max variance = 1/18" (1.0 /. 18.0)
-    (Arrival.variance grid_config m)
+(* --- Clark's max against a quadrature oracle ----------------------------- *)
 
-let test_grid_max_vs_mc () =
-  let a = arrival ~mean:0.2 (std_normal_resid ()) in
-  let b = arrival ~mean:0.0 (Some (Dist.uniform ~n:400 ~lo:(-1.5) ~hi:1.5 ())) in
-  let pa = Arrival.total_pdf grid_config a
-  and pb = Arrival.total_pdf grid_config b in
-  let m = Arrival.max grid_config a b in
-  let n = 4000 in
-  let rng = Rng.create 7 in
+(* Composite Simpson's rule for [g] sampled at the [n + 1] nodes of an
+   even [n]-panel grid of step [h]. *)
+let simpson n h g =
   let acc = ref 0.0 in
-  for _ = 1 to n do
-    acc := !acc +. Float.max (Pdf.sample pa rng) (Pdf.sample pb rng)
+  for i = 0 to n do
+    let w =
+      if i = 0 || i = n then 1.0 else if i land 1 = 1 then 4.0 else 2.0
+    in
+    acc := !acc +. (w *. g i)
   done;
-  let mc_mean = !acc /. float_of_int n in
-  (* 4 standard errors of the n-sample mean, plus grid slack. *)
-  let se = sqrt (Arrival.variance grid_config m /. float_of_int n) in
-  check_close_abs
-    ~tol:((4.0 *. se) +. 0.01)
-    "grid max mean within the MC confidence band" mc_mean (Arrival.mean m)
+  !acc *. h /. 3.0
+
+let oracle_panels = 400
+
+(* Tails beyond 8 standard deviations carry mass below 1e-15. *)
+let oracle_cut = 8.0
+
+(* The oracle's own error at 400 panels, against 1600, stays below
+   2e-9 (relative to sigma for the mean, to sigma^2 for the variance,
+   absolute for the tightness).  What remains between it and Clark is
+   the library's Phi, a Chebyshev fit of erfc with absolute error below
+   6e-8, which both use at different points: the worst difference over
+   random draws is about 4e-8.  A tolerance of 1e-6 sits 25 times above
+   that and far below what a wrong covariance or a swapped tightness
+   weight produces (1e-2 and more). *)
+let oracle_tol = 1e-6
+
+(* E[M], Var[M] and P(A > B) for M = max(A, B) of a bivariate normal
+   (A, B), without Clark's formulas.  Writing A = mu_a + s_a t with t
+   standard normal, B given t is normal with mean mu_b + k t
+   (k = cov / s_a) and variance s^2 = var_b - k^2, so
+
+     F(x) = P(A <= x, B <= x)
+          = int_{-inf}^{(x - mu_a) / s_a} phi(t) Phi((x - mu_b - k t) / s) dt
+
+   and, on a range [lo, hi] outside which F is 0 or 1 to within the
+   cut, E[M] = lo + int (1 - F) and E[(M - lo)^2] = int 2 (x - lo) (1 - F). *)
+let bivariate_max ~mu_a ~var_a ~mu_b ~var_b ~cov =
+  let n = oracle_panels and cut = oracle_cut in
+  let sa = sqrt var_a and sb = sqrt var_b in
+  let k = cov /. sa in
+  let s = sqrt (var_b -. (k *. k)) in
+  let over_t hi f =
+    let h = (hi +. cut) /. float_of_int n in
+    simpson n h (fun i ->
+        let t = -.cut +. (float_of_int i *. h) in
+        Erf.normal_pdf t *. Erf.normal_cdf (f t))
+  in
+  let cdf x =
+    let u = Float.min cut ((x -. mu_a) /. sa) in
+    if u <= -.cut then 0.0
+    else over_t u (fun t -> (x -. mu_b -. (k *. t)) /. s)
+  in
+  let lo = Float.max (mu_a -. (cut *. sa)) (mu_b -. (cut *. sb))
+  and hi = Float.max (mu_a +. (cut *. sa)) (mu_b +. (cut *. sb)) in
+  let h = (hi -. lo) /. float_of_int n in
+  let surv =
+    Array.init (n + 1) (fun i -> 1.0 -. cdf (lo +. (float_of_int i *. h)))
+  in
+  let m1 = simpson n h (fun i -> surv.(i)) in
+  let m2 = simpson n h (fun i -> 2.0 *. float_of_int i *. h *. surv.(i)) in
+  (* P(A > B) = E_t[P(B < mu_a + s_a t | t)]. *)
+  let tight =
+    over_t cut (fun t -> (mu_a +. (sa *. t) -. mu_b -. (k *. t)) /. s)
+  in
+  (lo +. m1, m2 -. (m1 *. m1), tight)
+
+(* Three shared RVs on three layers; a unit-scale weight u on key [i]
+   is the coefficient [u / oracle_sigma.(i)], so it adds u^2 to a
+   variance. *)
+let oracle_keys =
+  [| { Slots.rv = Params.Tox; layer = 0; partition = 0 };
+     { Slots.rv = Params.Leff; layer = 1; partition = 2 };
+     { Slots.rv = Params.Vtn; layer = 2; partition = 9 } |]
+
+let oracle_sigma =
+  Array.map
+    (fun (k : Slots.key) ->
+      Budget.sigma_of_layer Config.default.Config.budget
+        ~total_sigma:(Params.sigma k.Slots.rv) k.Slots.layer)
+    oracle_keys
+
+let test_clark_vs_quadrature =
+  qcheck ~count:100 "Clark max = bivariate-normal quadrature"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let weights () =
+        Array.init (Array.length oracle_keys) (fun _ ->
+            Random.State.float st 1.2 -. 0.6)
+      in
+      let ua = weights () and ub = weights () in
+      let ra = 0.1 +. Random.State.float st 0.9
+      and rb = 0.1 +. Random.State.float st 0.9 in
+      let dot u v =
+        let acc = ref 0.0 in
+        Array.iteri (fun i x -> acc := !acc +. (x *. v.(i))) u;
+        !acc
+      in
+      let var_a = dot ua ua +. ra and var_b = dot ub ub +. rb in
+      let cov = dot ua ub in
+      (* d = (mu_a - mu_b) / theta spans [-10, 10], |d| > 8 included. *)
+      let theta = sqrt (var_a +. var_b -. (2.0 *. cov)) in
+      let d = Random.State.float st 20.0 -. 10.0 in
+      let mu_b = Random.State.float st 4.0 in
+      let mu_a = mu_b +. (d *. theta) in
+      let make mean u r =
+        Arrival.make Config.default ~mean
+          ~terms:
+            (Array.to_list
+               (Array.mapi
+                  (fun i k -> (k, u.(i) /. oracle_sigma.(i)))
+                  oracle_keys))
+          r
+      in
+      let m = Arrival.max Config.default (make mu_a ua ra) (make mu_b ub rb) in
+      let mean, var, tight = bivariate_max ~mu_a ~var_a ~mu_b ~var_b ~cov in
+      let scale = Float.max var_a var_b in
+      (* By Stein's lemma the max's coefficient on each shared RV is
+         P(A > B) a_k + P(B > A) b_k. *)
+      let coeff_err =
+        Array.fold_left Float.max 0.0
+          (Array.mapi
+             (fun i k ->
+               Float.abs
+                 ((Arrival.coeff m k *. oracle_sigma.(i))
+                 -. ((tight *. ua.(i)) +. ((1.0 -. tight) *. ub.(i)))))
+             oracle_keys)
+      in
+      Float.abs (Arrival.mean m -. mean) <= oracle_tol *. sqrt scale
+      && Float.abs (Arrival.variance Config.default m -. var)
+         <= oracle_tol *. scale
+      && coeff_err <= oracle_tol)
 
 (* --- the dense form against its Hashtbl reference ----------------------- *)
 
@@ -181,7 +264,7 @@ let random_pair st =
   let indep = 0.05 +. Random.State.float st 0.5 in
   let tbl = Hashtbl.create 16 in
   List.iter (fun (k, v) -> Hashtbl.replace tbl k v) terms;
-  ( Arrival.make Config.default ~mean ~terms (Arrival.Gauss indep),
+  ( Arrival.make Config.default ~mean ~terms indep,
     { Block_based.mean; terms = tbl; indep } )
 
 let rel_close a b =
@@ -252,11 +335,8 @@ let test_chain_residual () =
         Params.all_rvs
     end
   done;
-  (match Arrival.residual r.Engine.arrival with
-  | Arrival.Grid _ -> Alcotest.fail "Clark chain grew a grid residual"
-  | Arrival.Gauss v ->
-      check_close ~tol:1e-12 "residual = sum of per-gate random variances"
-        1.0 (v /. !expected));
+  check_close ~tol:1e-12 "residual = sum of per-gate random variances" 1.0
+    (Arrival.residual r.Engine.arrival /. !expected);
   let m = Pdf.moments (Arrival.total_pdf config r.Engine.arrival) in
   check_close ~tol:1e-2 "total-pdf mean" 1.0
     (m.Pdf.m_mean /. Arrival.mean r.Engine.arrival);
@@ -268,32 +348,19 @@ let test_chain_residual () =
 let test_correlation_preserved_at_merge () =
   (* A = S + Xa, B = S + Xb with a dominant shared S: the true max is
      S + max(Xa, Xb), so E[max] barely exceeds the means.  Clark sees
-     the covariance through the shared term; the grid-exact policy
-     assumes independence and inflates the mean by an order of
-     magnitude. *)
+     the covariance through the shared term. *)
   let branch_sigma = 0.1 in
   let branch () =
-    arrival
-      ~terms:[ (key, unit_coeff) ]
-      (Some
-         (Dist.truncated_gaussian ~n:400 ~bound:6.0 ~mu:0.0
-            ~sigma:branch_sigma ()))
+    arrival ~terms:[ (key, unit_coeff) ] (branch_sigma *. branch_sigma)
   in
-  let truth = branch_sigma /. sqrt Float.pi in
-  let clark = Arrival.max Config.default (branch ()) (branch ()) in
-  let grid = Arrival.max grid_config (branch ()) (branch ()) in
-  check_close ~tol:3e-3 "Clark mean matches the correlated closed form"
-    truth (Arrival.mean clark);
-  check_true "independent grid max overestimates the correlated mean"
-    (Arrival.mean grid -. truth > 5.0 *. Float.abs (Arrival.mean clark -. truth));
-  (* Both policies preserve the shared sensitivity itself: the merged
-     arrival still carries the full unit coefficient on the shared key. *)
-  List.iter
-    (fun (name, m) ->
-      check_close ~tol:1e-9
-        (name ^ " max blends the shared coefficient to unity")
-        unit_coeff (Arrival.coeff m key))
-    [ ("clark", clark); ("grid", grid) ]
+  let m = Arrival.max Config.default (branch ()) (branch ()) in
+  check_close ~tol:1e-12 "Clark mean matches the correlated closed form"
+    (branch_sigma /. sqrt Float.pi)
+    (Arrival.mean m);
+  (* The merged arrival still carries the full unit coefficient on the
+     shared key. *)
+  check_close ~tol:1e-9 "max blends the shared coefficient to unity"
+    unit_coeff (Arrival.coeff m key)
 
 let diamond () =
   let b = Netlist.Builder.create "diamond" in
@@ -333,12 +400,7 @@ let test_diamond_vs_mc () =
        ((r.Engine.inter_sigma *. r.Engine.inter_sigma)
        +. (r.Engine.intra_sigma *. r.Engine.intra_sigma)
        -. (r.Engine.std *. r.Engine.std))
-    <= 1e-9 *. r.Engine.std *. r.Engine.std);
-  (* The grid policy still runs the diamond; ignoring the merge
-     correlation can only push the max mean up. *)
-  let g = Engine.analyze ~config:grid_config ~placement:pl c in
-  check_true "independent-max mean is not below Clark's"
-    (g.Engine.mean >= r.Engine.mean -. (1e-6 *. r.Engine.mean))
+    <= 1e-9 *. r.Engine.std *. r.Engine.std)
 
 (* --- containment in the affine envelope -------------------------------- *)
 
@@ -372,21 +434,16 @@ let contains_substring s sub =
 let test_json_byte_identity () =
   let c = small_adder () in
   let pl = Placement.place c in
-  List.iter
-    (fun (name, config) ->
-      let r1 = Engine.analyze ~config ~placement:pl c in
-      let r2 =
-        Ssta_parallel.Pool.with_pool ~jobs:4 (fun _pool ->
-            Engine.analyze ~config ~placement:pl c)
-      in
-      Alcotest.(check string)
-        (name ^ " report is byte-identical across worker counts")
-        (Engine.json_report r1) (Engine.json_report r2);
-      check_true
-        (name ^ " report names the engine")
-        (contains_substring (Engine.json_report r1) "\"engine\":\"block\""))
-    [ ("clark", fast_config);
-      ("grid", { fast_config with Config.block_max = Config.Grid_max }) ]
+  let config = fast_config in
+  let r1 = Engine.analyze ~config ~placement:pl c in
+  let r2 =
+    Ssta_parallel.Pool.with_pool ~jobs:4 (fun _pool ->
+        Engine.analyze ~config ~placement:pl c)
+  in
+  Alcotest.(check string) "report is byte-identical across worker counts"
+    (Engine.json_report r1) (Engine.json_report r2);
+  check_true "report names the engine"
+    (contains_substring (Engine.json_report r1) "\"engine\":\"block\"")
 
 (* --- the fused per-gate step --------------------------------------------- *)
 
@@ -402,31 +459,17 @@ let test_step_matches_reference_iscas85 () =
     (fun (spec : Iscas85.spec) ->
       let circuit, placement = Iscas85.build_placed spec in
       List.iter
-        (fun (policy, quality) ->
-          List.iter
-            (fun conf ->
-              let config =
-                { (Config.with_confidence
-                     (Config.with_quality Config.default ~intra:quality
-                        ~inter:Config.default.Config.quality_inter)
-                     conf)
-                  with
-                  Config.block_max = policy;
-                  confidence_sigma = conf }
-              in
-              let want, got = reports config placement circuit in
-              Alcotest.(check string)
-                (Printf.sprintf "%s %s at %g: fused sweep = composite"
-                   spec.Iscas85.name
-                   (Config.max_policy_name policy)
-                   conf)
-                want got)
-            [ Config.default.Config.confidence_sigma; 2.0; 4.5 ])
-        (* The grid policy convolves at every merge; a coarser grid
-           keeps its ten circuits quick and changes nothing the step
-           does. *)
-        [ (Config.Clark_max, Config.default.Config.quality_intra);
-          (Config.Grid_max, 16) ])
+        (fun conf ->
+          let config =
+            { (Config.with_confidence Config.default conf) with
+              Config.confidence_sigma = conf }
+          in
+          let want, got = reports config placement circuit in
+          Alcotest.(check string)
+            (Printf.sprintf "%s at %g: fused sweep = composite"
+               spec.Iscas85.name conf)
+            want got)
+        [ Config.default.Config.confidence_sigma; 2.0; 4.5 ])
     Iscas85.all
 
 (* A random DAG in which about two gates in five read one node on two
@@ -469,13 +512,10 @@ let test_step_matches_reference_random =
       in
       List.for_all
         (fun circuit ->
-          let placement = Placement.place circuit in
-          List.for_all
-            (fun policy ->
-              let config = { fast_config with Config.block_max = policy } in
-              let want, got = reports config placement circuit in
-              String.equal want got)
-            [ Config.Clark_max; Config.Grid_max ])
+          let want, got =
+            reports fast_config (Placement.place circuit) circuit
+          in
+          String.equal want got)
         [ layered; random_repeat_circuit seed ])
 
 (* Primary outputs that also feed gates: g2 is read by g3 and g4, g3 by
@@ -507,17 +547,10 @@ let test_pooled_sweep_outputs_feed_gates () =
   List.iter
     (fun circuit ->
       if an_output_feeds_a_gate circuit then incr feeding;
-      let placement = Placement.place circuit in
-      List.iter
-        (fun policy ->
-          let config = { fast_config with Config.block_max = policy } in
-          let want, got = reports config placement circuit in
-          Alcotest.(check string)
-            (Printf.sprintf "%s %s: pooled sweep = composite"
-               circuit.Netlist.name
-               (Config.max_policy_name policy))
-            want got)
-        [ Config.Clark_max; Config.Grid_max ])
+      let want, got = reports fast_config (Placement.place circuit) circuit in
+      Alcotest.(check string)
+        (Printf.sprintf "%s: pooled sweep = composite" circuit.Netlist.name)
+        want got)
     ((outputs_feed_gates () :: c880
      :: List.init 5 (fun seed ->
             Generators.random_layered ~name:"layered" ~inputs:8 ~outputs:4
@@ -553,7 +586,7 @@ let test_step_leaves_operands_alone () =
     Array.iter (fun f -> uses.(f) <- uses.(f) + 1) (Graph.fanins graph id)
   done;
   Array.iter (fun o -> uses.(o) <- uses.(o) + 1) circuit.Netlist.outputs;
-  let pool = Arrival.pool config in
+  let pool = Arrival.pool () in
   let recycled = ref 0 in
   for id = 0 to n - 1 do
     if not (Graph.is_input graph id) then begin
@@ -621,8 +654,7 @@ let suite =
         test_clark_independent_normals;
       case "Clark max of correlated operands vs closed form"
         test_clark_correlated_shared_term;
-      case "grid max of uniforms vs closed form" test_grid_max_uniforms;
-      case "grid max vs Monte Carlo" test_grid_max_vs_mc;
+      test_clark_vs_quadrature;
       test_slot_bijective;
       test_dense_matches_reference;
       case "20-gate chain: variance-only residual and its total PDF"
@@ -634,7 +666,7 @@ let suite =
       test_block_within_affine_envelope;
       case "block JSON report byte-identical across jobs"
         test_json_byte_identity;
-      slow_case "fused sweep = composite on ISCAS85, both policies"
+      slow_case "fused sweep = composite on ISCAS85, three confidences"
         test_step_matches_reference_iscas85;
       test_step_matches_reference_random;
       case "pooled sweep = composite when outputs feed gates"

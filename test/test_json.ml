@@ -300,15 +300,9 @@ let test_block_report () =
   List.iter
     (fun name ->
       let circuit, placement = placed name in
-      List.iter
-        (fun policy ->
-          let config = { config with Config.block_max = policy } in
-          round_trips
-            (Printf.sprintf "%s block report (%s)" name
-               (Config.max_policy_name policy))
-            (Block_engine.json_report
-               (Block_engine.analyze ~config ~placement circuit)))
-        [ Config.Clark_max; Config.Grid_max ])
+      round_trips (name ^ " block report")
+        (Block_engine.json_report
+           (Block_engine.analyze ~config ~placement circuit)))
     circuits
 
 let test_criticality () =

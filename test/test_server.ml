@@ -294,6 +294,23 @@ let test_block_query_interior_node () =
           (Printf.sprintf {|{"op":"query","id":"qo","endpoint":"%s","engine":"block"}|}
              out)))
 
+(* The block engine has one max policy.  ["grid"] is a bad request that
+   names the one value accepted, and the server goes on serving; the
+   request the block benchmark sends, with ["max_policy":"clark"],
+   answers byte for byte as the same request without the field. *)
+let test_block_max_policy_field () =
+  let t, _ = make_server () in
+  Alcotest.(check string) "grid refused, naming clark"
+    {|{"status":"error","kind":"structural","code":1,"message":"structural error in request: field \"max_policy\" must be one of \"clark\""}|}
+    (ask t {|{"op":"run","id":"g","engine":"block","max_policy":"grid"}|});
+  let clark =
+    ask t {|{"op":"run","id":"b","engine":"block","max_policy":"clark"}|}
+  in
+  Alcotest.(check string) "clark run ok after the refusal" "ok"
+    (status_of clark);
+  Alcotest.(check string) "max_policy clark = no max_policy field" clark
+    (ask t {|{"op":"run","id":"b","engine":"block"}|})
+
 let test_server_health_reports_pool_parking () =
   (* An idle server's worker domains sit parked on the pool's condition
      variable; the health answer exposes the park ledger. *)
@@ -675,6 +692,8 @@ let suite =
         test_server_deadline_degrades_then_recovers;
       slow_case "serve loop drains and shuts down" test_serve_loop;
       slow_case "cancel ends an idle serve loop" test_serve_cancel_while_idle;
+      case "block max_policy: grid refused, clark is the default"
+        test_block_max_policy_field;
       slow_case "block query on an interior node is refused"
         test_block_query_interior_node;
       slow_case "error replies echo the request id" test_error_replies_echo_id;
