@@ -1030,6 +1030,117 @@ let dim_block_cell ~circuit ~placement ~confidence ~q ~cache ~max_paths =
     c_max_paths = max_paths; c_paths = 0; c_wall = best_wall;
     c_minor = best_minor; c_counters = []; c_report = "" }
 
+(* The per-path walk of the path engine at serve-enum's caps: the
+   gate-table walk ([Path_coeffs.of_table]: Eq. 5 sums, Eq. 13 slots,
+   gate count and worst corner in one pass) against the reference walks
+   it replaced ([Path_coeffs.of_path] plus [Paths.worst_case_delay] and
+   [Paths.path_gate_count]), over the ranked paths of one capped run.
+   Each timed call walks the set once.  The cell also
+   counts the gate tables a served design builds over warm repeats of
+   the same request. *)
+type walk_cell = {
+  w_name : string;
+  w_cap : int;
+  w_paths : int;
+  w_visits : int;  (* path nodes walked per pass over the set *)
+  w_table_wall : float;
+  w_reference_wall : float;
+  w_table_words : float;  (* minor words of the fastest timed call *)
+  w_reference_words : float;
+  w_build_s : float;  (* one table build, min of the repeats *)
+  w_warm_builds : int;  (* tables built by the warm repeats *)
+}
+
+let dim_walk_caps = [ ("c1355", 200); ("c6288", 100) ]
+let dim_walk_confidence = 0.1
+let dim_walk_repeats = 31
+let dim_walk_warm_requests = 3
+let dim_walk_ratio_max = 0.6
+
+let dim_walk_cell (name, cap) =
+  let module Gate_table = Ssta_correlation.Gate_table in
+  let module Path_coeffs = Ssta_correlation.Path_coeffs in
+  let module Paths = Ssta_timing.Paths in
+  let circuit, placement = Iscas85.build_placed (spec_exn name) in
+  let config =
+    { (Config.with_confidence Config.default dim_walk_confidence) with
+      Config.max_paths = cap }
+  in
+  let m = Methodology.run ~config ~placement circuit in
+  let graph = m.Methodology.sta.Sta.graph in
+  let paths =
+    Array.map
+      (fun (r : Ranking.ranked) -> r.Ranking.analysis.Path_analysis.path)
+      m.Methodology.ranked
+  in
+  let layers = Config.layers_for config placement in
+  let corner_k = config.Config.corner_k in
+  let tb, build_s, _ =
+    dim_min_of ~within:dim_direct ~repeats:dim_walk_repeats (fun () ->
+        Gate_table.build graph placement layers ~corner_k)
+  in
+  let sink = ref 0.0 in
+  let walk f () = Array.iter (fun p -> sink := !sink +. f p) paths in
+  let table =
+    walk (fun p ->
+        let c, worst = Path_coeffs.of_table tb p in
+        c.Path_coeffs.alpha_sum +. worst +. float_of_int c.Path_coeffs.gate_count)
+  and reference =
+    walk (fun p ->
+        let c = Path_coeffs.of_path graph placement layers p in
+        c.Path_coeffs.alpha_sum
+        +. Paths.worst_case_delay ~corner_k graph p
+        +. float_of_int (Paths.path_gate_count graph p))
+  in
+  (* The two walks alternate, one timed call each, so that a change in
+     host load hits both minima alike. *)
+  let fastest = Array.make 2 (infinity, 0.0) in
+  for _ = 1 to dim_walk_repeats do
+    List.iteri
+      (fun k f ->
+        let (), wall, words = dim_min_of ~within:dim_direct ~repeats:1 f in
+        if wall < fst fastest.(k) then fastest.(k) <- (wall, words))
+      [ table; reference ]
+  done;
+  let table_wall, table_words = fastest.(0) in
+  let reference_wall, reference_words = fastest.(1) in
+  let server =
+    Ssta_server.Server.create ~config:Config.default
+      ~reload:(fun () -> Ok (circuit, placement))
+      circuit placement
+  in
+  let request () =
+    match
+      Ssta_server.Protocol.decode ~max_bytes:max_int
+        (Printf.sprintf {|{"op":"run","max_paths":%d,"confidence":%g}|} cap
+           dim_walk_confidence)
+    with
+    | Ok env -> ignore (Ssta_server.Server.dispatch server env)
+    | Error _ -> invalid_arg "dim_walk_cell: bad request"
+  in
+  request ();
+  let builds = Gate_table.builds () in
+  for _ = 1 to dim_walk_warm_requests do
+    request ()
+  done;
+  { w_name = name;
+    w_cap = cap;
+    w_paths = Array.length paths;
+    w_visits =
+      Array.fold_left (fun a p -> a + Array.length p.Paths.nodes) 0 paths;
+    w_table_wall = table_wall;
+    w_reference_wall = reference_wall;
+    w_table_words = table_words;
+    w_reference_words = reference_words;
+    w_build_s = build_s;
+    w_warm_builds = Gate_table.builds () - builds }
+
+let walk_ns_per_visit w wall =
+  wall *. 1e9 /. float_of_int (Int.max 1 w.w_visits)
+
+let walk_words_per_path w words =
+  words /. float_of_int (Int.max 1 w.w_paths)
+
 (* The full cartesian sweep: {Q x jobs x cache} for the path engine and
    {Q x cache} for the block engine (which takes no pool), plus the
    extra Q and max-paths points that anchor the log-log exponent fits.
@@ -1240,6 +1351,35 @@ let dim () =
         (name, grid, q_points, q_exp, paths_points, paths_exp, vs_seed))
       specs
   in
+  Fmt.pr "  %-7s %4s %5s %7s %11s %11s %6s %11s %11s %9s %6s@." "walk" "cap"
+    "paths" "visits" "table-ns/v" "ref-ns/v" "ratio" "table-w/p" "ref-w/p"
+    "build(s)" "warm";
+  let walks =
+    List.map
+      (fun cell ->
+        let w = dim_walk_cell cell in
+        let ratio = w.w_table_wall /. w.w_reference_wall in
+        Fmt.pr "  %-7s %4d %5d %7d %11.2f %11.2f %6.3f %11.1f %11.1f %9.5f %6d@."
+          w.w_name w.w_cap w.w_paths w.w_visits
+          (walk_ns_per_visit w w.w_table_wall)
+          (walk_ns_per_visit w w.w_reference_wall)
+          ratio
+          (walk_words_per_path w w.w_table_words)
+          (walk_words_per_path w w.w_reference_words)
+          w.w_build_s w.w_warm_builds;
+        if !assert_ then begin
+          if ratio > dim_walk_ratio_max then
+            fail "%s/%d: table walk %.4fs is %.2fx the reference walk %.4fs \
+                  (max %.2fx)"
+              w.w_name w.w_cap w.w_table_wall ratio w.w_reference_wall
+              dim_walk_ratio_max;
+          if w.w_warm_builds <> 0 then
+            fail "%s/%d: %d warm repeat requests built %d gate tables"
+              w.w_name w.w_cap dim_walk_warm_requests w.w_warm_builds
+        end;
+        w)
+      dim_walk_caps
+  in
   let oc = open_out "BENCH_dim.json" in
   let out fmt = Printf.ksprintf (output_string oc) fmt in
   out
@@ -1288,6 +1428,25 @@ let dim () =
         | None -> "")
         (if i = List.length rows - 1 then "" else ","))
     rows;
+  out "],\n\"path_walk\":[\n";
+  List.iteri
+    (fun i w ->
+      out
+        "  {\"name\":\"%s\",\"max_paths\":%d,\"confidence\":%g,\
+         \"paths\":%d,\"gate_visits\":%d,\
+         \"table_ns_per_visit\":%.2f,\"reference_ns_per_visit\":%.2f,\
+         \"table_to_reference\":%.3f,\"table_minor_words_per_path\":%.1f,\
+         \"reference_minor_words_per_path\":%.1f,\"table_build_s\":%.5f,\
+         \"warm_repeat_requests\":%d,\"warm_repeat_table_builds\":%d}%s\n"
+        w.w_name w.w_cap dim_walk_confidence w.w_paths w.w_visits
+        (walk_ns_per_visit w w.w_table_wall)
+        (walk_ns_per_visit w w.w_reference_wall)
+        (w.w_table_wall /. w.w_reference_wall)
+        (walk_words_per_path w w.w_table_words)
+        (walk_words_per_path w w.w_reference_words)
+        w.w_build_s dim_walk_warm_requests w.w_warm_builds
+        (if i = List.length walks - 1 then "" else ","))
+    walks;
   out "]}\n";
   close_out oc;
   Fmt.pr "  wrote BENCH_dim.json@.";

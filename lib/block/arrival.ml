@@ -7,6 +7,7 @@ module Layers = Ssta_correlation.Layers
 module Slots = Ssta_correlation.Slots
 module Budget = Ssta_correlation.Budget
 module Placement = Ssta_circuit.Placement
+module Gate_table = Ssta_correlation.Gate_table
 module Config = Ssta_core.Config
 
 type t = {
@@ -47,31 +48,28 @@ let make (config : Config.t) ?(mean = 0.0) ?(terms = []) resid =
     terms;
   { mean; coeffs; shared_var = Slots.dot config.Config.budget coeffs coeffs; resid }
 
-(* A gate's delay form without its coefficient vector: sensitivity
-   [sens.(r)] to RV [r] sits at slot [bases.(l) + r] on every shared
-   layer [l] of a [len]-slot vector.  [gate_shared_var] is summed in
-   slot order, term by term from zero.  Once the layer count and each
-   partition are checked, the five sensitivities and the budget's
-   variance table are read unchecked. *)
+(* A gate's delay form without its coefficient vector: the five
+   sensitivities of [grad] (in {!Params.rv_index} order) sit at slots
+   [Gate_table.chunk_base bases (off + l) + r] on every shared layer
+   [l] of a [len]-slot vector.  [gate_shared_var] is summed in slot
+   order, term by term from zero.  The bases are a chunk of the
+   design's gate table (or, for {!of_gate}, one laid out the same way
+   from the layering on the spot), so every base is a whole partition
+   below [len]; once the layer count is checked against the budget its
+   variance table is read unchecked. *)
 type gate_form = {
   delay : float;
-  sens : float array;
-  bases : int array;
+  grad : Params.t;
+  bases : Bytes.t;
+  off : int;
+  shared_layers : int;
   len : int;
   gate_shared_var : float;
   random_var : float;
 }
 
-let gate_form (config : Config.t) layers placement graph id =
+let gate_form (config : Config.t) layers graph ~bases ~off id =
   let grad = (Graph.grads graph).(id) in
-  let sens =
-    [| Params.get grad Params.Tox;
-       Params.get grad Params.Leff;
-       Params.get grad Params.Vdd;
-       Params.get grad Params.Vtn;
-       Params.get grad Params.Vtp |]
-  in
-  let x, y = Placement.coord placement id in
   let num_layers = Layers.num_layers layers in
   let shared_layers =
     if config.Config.random_layer then num_layers - 1 else num_layers
@@ -80,51 +78,67 @@ let gate_form (config : Config.t) layers placement graph id =
   if num_layers > Budget.layers budget then
     invalid_arg "Arrival.gate_form: the budget lacks a layer";
   let vars = budget.Budget.rv_var in
-  let bases = Array.make shared_layers 0 in
+  let term d k = d *. d *. Array.unsafe_get vars k in
   let shared_var = ref 0.0 in
+  for layer = 0 to shared_layers - 1 do
+    let k = layer * Slots.num_rvs in
+    shared_var := !shared_var +. term grad.Params.tox k;
+    shared_var := !shared_var +. term grad.Params.leff (k + 1);
+    shared_var := !shared_var +. term grad.Params.vdd (k + 2);
+    shared_var := !shared_var +. term grad.Params.vtn (k + 3);
+    shared_var := !shared_var +. term grad.Params.vtp (k + 4)
+  done;
+  let random_var = ref 0.0 in
+  if config.Config.random_layer then begin
+    let k = (num_layers - 1) * Slots.num_rvs in
+    random_var := !random_var +. term grad.Params.tox k;
+    random_var := !random_var +. term grad.Params.leff (k + 1);
+    random_var := !random_var +. term grad.Params.vdd (k + 2);
+    random_var := !random_var +. term grad.Params.vtn (k + 3);
+    random_var := !random_var +. term grad.Params.vtp (k + 4)
+  end;
+  { delay = graph.Graph.delay.(id);
+    grad;
+    bases;
+    off;
+    shared_layers;
+    len = Slots.num_slots ~quad_levels:shared_layers;
+    gate_shared_var = !shared_var;
+    random_var = !random_var }
+
+(* Write the gate's sensitivities into [c], or add them when [add]. *)
+let put_sens g c ~add =
+  if Array.length c < g.len then invalid_arg "Arrival.put_sens: short vector";
+  let put i d =
+    Array.unsafe_set c i (if add then Array.unsafe_get c i +. d else d)
+  in
+  let grad = g.grad in
+  for l = 0 to g.shared_layers - 1 do
+    let base = Gate_table.chunk_base g.bases (g.off + l) in
+    put base grad.Params.tox;
+    put (base + 1) grad.Params.leff;
+    put (base + 2) grad.Params.vdd;
+    put (base + 3) grad.Params.vtn;
+    put (base + 4) grad.Params.vtp
+  done
+
+let of_gate (config : Config.t) layers placement graph id =
+  let x, y = Placement.coord placement id in
+  let num_layers = Layers.num_layers layers in
+  let shared_layers =
+    if config.Config.random_layer then num_layers - 1 else num_layers
+  in
+  let bases = Bytes.create (4 * Int.max 0 shared_layers) in
   for layer = 0 to shared_layers - 1 do
     let partition =
       Layers.partition_of_gate layers ~level:layer ~gate_id:id ~x ~y
     in
     if partition < 0 || partition >= 1 lsl (2 * layer) then
       invalid_arg "Arrival.gate_form: partition outside its layer";
-    bases.(layer) <- Slots.num_rvs * (Slots.layer_offset layer + partition);
-    let k = layer * Slots.num_rvs in
-    for r = 0 to Slots.num_rvs - 1 do
-      let d = Array.unsafe_get sens r in
-      shared_var := !shared_var +. (d *. d *. Array.unsafe_get vars (k + r))
-    done
+    Bytes.set_int32_ne bases (4 * layer)
+      (Int32.of_int (Slots.num_rvs * (Slots.layer_offset layer + partition)))
   done;
-  let random_var = ref 0.0 in
-  if config.Config.random_layer then begin
-    let k = (num_layers - 1) * Slots.num_rvs in
-    for r = 0 to Slots.num_rvs - 1 do
-      let d = Array.unsafe_get sens r in
-      random_var := !random_var +. (d *. d *. Array.unsafe_get vars (k + r))
-    done
-  end;
-  { delay = graph.Graph.delay.(id);
-    sens;
-    bases;
-    len = Slots.num_slots ~quad_levels:shared_layers;
-    gate_shared_var = !shared_var;
-    random_var = !random_var }
-
-(* Write the gate's sensitivities into [c], or add them when [add].
-   [gate_form] keeps every base a whole partition below [g.len]. *)
-let put_sens g c ~add =
-  if Array.length c < g.len then invalid_arg "Arrival.put_sens: short vector";
-  for l = 0 to Array.length g.bases - 1 do
-    let base = Array.unsafe_get g.bases l in
-    for r = 0 to Slots.num_rvs - 1 do
-      let d = Array.unsafe_get g.sens r in
-      let i = base + r in
-      Array.unsafe_set c i (if add then Array.unsafe_get c i +. d else d)
-    done
-  done
-
-let of_gate config layers placement graph id =
-  let g = gate_form config layers placement graph id in
+  let g = gate_form config layers graph ~bases ~off:0 id in
   let coeffs = Array.make g.len 0.0 in
   put_sens g coeffs ~add:false;
   { mean = g.delay;
@@ -272,13 +286,22 @@ let max_fold pool config arrivals ids =
    else one from the pool into which the fold result is copied (it is a
    stored arrival, or shorter).  The gate's sensitivities are then
    added in place. *)
-let step pool (config : Config.t) layers placement graph arrivals id =
+let step pool (config : Config.t) (gates : Gate_table.t) arrivals id =
+  let graph = gates.Gate_table.graph in
   let fanins = Graph.fanins graph id in
   let a, owned =
     if Array.length fanins = 0 then (zero_arrival, [||])
     else clark_fold pool config arrivals fanins
   in
-  let g = gate_form config layers placement graph id in
+  let layers = gates.Gate_table.layers in
+  let g =
+    gate_form config layers graph
+      ~bases:gates.Gate_table.bases.(id lsr Gate_table.chunk_bits)
+      ~off:
+        ((id land ((1 lsl Gate_table.chunk_bits) - 1))
+        * layers.Layers.quad_levels)
+      id
+  in
   let la = Array.length a.coeffs in
   let n = Int.max la g.len in
   let coeffs =

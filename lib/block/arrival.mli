@@ -106,16 +106,16 @@ val max_fold : pool -> Ssta_core.Config.t -> t array -> int array -> t
 val step :
   pool ->
   Ssta_core.Config.t ->
-  Ssta_correlation.Layers.t ->
-  Ssta_circuit.Placement.t ->
-  Ssta_timing.Graph.t ->
+  Ssta_correlation.Gate_table.t ->
   t array ->
   int ->
   t
-(** [step pool config layers placement graph arrivals id] is the
-    arrival of gate [id] given the arrivals of the graph's nodes
-    (indexed by node id): bit for bit
-    [sum config (fold max fanins) (of_gate config layers placement graph id)],
+(** [step pool config gates arrivals id] is the arrival of gate [id]
+    given the arrivals of the table's graph's nodes (indexed by node
+    id): bit for bit
+    [sum config (fold max fanins) (of_gate config gates.layers
+    gates.placement gates.graph id)], with the gate's partitions read
+    from the table ([gates] must be built for [config]'s layering),
     with the fan-ins folded left to right in {!Ssta_timing.Graph.fanins}
     order ({!max_fold}) and a gate without fan-ins starting from
     {!zero}.

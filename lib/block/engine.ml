@@ -5,6 +5,7 @@ module Sta = Ssta_timing.Sta
 module Netlist = Ssta_circuit.Netlist
 module Placement = Ssta_circuit.Placement
 module Config = Ssta_core.Config
+module Gate_table = Ssta_correlation.Gate_table
 
 type endpoint = {
   node : int;
@@ -51,7 +52,8 @@ let endpoint_of config ~node ~name arrival =
    Consumers are counted per fan-in edge (a gate that reads a node twice
    holds it twice); every primary output holds one more use, which is
    never released, for the endpoint table. *)
-let propagate config layers placement graph ~outputs pool =
+let propagate config gates ~outputs pool =
+  let graph = gates.Gate_table.graph in
   let n = Graph.num_nodes graph in
   let zero = Arrival.zero () in
   let arrivals = Array.make n zero in
@@ -63,7 +65,7 @@ let propagate config layers placement graph ~outputs pool =
   for id = 0 to n - 1 do
     if not (Graph.is_input graph id) then begin
       arrivals.(id) <-
-        Arrival.step pool config layers placement graph arrivals id;
+        Arrival.step pool config gates arrivals id;
       let fanins = Graph.fanins graph id in
       for k = 0 to Array.length fanins - 1 do
         let f = fanins.(k) in
@@ -77,7 +79,7 @@ let propagate config layers placement graph ~outputs pool =
   done;
   arrivals
 
-let analyze ?(config = Config.default) ?placement ?sta circuit =
+let analyze ?(config = Config.default) ?placement ?sta ?gates circuit =
   let started = Unix.gettimeofday () in
   let sta = match sta with Some s -> s | None -> Sta.analyze circuit in
   let graph = sta.Sta.graph in
@@ -85,11 +87,21 @@ let analyze ?(config = Config.default) ?placement ?sta circuit =
     match placement with Some pl -> pl | None -> Placement.place circuit
   in
   let layers = Config.layers_for config placement in
+  let corner_k = config.Config.corner_k in
+  let gates =
+    match gates with
+    | None -> Gate_table.build graph placement layers ~corner_k
+    | Some tb when Gate_table.fits tb graph placement layers ~corner_k -> tb
+    | Some _ ->
+        invalid_arg
+          "Engine.analyze: gate table built for another graph, placement, \
+           layering or corner"
+  in
   let outputs = circuit.Netlist.outputs in
   if Array.length outputs = 0 then
     invalid_arg "Engine.analyze: circuit has no outputs";
   let pool = Arrival.pool () in
-  let arrivals = propagate config layers placement graph ~outputs pool in
+  let arrivals = propagate config gates ~outputs pool in
   let arrival = Arrival.max_fold pool config arrivals outputs in
   let endpoints =
     Array.to_list outputs

@@ -50,6 +50,7 @@ val analyze :
   ?config:Ssta_core.Config.t ->
   ?placement:Ssta_circuit.Placement.t ->
   ?sta:Ssta_timing.Sta.t ->
+  ?gates:Ssta_correlation.Gate_table.t ->
   Ssta_circuit.Netlist.t ->
   t
 (** [analyze circuit] runs deterministic STA plus one statistical
@@ -59,7 +60,11 @@ val analyze :
     [config].  [sta] substitutes a pre-built deterministic
     analysis (e.g. on a drive-aware graph,
     {!Ssta_timing.Graph.with_drives}) — its graph must describe
-    [circuit].  The sweep's vector free list is local to the call, so
+    [circuit].  [gates] is the design state's gate table, from which
+    every step reads the gate's partitions; it must
+    {!Ssta_correlation.Gate_table.fits} the graph, placement and
+    [config]'s layering and corner (raises [Invalid_argument]
+    otherwise), and without it the call builds one.  The sweep's vector free list is local to the call, so
     concurrent calls share nothing mutable.  Raises [Invalid_argument]
     if the circuit has no outputs. *)
 

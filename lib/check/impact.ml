@@ -3,6 +3,7 @@ module Placement = Ssta_circuit.Placement
 module Edit = Ssta_circuit.Edit
 module Gate = Ssta_tech.Gate
 module Layers = Ssta_correlation.Layers
+module Gate_table = Ssta_correlation.Gate_table
 module Graph = Ssta_timing.Graph
 module Sta = Ssta_timing.Sta
 module Paths = Ssta_timing.Paths
@@ -281,12 +282,14 @@ module Path_table = Hashtbl.Make (Path_key)
 type state = {
   mutable design : design;
   mutable sta : Sta.t;
+  mutable gates : Gate_table.t;
   mutable warm : Path_analysis.warm;
   cache : (Path_analysis.t * Health.t) Path_table.t;
   lifetime : Health.t;
 }
 
 let design_of s = s.design
+let gate_table s = s.gates
 let cache_size s = Path_table.length s.cache
 let ledger s = s.lifetime
 
@@ -294,9 +297,14 @@ let screen_of config =
   if config.Config.affine_prune then Some (Affine.methodology_screen config)
   else None
 
-let run_design ?pool ?reuse ?record d ~sta ~warm =
+let run_design ?pool ?gates ?reuse ?record d ~sta ~warm =
   Methodology.analyze ~config:d.config ~placement:d.placement ?pool
-    ?screen:(screen_of d.config) ~sta ~warm ?reuse ?record d.circuit
+    ?screen:(screen_of d.config) ~sta ~warm ?gates ?reuse ?record d.circuit
+
+let gates_of d (sta : Sta.t) =
+  Gate_table.build sta.Sta.graph d.placement
+    (Config.layers_for d.config d.placement)
+    ~corner_k:d.config.Config.corner_k
 
 let record_into cache p pa ledger =
   Path_table.replace cache (p.Paths.nodes, p.Paths.delay) (pa, ledger)
@@ -309,10 +317,13 @@ let init ?pool ?(ledger = Health.create ()) d =
   | Ok warm -> (
       let cache = Path_table.create 1024 in
       let sta = sta_of d in
-      match run_design ?pool ~record:(record_into cache) d ~sta ~warm with
+      let gates = gates_of d sta in
+      match
+        run_design ?pool ~gates ~record:(record_into cache) d ~sta ~warm
+      with
       | Error e -> Error e
       | Ok report ->
-          Ok ({ design = d; sta; warm; cache; lifetime = ledger }, report))
+          Ok ({ design = d; sta; gates; warm; cache; lifetime = ledger }, report))
 
 type outcome = {
   report : Methodology.t;
@@ -341,6 +352,27 @@ let next_sta s next changed =
       Graph.redrive s.sta.Sta.graph next.circuit next.drives ~changed
     in
     (Sta.relabel s.sta graph ~changed:retimed, List.length retimed)
+
+(* The edited design's gate table: the state's when neither the graph
+   nor the placement changed, a patch of it re-deriving only the moved
+   cells, or a fresh build when the layering or the corner changed (a
+   [Tables]/[Analysis] delta, which re-analyzes everything anyway). *)
+let next_gates s next (sta : Sta.t) changes =
+  let layers = Config.layers_for next.config next.placement in
+  let corner_k = next.config.Config.corner_k in
+  let graph = sta.Sta.graph in
+  if Gate_table.fits s.gates graph next.placement layers ~corner_k then s.gates
+  else if
+    Gate_table.fits s.gates s.gates.Gate_table.graph
+      s.gates.Gate_table.placement layers ~corner_k
+  then
+    let moved =
+      List.filter_map
+        (function Cell_move { node; _ } -> Some node | _ -> None)
+        changes
+    in
+    Gate_table.patch s.gates graph next.placement moved
+  else gates_of next sta
 
 (* The body of [reanalyze] and [what_if]: the state's cache is only read
    during the run, so a failed run or an uncommitted probe leaves it
@@ -372,6 +404,7 @@ let run_edit ~commit ?pool s edits =
       | Error e -> Error e
       | Ok warm -> (
           let sta, retimed = next_sta s next (resized changes) in
+          let gates = next_gates s next sta changes in
           let reused = ref 0 and fresh = ref [] in
           let reuse p =
             if stale p.Paths.nodes then None
@@ -385,13 +418,14 @@ let run_edit ~commit ?pool s edits =
               | None -> None
           in
           let record p pa ledger = fresh := (p, pa, ledger) :: !fresh in
-          match run_design ?pool ~reuse ~record next ~sta ~warm with
+          match run_design ?pool ~gates ~reuse ~record next ~sta ~warm with
           | Error e -> Error e
           | Ok report ->
               let reanalyzed = List.length !fresh in
               if commit then begin
                 s.design <- next;
                 s.sta <- sta;
+                s.gates <- gates;
                 s.warm <- warm;
                 Path_table.filter_map_inplace
                   (fun (nodes, _) v -> if stale nodes then None else Some v)

@@ -52,8 +52,11 @@
     of [g] and its gate fan-ins only ({!Ssta_timing.Graph.redrive}) and
     relabels forward from the smallest of them
     ({!Ssta_timing.Sta.relabel}); moves and parameter deltas keep the
-    very same image.  Both are bit-identical to the full build, which
-    {!init} and {!scratch} keep. *)
+    very same image.  The design's gate table
+    ({!Ssta_correlation.Gate_table}) is carried the same way: it points
+    at the new graph, and a move copies and re-derives the moved cells'
+    partitions.  All are bit-identical
+    to the full build, which {!init} and {!scratch} keep. *)
 
 module Netlist = Ssta_circuit.Netlist
 module Placement = Ssta_circuit.Placement
@@ -167,6 +170,14 @@ val init :
     lifetime ledger to surface them through the [health] op. *)
 
 val design_of : state -> design
+
+val gate_table : state -> Ssta_correlation.Gate_table.t
+(** The gate table of the state's current design — its graph,
+    placement, layering and corner.  {!init} builds it; a committed
+    edit replaces it by a patch that re-derives only the moved cells (a
+    fresh build only when the layering or corner changed), and
+    {!what_if} patches a copy it then drops. *)
+
 val cache_size : state -> int
 val ledger : state -> Health.t
 

@@ -31,7 +31,7 @@ let degradations t =
   match t.status with Complete -> [] | Degraded ds -> ds
 
 let run_tracked ~config ~tracker ?placement ?wire ?wire_caps ?pool ?screen
-    ?sta ?warm ?reuse ?record circuit =
+    ?sta ?warm ?gates ?reuse ?record circuit =
   let started = Unix.gettimeofday () in
   let budget = Rbudget.limits tracker in
   let degradations = ref [] in
@@ -76,7 +76,7 @@ let run_tracked ~config ~tracker ?placement ?wire ?wire_caps ?pool ?screen
   in
   let health = Health.create () in
   let ctx =
-    Path_analysis.context ~health ?warm config sta.Sta.graph placement
+    Path_analysis.context ~health ?warm ?gates config sta.Sta.graph placement
   in
   (* Step 3: sigma_C from the deterministic critical path.  The path
      gets a private ledger merged back immediately — Health.merge
@@ -294,16 +294,16 @@ let run ?(config = Config.default) ?placement ?wire ?wire_caps ?pool ?screen
     ?placement ?wire ?wire_caps ?pool ?screen circuit
 
 let analyze ?(config = Config.default) ?(budget = Rbudget.unlimited)
-    ?cancelled ?placement ?wire ?wire_caps ?pool ?screen ?sta ?warm ?reuse
-    ?record circuit =
+    ?cancelled ?placement ?wire ?wire_caps ?pool ?screen ?sta ?warm ?gates
+    ?reuse ?record circuit =
   match Rbudget.validate budget with
   | Error e -> Error e
   | Ok () ->
       Err.protect ~context:"Methodology.analyze" (fun () ->
           run_tracked ~config
             ~tracker:(Rbudget.start ?cancelled budget)
-            ?placement ?wire ?wire_caps ?pool ?screen ?sta ?warm ?reuse
-            ?record circuit)
+            ?placement ?wire ?wire_caps ?pool ?screen ?sta ?warm ?gates
+            ?reuse ?record circuit)
 
 let num_critical_paths t = Array.length t.ranked
 

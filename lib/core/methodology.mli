@@ -91,6 +91,7 @@ val analyze :
      (int -> bool) * (string * int) list) ->
   ?sta:Ssta_timing.Sta.t ->
   ?warm:Path_analysis.warm ->
+  ?gates:Ssta_correlation.Gate_table.t ->
   ?reuse:
     (Ssta_timing.Paths.path ->
      (Path_analysis.t * Ssta_runtime.Health.t) option) ->
@@ -122,7 +123,10 @@ val analyze :
     health ledger — the warm-state owner accounts for them.  The arena
     and path-memo counters are left out under [warm] or [reuse] too, so
     an incremental run stays byte-identical to a warm one from
-    scratch.
+    scratch.  [gates] is the design state's gate table, handed to
+    {!Path_analysis.context}: it must fit [sta]'s graph, [placement],
+    and [config]'s layering and corner (else the run fails with a typed
+    error); without it the run builds one.
 
     [reuse]/[record] are the incremental re-analysis hooks
     ([Ssta_check.Impact]).  For every path of step 3/5, [reuse] may

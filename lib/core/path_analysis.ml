@@ -3,6 +3,7 @@ module Graph = Ssta_timing.Graph
 module Paths = Ssta_timing.Paths
 module Layers = Ssta_correlation.Layers
 module Path_coeffs = Ssta_correlation.Path_coeffs
+module Gate_table = Ssta_correlation.Gate_table
 module Guard = Ssta_runtime.Guard
 module Health = Ssta_runtime.Health
 
@@ -90,6 +91,8 @@ type context = {
   cache_shared : bool;  (* caches owned by a longer-lived warm state *)
   domains : domain_states;  (* per-domain arena shards *)
   memo : memo;
+  gates : Gate_table.t option Atomic.t;
+      (* the caller's table, or one built on the first [analyze] *)
 }
 
 type warm = {
@@ -121,10 +124,20 @@ let warm config =
 
 let warm_cache_stats w = Option.map Inter.caches_stats w.w_caches
 
-let context ?health ?warm config graph placement =
+let context ?health ?warm ?gates config graph placement =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Path_analysis.context: " ^ msg));
+  let layers = Config.layers_for config placement in
+  (match gates with
+  | Some tb
+    when not
+           (Gate_table.fits tb graph placement layers
+              ~corner_k:config.Config.corner_k) ->
+      invalid_arg
+        "Path_analysis.context: gate table built for another graph, \
+         placement, layering or corner"
+  | _ -> ());
   let health =
     match health with Some h -> h | None -> Health.create ()
   in
@@ -149,7 +162,7 @@ let context ?health ?warm config graph placement =
   { config;
     graph;
     placement;
-    layers = Config.layers_for config placement;
+    layers;
     tables;
     health;
     caches;
@@ -158,7 +171,21 @@ let context ?health ?warm config graph placement =
     memo =
       { entries = Hashtbl.create 16;
         lookups = 0;
-        memo_lock = Mutex.create () } }
+        memo_lock = Mutex.create () };
+    gates = Atomic.make gates }
+
+(* A race on the first call only repeats deterministic work; the
+   compare-and-set keeps one table. *)
+let rec gates ctx =
+  match Atomic.get ctx.gates with
+  | Some tb -> tb
+  | None ->
+      let tb =
+        Gate_table.build ctx.graph ctx.placement ctx.layers
+          ~corner_k:ctx.config.Config.corner_k
+      in
+      ignore (Atomic.compare_and_set ctx.gates None (Some tb));
+      gates ctx
 
 let health ctx = ctx.health
 let grads ctx = Graph.grads ctx.graph
@@ -213,9 +240,8 @@ let analyze ?health ctx path =
      and never the memo lock, so fetching the cache shard inside a miss
      cannot deadlock. *)
   let arena = domain_states_get ctx.domains in
-  let coeffs =
-    Path_coeffs.of_path ctx.graph ctx.placement ctx.layers path
-  in
+  let tb = gates ctx in
+  let coeffs, worst_case = Path_coeffs.of_table tb path in
   let intra_var = Intra.variance ctx.config coeffs in
   let key =
     ( Int64.bits_of_float coeffs.Path_coeffs.alpha_sum,
@@ -233,11 +259,9 @@ let analyze ?health ctx path =
             s)
   in
   Health.merge ~into:health s.s_health;
-  let worst_case =
-    Paths.worst_case_delay ~corner_k:ctx.config.Config.corner_k ctx.graph path
-  in
+  if coeffs.Path_coeffs.gate_count > 0 then Gate_table.check_corner tb;
   { path;
-    gate_count = Paths.path_gate_count ctx.graph path;
+    gate_count = coeffs.Path_coeffs.gate_count;
     coeffs;
     intra_pdf = s.s_intra;
     inter_pdf = s.s_inter;

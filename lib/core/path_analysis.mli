@@ -54,6 +54,7 @@ val warm_cache_stats : warm -> Inter.cache_stats option
 val context :
   ?health:Ssta_runtime.Health.t ->
   ?warm:warm ->
+  ?gates:Ssta_correlation.Gate_table.t ->
   Config.t ->
   Ssta_timing.Graph.t ->
   Ssta_circuit.Placement.t ->
@@ -61,7 +62,16 @@ val context :
 (** A fresh ledger is created when [health] is omitted.  [warm] reuses a
     previously built table/cache pair instead of rebuilding them; it
     must satisfy {!warm_compatible} (raises [Invalid_argument]
-    otherwise). *)
+    otherwise).
+
+    [gates] is the design state's gate table, which every {!analyze}
+    walks; it must {!Ssta_correlation.Gate_table.fits} this graph,
+    placement, the configuration's layering and its [corner_k] (raises
+    [Invalid_argument] otherwise — a stale table is refused, never
+    read).  A long-lived owner of the design (the server, the
+    incremental state) passes its own, so a context costs no
+    per-design work.  Without it, the first {!analyze} builds one for
+    the context's lifetime: one-shot callers pay one build per run. *)
 
 val health : context -> Ssta_runtime.Health.t
 (** The ledger accumulated by every {!analyze} call through this
@@ -115,7 +125,8 @@ val analyze :
     distinct path is analyzed once, and later paths with the same key
     share its (never mutated) PDFs, moments and sigmas.  The per-path
     fields ([path], [gate_count], [coeffs], [det_delay], [worst_case])
-    are always computed from the path itself.  Every call, hit or miss,
+    are always computed from the path itself, in one walk over the
+    context's gate table ({!Ssta_correlation.Path_coeffs.of_table}).  Every call, hit or miss,
     replays the Guard events of the key's analysis into the ledger, so
     results and ledgers are identical to a fresh context per path.
     Misses run under the context's memo lock: exactly one analysis per

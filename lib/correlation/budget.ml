@@ -21,8 +21,8 @@ let of_weights weights =
   if n = 0 then invalid_arg "Budget.of_weights: empty";
   Array.iter
     (fun w ->
-      if w < 0.0 || Float.is_nan w then
-        invalid_arg "Budget.of_weights: weights must be non-negative")
+      if not (Float.is_finite w && w >= 0.0) then
+        invalid_arg "Budget.of_weights: weights must be finite and non-negative")
     weights;
   let total = Array.fold_left ( +. ) 0.0 weights in
   if not (total > 0.0) then invalid_arg "Budget.of_weights: all-zero weights";

@@ -25,7 +25,9 @@ val inter_intra : inter_fraction:float -> layers:int -> t
 
 val of_weights : float array -> t
 (** Explicit non-negative weights; normalized to sum to 1.  Raises
-    [Invalid_argument] on an empty or all-zero vector.  The only
+    [Invalid_argument] on an empty or all-zero vector, or on a negative
+    or non-finite weight (so every [rv_var] entry is finite and
+    non-negative, which {!Slots.sq_norm} relies on).  The only
     constructor: {!equal} and {!inter_intra} call it, and it fills the
     [rv_var] table. *)
 

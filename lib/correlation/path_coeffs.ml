@@ -83,6 +83,66 @@ let of_path ?grads ?ws:_ g pl (layers : Layers.t) (path : Paths.path) =
     coeffs;
     random_sq }
 
+let of_table (tb : Gate_table.t) (path : Paths.path) =
+  let quad_levels = tb.Gate_table.layers.Layers.quad_levels in
+  let coeffs = Array.make (Slots.num_slots ~quad_levels) 0.0 in
+  let random_sq =
+    if tb.Gate_table.layers.Layers.random_layer then
+      Array.make Slots.num_rvs 0.0
+    else [||]
+  in
+  let random = random_sq <> [||] in
+  let graph = tb.Gate_table.graph and grads = tb.Gate_table.grads in
+  let corner = tb.Gate_table.corner and bases = tb.Gate_table.bases in
+  let mask = (1 lsl Gate_table.chunk_bits) - 1 in
+  let alpha_sum = ref 0.0 and beta_sum = ref 0.0 and worst_sum = ref 0.0 in
+  let gate_count = ref 0 and nominal_delay = ref 0.0 in
+  let grad_sum = Array.make Slots.num_rvs 0.0 in
+  let nodes = path.Paths.nodes in
+  for k = 0 to Array.length nodes - 1 do
+    let id = nodes.(k) in
+    match graph.Graph.electrical.(id) with
+    | None -> ()
+    | Some e ->
+      alpha_sum := !alpha_sum +. e.Ssta_tech.Gate.alpha;
+      beta_sum := !beta_sum +. e.Ssta_tech.Gate.beta;
+      incr gate_count;
+      nominal_delay := !nominal_delay +. graph.Graph.delay.(id);
+      (* [Elmore.delay_of corner e], written out so that the float
+         stays unboxed. *)
+      worst_sum :=
+        !worst_sum
+        +. corner.Ssta_tech.Elmore.geometry
+           *. ((e.Ssta_tech.Gate.alpha *. corner.Ssta_tech.Elmore.vn)
+              +. (e.Ssta_tech.Gate.beta *. corner.Ssta_tech.Elmore.vp));
+      let grad = grads.(id) in
+      add_derivatives grad_sum 0 grad;
+      (* The table's chunk of 32-bit bases, read in place as
+         {!Gate_table.chunk_base} does (see {!Gate_table.chunk_bits}). *)
+      let b = bases.(id lsr Gate_table.chunk_bits)
+      and row = (id land mask) * quad_levels in
+      for layer = 1 to quad_levels - 1 do
+        add_derivatives coeffs
+          (Int32.to_int (Bytes.get_int32_ne b (4 * (row + layer))))
+          grad
+      done;
+      if random then add_squares random_sq grad
+  done;
+  ( { alpha_sum = !alpha_sum;
+      beta_sum = !beta_sum;
+      gate_count = !gate_count;
+      nominal_delay = !nominal_delay;
+      grad_sum =
+        { Params.tox = grad_sum.(0);
+          leff = grad_sum.(1);
+          vdd = grad_sum.(2);
+          vtn = grad_sum.(3);
+          vtp = grad_sum.(4) };
+      quad_levels;
+      coeffs;
+      random_sq },
+    !worst_sum )
+
 let random_variance t budget =
   let acc = ref 0.0 in
   for r = 0 to Array.length t.random_sq - 1 do

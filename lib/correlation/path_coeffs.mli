@@ -41,7 +41,10 @@ type t = {
 }
 
 type workspace
-(** Kept for source compatibility: {!of_path} needs no scratch state. *)
+(** Kept for source compatibility: {!of_path} needs no scratch state.
+    [workspace], {!workspace_create} and [?ws] stay because the
+    benchmark's traced replay ([perfbench/replay.ml]), which this
+    library does not own, calls them. *)
 
 val workspace_create : unit -> workspace
 
@@ -53,13 +56,25 @@ val of_path :
   Layers.t ->
   Ssta_timing.Paths.path ->
   t
-(** Accumulate coefficients for one path, adding each gate's
-    derivatives in path order.  Derivatives are evaluated at nominal
+(** The reference walk: accumulate coefficients for one path, adding
+    each gate's derivatives in path order, deriving each gate's
+    partitions on the spot.  Derivatives are evaluated at nominal
     (the paper's zeroth-order approximation, Eq. 11).
 
     [grads] defaults to {!Ssta_timing.Graph.grads}[ g]; a caller's own
     table must hold the same values (it leaves every output bit
     unchanged).  [ws] is ignored. *)
+
+val of_table : Gate_table.t -> Ssta_timing.Paths.path -> t * float
+(** The production walk: {!of_path}[ table.graph table.placement
+    table.layers path], bit for bit, paired with the path's worst-case
+    corner delay — [Ssta_timing.Paths.worst_case_delay
+    ~corner_k:table.corner_k] on the same graph, also bit for bit
+    unless the table's corner is invalid (then 0; see
+    {!Gate_table.check_corner}).  One pass over the path, reading each
+    gate's partitions and the corner's factors from the table instead
+    of re-deriving them; every sum adds the same values in the same
+    order as {!of_path}. *)
 
 val intra_variance : t -> Budget.t -> float
 (** Eq. (14): [sum coeff^2 * sigma_layer^2] over the quad-tree slots

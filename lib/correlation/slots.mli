@@ -63,4 +63,6 @@ val sq_norm : Budget.t -> ?layer:int -> float array -> float
     which terms except when the exact sum sits on a rounding boundary:
     two paths that are the same sum of RVs over mirrored partitions get
     bit-identical variances (and rank as exact ties), which the plain
-    in-order {!dot} does not guarantee. *)
+    in-order {!dot} does not guarantee.  Zero slots are skipped: they
+    would add +0.0, which changes no bit of the sum or its
+    compensation, so the result is the dense chain's bit for bit. *)

@@ -50,14 +50,21 @@ let param_fields =
   [ "quality_intra"; "quality_inter"; "confidence"; "max_paths"; "deadline";
     "max_cells"; "retry"; "full"; "engine"; "max_policy" ]
 
-let fields_of_op = function
-  | "run" -> param_fields
-  | "query" -> "endpoint" :: param_fields
-  | "check" -> [ "only"; "path_limit" ]
-  | "criticality" -> [ "top" ]
-  | "edit" | "what-if" -> [ "edits" ]
-  | "health" | "reload" | "shutdown" -> []
-  | op -> bad "unknown op %S" op
+let ops =
+  [ ("run", param_fields);
+    ("query", "endpoint" :: param_fields);
+    ("check", [ "only"; "path_limit" ]);
+    ("criticality", [ "top" ]);
+    ("edit", [ "edits" ]);
+    ("what-if", [ "edits" ]);
+    ("health", []);
+    ("reload", []);
+    ("shutdown", []) ]
+
+let fields_of_op op =
+  match List.assoc_opt op ops with
+  | Some fields -> fields
+  | None -> bad "unknown op %S" op
 
 let get_int ~lo ~hi name j =
   match Json.member name j with
@@ -118,7 +125,10 @@ let get_deadline j =
   | Some (Json.String s) -> (
       match Rbudget.parse_duration s with
       | Ok x -> Some (check x)
-      | Error e -> raise (Bad e))
+      | Error _ ->
+          bad "field \"deadline\" must be a positive duration, got %S \
+               (expected e.g. 10s, 500ms, 2m, 1.5)"
+            s)
   | Some v -> (
       match Json.to_float v with
       | Some x -> Some (check x)

@@ -49,6 +49,10 @@ type request =
 
 type envelope = { id : Json.t option; request : request }
 
+val ops : (string * string list) list
+(** Every op name with the fields it accepts besides ["op"] and
+    ["id"]; {!decode} refuses any other op or field. *)
+
 val decode :
   max_bytes:int -> string -> (envelope, Ssta_runtime.Ssta_error.t) result
 (** Decode one request line.  Lines longer than [max_bytes] are

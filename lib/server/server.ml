@@ -9,6 +9,7 @@ module Path_analysis = Ssta_core.Path_analysis
 module Ranking = Ssta_core.Ranking
 module Report = Ssta_core.Report
 module Inter = Ssta_core.Inter
+module Gate_table = Ssta_correlation.Gate_table
 module Block_engine = Ssta_block.Engine
 module Checker = Ssta_check.Checker
 module Affine = Ssta_check.Affine
@@ -36,6 +37,9 @@ type t = {
   mutable placement : Placement.t;
   mutable sta : Sta.t;
   mutable warm : Path_analysis.warm option;
+  mutable gates : Gate_table.t option;
+      (* the served image's gate table, built on first use, taken from
+         the impact state on every committed edit, dropped on reload *)
   mutable impact : Impact.state option;
       (* warm incremental image for edit/what-if, built lazily on first
          use, dropped on reload *)
@@ -57,6 +61,7 @@ let create ?(config = Config.default) ?pool ?default_deadline_s
     placement;
     sta = Sta.analyze circuit;
     warm = None;
+    gates = None;
     impact = None;
     lifetime = Health.create () }
 
@@ -73,6 +78,21 @@ let get_warm t cfg =
       let w = Path_analysis.warm cfg in
       t.warm <- Some w;
       w
+
+(* The served image's gate table for a configuration: kept while it
+   fits the image and the configuration's layering and corner, so a
+   warm run or query builds none. *)
+let get_gates t cfg =
+  let layers = Config.layers_for cfg t.placement in
+  let corner_k = cfg.Config.corner_k in
+  match t.gates with
+  | Some tb when Gate_table.fits tb t.sta.Sta.graph t.placement layers ~corner_k
+    ->
+      tb
+  | _ ->
+      let tb = Gate_table.build t.sta.Sta.graph t.placement layers ~corner_k in
+      t.gates <- Some tb;
+      tb
 
 let cancelled_hook t () = Cancel.cancelled t.cancel
 
@@ -138,7 +158,7 @@ let analyze_once t cfg budget =
   Methodology.analyze ~config:cfg ~budget
     ~cancelled:(cancelled_hook t)
     ~placement:t.placement ?pool:t.pool ~sta:t.sta ~warm:(get_warm t cfg)
-    t.circuit
+    ~gates:(get_gates t cfg) t.circuit
 
 (* Retry with degradation: a deadline-degraded run is re-run once at
    halved PDF quality with no deadline — a complete low-resolution
@@ -169,7 +189,10 @@ let maybe_retry t (p : Protocol.run_params) cfg m =
    is cheap enough (no path enumeration) that nothing is cached between
    requests; deadlines and retry do not apply. *)
 let do_run_block t id (p : Protocol.run_params) cfg =
-  let r = Block_engine.analyze ~config:cfg ~placement:t.placement ~sta:t.sta t.circuit in
+  let r =
+    Block_engine.analyze ~config:cfg ~placement:t.placement ~sta:t.sta
+      ~gates:(get_gates t cfg) t.circuit
+  in
   count t "requests-ok";
   let full = Option.value ~default:true p.Protocol.p_full in
   let summary_fields =
@@ -274,7 +297,7 @@ let do_query t id endpoint (p : Protocol.run_params) =
       let cfg = effective_config t p in
       let r =
         Block_engine.analyze ~config:cfg ~placement:t.placement ~sta:t.sta
-          t.circuit
+          ~gates:(get_gates t cfg) t.circuit
       in
       let ep =
         List.find (fun ep -> ep.Block_engine.node = nid) r.Block_engine.endpoints
@@ -297,7 +320,8 @@ let do_query t id endpoint (p : Protocol.run_params) =
       let warm = get_warm t cfg in
       let health = Health.create () in
       let ctx =
-        Path_analysis.context ~health ~warm cfg t.sta.Sta.graph t.placement
+        Path_analysis.context ~health ~warm ~gates:(get_gates t cfg) cfg
+          t.sta.Sta.graph t.placement
       in
       let path = endpoint_path t.sta nid in
       let pa = Path_analysis.analyze ctx path in
@@ -497,6 +521,7 @@ let do_edit t id script =
       t.circuit <- d.Impact.circuit;
       t.placement <- d.Impact.placement;
       t.sta <- o.Impact.report.Methodology.sta;
+      t.gates <- Some (Impact.gate_table state);
       count t "requests-ok";
       Protocol.render ?id ~status:Protocol.Ok_
         (("circuit", Json.String t.circuit.Netlist.name) :: impact_fields o)
@@ -533,6 +558,7 @@ let do_reload t id =
       t.placement <- placement;
       t.sta <- Sta.analyze circuit;
       t.warm <- None;
+      t.gates <- None;
       t.impact <- None;
       count t "reloads";
       count t "requests-ok";

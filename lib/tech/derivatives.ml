@@ -50,6 +50,28 @@ let first e p rv =
   | Vtn -> geometry p *. e.Gate.alpha *. f_dvt ~vdd:p.vdd ~vt:p.vtn
   | Vtp -> geometry p *. e.Gate.beta *. f_dvt ~vdd:p.vdd ~vt:p.vtp
 
+(* The factors of {!first} that depend on the operating point only,
+   evaluated once: each component below is the same expression tree as
+   its [first] arm with those factors read from the closure. *)
+let gradient_at (p : Params.t) =
+  let open Params in
+  let tox_k = Elmore.elmore_constant *. p.leff /. Elmore.eps_ox in
+  let leff_k = Elmore.elmore_constant *. p.tox /. Elmore.eps_ox in
+  let fn = Elmore.voltage_factor ~vdd:p.vdd ~vt:p.vtn in
+  let fp = Elmore.voltage_factor ~vdd:p.vdd ~vt:p.vtp in
+  let geom = geometry p in
+  let dv_n = f_dv ~vdd:p.vdd ~vt:p.vtn and dv_p = f_dv ~vdd:p.vdd ~vt:p.vtp in
+  let dvt_n = f_dvt ~vdd:p.vdd ~vt:p.vtn
+  and dvt_p = f_dvt ~vdd:p.vdd ~vt:p.vtp in
+  fun (e : Gate.electrical) ->
+    let a = e.Gate.alpha and b = e.Gate.beta in
+    let vsum = (a *. fn) +. (b *. fp) in
+    { tox = tox_k *. vsum;
+      leff = leff_k *. vsum;
+      vdd = geom *. ((a *. dv_n) +. (b *. dv_p));
+      vtn = geom *. a *. dvt_n;
+      vtp = geom *. b *. dvt_p }
+
 let gradient e p =
   { Params.tox = first e p Params.Tox;
     leff = first e p Params.Leff;

@@ -16,6 +16,14 @@ val gradient : Gate.electrical -> Params.t -> Params.t
 (** All five first derivatives as a record (field [tox] holds
     d t_p / d t_ox, etc.). *)
 
+val gradient_at : Params.t -> Gate.electrical -> Params.t
+(** [gradient_at p] is [fun e -> gradient e p], bit for bit, with the
+    factors that depend on the point only (geometry, the voltage
+    factors and their partials: about a dozen [**] terms) evaluated
+    once, on application to [p]: a caller differentiating many gates at
+    one point applies it once.  It raises as {!Elmore.voltage_factor}
+    does at that point. *)
+
 val second : Gate.electrical -> Params.t -> Params.rv -> float
 (** [second e p rv] is d^2 t_p / d rv^2 at [p]. *)
 

@@ -11,12 +11,19 @@ let voltage_factor ~vdd ~vt =
 (* The geometry prefactor and both voltage factors depend on the
    parameter point only, so a caller timing many gates at one point
    computes them once. *)
-let delay_at (p : Params.t) =
-  let geometry = elmore_constant *. p.Params.tox *. p.Params.leff /. eps_ox in
-  let vn = voltage_factor ~vdd:p.Params.vdd ~vt:p.Params.vtn in
-  let vp = voltage_factor ~vdd:p.Params.vdd ~vt:p.Params.vtp in
-  fun (e : Gate.electrical) ->
-    geometry *. ((e.Gate.alpha *. vn) +. (e.Gate.beta *. vp))
+type factors = { geometry : float; vn : float; vp : float }
+
+let factors (p : Params.t) =
+  { geometry = elmore_constant *. p.Params.tox *. p.Params.leff /. eps_ox;
+    vn = voltage_factor ~vdd:p.Params.vdd ~vt:p.Params.vtn;
+    vp = voltage_factor ~vdd:p.Params.vdd ~vt:p.Params.vtp }
+
+let delay_of f (e : Gate.electrical) =
+  f.geometry *. ((e.Gate.alpha *. f.vn) +. (e.Gate.beta *. f.vp))
+
+let delay_at p =
+  let f = factors p in
+  fun e -> delay_of f e
 
 let gate_delay e p = delay_at p e
 

@@ -24,6 +24,17 @@ val voltage_factor : vdd:float -> vt:float -> float
 val gate_delay : Gate.electrical -> Params.t -> float
 (** Full nonlinear delay of one gate at a parameter point (Eq. 2). *)
 
+type factors = { geometry : float; vn : float; vp : float }
+(** The gate-independent factors of Eq. 2 at one parameter point: the
+    geometry prefactor and the voltage factors [F(V_dd, V_Tn)] and
+    [F(V_dd, |V_Tp|)]. *)
+
+val factors : Params.t -> factors
+(** Raises as {!voltage_factor} does at that point. *)
+
+val delay_of : factors -> Gate.electrical -> float
+(** [delay_of (factors p) e] is [gate_delay e p], bit for bit. *)
+
 val delay_at : Params.t -> Gate.electrical -> float
 (** [delay_at p] is [fun e -> gate_delay e p] with the gate-independent
     factors of Eq. 2 (geometry and both voltage factors) computed once,

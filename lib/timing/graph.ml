@@ -15,6 +15,9 @@ let make circuit electrical delay fanouts =
 
 let default_wire_cap = 1.0e-15
 
+(* [Elmore.nominal_delay] with the point's factors evaluated once. *)
+let nominal_delay = Elmore.delay_at Ssta_tech.Params.nominal
+
 let of_netlist ?(wire_cap = default_wire_cap) c =
   let n = Netlist.num_nodes c in
   let fanouts = Netlist.fanouts c in
@@ -25,7 +28,7 @@ let of_netlist ?(wire_cap = default_wire_cap) c =
       let fanout = Array.length fanouts.(g.Netlist.id) in
       let e = Gate.electrical ~fanout ~wire_cap g.Netlist.kind in
       electrical.(g.Netlist.id) <- Some e;
-      delay.(g.Netlist.id) <- Elmore.nominal_delay e)
+      delay.(g.Netlist.id) <- nominal_delay e)
     c.Netlist.gates;
   make c electrical delay fanouts
 
@@ -63,7 +66,7 @@ let with_wire_caps c wire_caps =
         Gate.electrical ~fanout ~wire_cap:wire_caps.(id) g.Netlist.kind
       in
       electrical.(id) <- Some e;
-      delay.(id) <- Elmore.nominal_delay e)
+      delay.(id) <- nominal_delay e)
     c.Netlist.gates;
   make c electrical delay fanouts
 
@@ -105,7 +108,7 @@ let with_drives ?(wire_cap = default_wire_cap) c drives =
         drive_aware ~wire_cap c fanouts drives ~is_output:is_output.(id) id
       in
       electrical.(id) <- Some e;
-      delay.(id) <- Elmore.nominal_delay e)
+      delay.(id) <- nominal_delay e)
     c.Netlist.gates;
   make c electrical delay fanouts
 
@@ -127,7 +130,7 @@ let of_placed ?(wire = Ssta_tech.Wire.default) c (pl : Ssta_circuit.Placement.t)
       let fanout = Array.length fanouts.(id) in
       let e = Gate.electrical ~fanout ~wire_cap g.Netlist.kind in
       electrical.(id) <- Some e;
-      delay.(id) <- Elmore.nominal_delay e)
+      delay.(id) <- nominal_delay e)
     c.Netlist.gates;
   make c electrical delay fanouts
 
@@ -144,8 +147,12 @@ let fanins t id =
 
 let total_nominal_delay t = Array.fold_left ( +. ) 0.0 t.delay
 
+(* [Derivatives.gradient e Params.nominal] with the point's factors
+   evaluated once. *)
+let nominal_gradient = Ssta_tech.Derivatives.gradient_at Ssta_tech.Params.nominal
+
 let grad_of = function
-  | Some e -> Ssta_tech.Derivatives.gradient e Ssta_tech.Params.nominal
+  | Some e -> nominal_gradient e
   | None -> Ssta_tech.Params.zero
 
 (* Two domains racing on the first call both evaluate the same
@@ -189,7 +196,7 @@ let redrive prev c drives ~changed =
           ~is_output id
       in
       electrical.(id) <- Some e;
-      delay.(id) <- Elmore.nominal_delay e)
+      delay.(id) <- nominal_delay e)
     retimed;
   let t = make c electrical delay prev.fanouts in
   (* Carry an evaluated table: copy it and re-derive the retimed

@@ -42,3 +42,32 @@ let combine_into budget c ~wa a ~wb b =
     acc := !acc +. (x *. x *. var budget i)
   done;
   !acc
+
+(* Eq. (14)'s compensated sum with no zero skip: Neumaier's chain over
+   every slot of each layer, RV-major, as [Slots.sq_norm] ran before it
+   learned to skip zero slots. *)
+let sq_norm budget ?layer v =
+  let n = Array.length v in
+  let first, last =
+    match layer with Some l -> (l, l) | None -> (0, max_int)
+  in
+  let sum = ref 0.0 and comp = ref 0.0 and l = ref first in
+  while !l <= last && Slots.num_rvs * Slots.layer_offset !l < n do
+    let hi = Int.min n (Slots.num_rvs * Slots.layer_offset (!l + 1)) in
+    for r = 0 to Slots.num_rvs - 1 do
+      let w = Slots.var budget ~layer:!l r in
+      let i = ref ((Slots.num_rvs * Slots.layer_offset !l) + r) in
+      while !i < hi do
+        let x = v.(!i) *. v.(!i) *. w in
+        let s = !sum in
+        let t = s +. x in
+        comp :=
+          !comp
+          +. if Float.abs s >= Float.abs x then s -. t +. x else x -. t +. s;
+        sum := t;
+        i := !i + Slots.num_rvs
+      done
+    done;
+    incr l
+  done;
+  !sum +. !comp

@@ -587,12 +587,16 @@ let test_step_leaves_operands_alone () =
   done;
   Array.iter (fun o -> uses.(o) <- uses.(o) + 1) circuit.Netlist.outputs;
   let pool = Arrival.pool () in
+  let gates =
+    Ssta_correlation.Gate_table.build graph placement layers
+      ~corner_k:config.Config.corner_k
+  in
   let recycled = ref 0 in
   for id = 0 to n - 1 do
     if not (Graph.is_input graph id) then begin
       let fanins = Graph.fanins graph id in
       let before = Array.map (fun f -> snapshot arrivals.(f)) fanins in
-      let fused = Arrival.step pool config layers placement graph arrivals id in
+      let fused = Arrival.step pool config gates arrivals id in
       Array.iteri
         (fun k f ->
           check_true

@@ -450,6 +450,164 @@ let test_correlation_increases_variance () =
   check_true "co-located (correlated) variance is larger"
     (variance co_located > variance spread)
 
+(* ---------------- The gate table ---------------- *)
+
+(* Up to [max_paths] longest paths of a graph, within 30% of its
+   critical delay. *)
+let some_paths ?(max_paths = 30) g =
+  let labels = Longest_path.bellman_ford g in
+  let critical = Array.fold_left Float.max 0.0 labels in
+  (Paths.enumerate ~max_paths g ~labels ~slack:(0.3 *. critical)).Paths.paths
+
+let walk_agrees what tb paths =
+  List.iteri
+    (fun i p ->
+      match Coeffs_reference.table_walk_mismatch tb p with
+      | None -> ()
+      | Some field -> Alcotest.failf "%s: path %d: %s differs" what i field)
+    paths
+
+(* The table walk against the reference walks on random circuits,
+   layerings, placements and corners, bit for bit — corner_k 100 leaves
+   the model's domain, so the walk must defer the corner's error to
+   exactly the paths the reference raises on. *)
+let prop_table_walk_matches_reference =
+  qcheck ~count:40 "table walk = reference walk on random_layered, bit for bit"
+    QCheck.(
+      quad (int_range 1 5) bool (int_range 0 2) (int_range 1 10_000))
+    (fun (quad_levels, random_layer, corner, seed) ->
+      let c =
+        Generators.random_layered ~name:"r" ~inputs:6 ~outputs:3 ~gates:50
+          ~depth:7 ~seed ()
+      in
+      let g = Graph.of_netlist c in
+      let pl =
+        if seed mod 2 = 0 then Placement.place c
+        else Placement.place ~strategy:(Placement.Scattered seed) c
+      in
+      let layers = Layers.of_placement ~quad_levels ~random_layer pl in
+      let corner_k = List.nth [ 3.5; 0.0; 100.0 ] corner in
+      let tb = Gate_table.build g pl layers ~corner_k in
+      walk_agrees "random_layered" tb (some_paths g);
+      true)
+
+let test_table_walk_iscas85 () =
+  List.iter
+    (fun (spec : Iscas85.spec) ->
+      let c, pl = Iscas85.build_placed spec in
+      let g = (Sta.analyze c).Sta.graph in
+      let tb =
+        Gate_table.build g pl (Layers.of_placement pl)
+          ~corner_k:Ssta_tech.Corner.default_k
+      in
+      walk_agrees spec.Iscas85.name tb (some_paths ~max_paths:40 g))
+    Iscas85.all
+
+(* A patch re-derives the moved cells only: after moving a cell and
+   re-driving a gate, the patched table equals a fresh build bit for
+   bit, derived one entry, and shares every chunk but the moved cell's
+   with the old table; a re-drive alone copies nothing. *)
+let test_table_patch_equals_build () =
+  let c = small_random () in
+  let n = Netlist.num_nodes c in
+  let pl = Placement.place c in
+  let layers = Layers.of_placement pl in
+  let g = Graph.with_drives c (Array.make n 1.0) in
+  let tb = Gate_table.build g pl layers ~corner_k:3.5 in
+  let gate = c.Netlist.num_inputs + 7 and other = c.Netlist.num_inputs + 30 in
+  let drives = Array.make n 1.0 in
+  drives.(gate) <- 1.4;
+  let g', _ = Graph.redrive g c drives ~changed:[ gate ] in
+  let coords = Array.copy pl.Placement.coords in
+  coords.(other) <- (0.5, pl.Placement.die_height -. 0.5);
+  let pl' = { pl with Placement.coords } in
+  let before = Gate_table.derivations () and builds = Gate_table.builds () in
+  let redriven = Gate_table.patch tb g' pl [] in
+  check_true "a re-drive shares every chunk"
+    (redriven.Gate_table.bases == tb.Gate_table.bases);
+  let patched = Gate_table.patch tb g' pl' [ other ] in
+  check_int "derived only the moved cell" 1 (Gate_table.derivations () - before);
+  check_int "a patch is not a build" builds (Gate_table.builds ());
+  Array.iteri
+    (fun k chunk ->
+      check_true
+        (Printf.sprintf "chunk %d: copied iff the moved cell lives in it" k)
+        ((chunk == tb.Gate_table.bases.(k))
+        = (k <> other lsr Gate_table.chunk_bits)))
+    patched.Gate_table.bases;
+  List.iter
+    (fun (what, t, pl) ->
+      match
+        Coeffs_reference.table_mismatch t (Gate_table.build g' pl layers ~corner_k:3.5)
+      with
+      | None -> ()
+      | Some field -> Alcotest.failf "%s table: %s differs" what field)
+    [ ("re-driven", redriven, pl); ("moved", patched, pl') ];
+  check_true "the patched table fits the new image"
+    (Gate_table.fits patched g' pl' layers ~corner_k:3.5);
+  check_true "the old table does not"
+    (not (Gate_table.fits tb g' pl' layers ~corner_k:3.5));
+  check_true "nor another corner"
+    (not (Gate_table.fits patched g' pl' layers ~corner_k:3.0));
+  walk_agrees "patched" patched (some_paths g')
+
+(* Eq. (14)'s zero skip: vectors over 0-5 layers (0 is the empty
+   vector) whose slots are mostly +0.0 or -0.0, under random budgets,
+   summed whole and per layer, equal the dense Neumaier chain bit for
+   bit — also with every partition mirrored left to right, where equal
+   dense sums (exact ties) must stay equal. *)
+let prop_sq_norm_zero_skip =
+  let mirror layers v =
+    let w = Array.copy v in
+    for l = 0 to layers - 1 do
+      let cells = 1 lsl l in
+      for p = 0 to (cells * cells) - 1 do
+        let row = p / cells and col = p mod cells in
+        let q = (row * cells) + (cells - 1 - col) in
+        for r = 0 to Slots.num_rvs - 1 do
+          w.(Slots.slot { Slots.rv = List.nth Params.all_rvs r; layer = l;
+                          partition = q })
+          <- v.(Slots.slot { Slots.rv = List.nth Params.all_rvs r; layer = l;
+                             partition = p })
+        done
+      done
+    done;
+    w
+  in
+  qcheck ~count:300 "zero-skipping sq_norm = dense Neumaier, bit for bit"
+    QCheck.(
+      quad (int_range 0 5) (float_range 0.0 1.0) (int_range 0 3)
+        (int_range 1 1_000_000))
+    (fun (layers, inter_fraction, density, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let n = Slots.num_slots ~quad_levels:layers in
+      let v =
+        Array.init n (fun _ ->
+            match Random.State.int rng 8 with
+            | k when k > density + 1 -> if Random.State.bool rng then 0.0 else -0.0
+            | 0 -> Random.State.float rng 1e-9 -. 5e-10
+            | 1 -> ldexp (Random.State.float rng 1.0) (-1060)
+            | _ -> Random.State.float rng 2.0 -. 1.0)
+      in
+      let budget =
+        Budget.inter_intra ~inter_fraction ~layers:(Int.max 2 (layers + 1))
+      in
+      let bits = Int64.bits_of_float in
+      let same a b = Int64.equal (bits a) (bits b) in
+      let agrees v =
+        same (Slots.sq_norm budget v) (Slots_reference.sq_norm budget v)
+        && List.for_all
+             (fun l ->
+               same
+                 (Slots.sq_norm budget ~layer:l v)
+                 (Slots_reference.sq_norm budget ~layer:l v))
+             (List.init (layers + 1) Fun.id)
+      in
+      let m = mirror layers v in
+      agrees v && agrees m
+      && same (Slots_reference.sq_norm budget v) (Slots_reference.sq_norm budget m)
+         = same (Slots.sq_norm budget v) (Slots.sq_norm budget m))
+
 let suite =
   ( "correlation",
     [ case "layer counts" test_layer_counts;
@@ -481,4 +639,9 @@ let suite =
         test_of_path_fast_options_bit_identical;
       prop_dense_matches_reference;
       case "spatial correlation increases path variance"
-        test_correlation_increases_variance ] )
+        test_correlation_increases_variance;
+      prop_table_walk_matches_reference;
+      slow_case "table walk = reference walk on ISCAS85, bit for bit"
+        test_table_walk_iscas85;
+      case "patched gate table = fresh build" test_table_patch_equals_build;
+      prop_sq_norm_zero_skip ] )

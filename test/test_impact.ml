@@ -404,10 +404,56 @@ let check_carried label d (o : Impact.outcome) =
   | Some what ->
       Alcotest.failf "%s: carried %s differs from a fresh build" label what
 
-(* [reanalyze], then the carried image against the committed design. *)
+module Gate_table = Ssta_correlation.Gate_table
+
+(* The state's gate table against a fresh build for its committed design
+   and timing image, bit for bit, and the table walk against the
+   reference walks on the report's paths. *)
+let check_gates label state (o : Impact.outcome) =
+  let d = Impact.design_of state in
+  let tb = Impact.gate_table state in
+  let graph = o.Impact.report.Methodology.sta.Sta.graph in
+  check_true (label ^ ": the table describes the committed image")
+    (tb.Gate_table.graph == graph
+    && tb.Gate_table.placement == d.Impact.placement);
+  (match
+     Coeffs_reference.table_mismatch tb
+       (Gate_table.build graph d.Impact.placement
+          (Config.layers_for d.Impact.config d.Impact.placement)
+          ~corner_k:d.Impact.config.Config.corner_k)
+   with
+  | None -> ()
+  | Some what -> Alcotest.failf "%s: carried gate table: %s differs" label what);
+  Array.iteri
+    (fun i (r : Ssta_core.Ranking.ranked) ->
+      match
+        Coeffs_reference.table_walk_mismatch tb
+          r.Ssta_core.Ranking.analysis.Path_analysis.path
+      with
+      | None -> ()
+      | Some what -> Alcotest.failf "%s: path %d: table walk %s differs" label i what)
+    o.Impact.report.Methodology.ranked
+
+(* [reanalyze], then the carried image and gate table against the
+   committed design.  Without a layering or corner delta the edit
+   builds no table and derives exactly the entries of the cells it
+   moved. *)
 let check_edit label state edits =
-  check_carried label (Impact.design_of state)
-    (ok_exn (Impact.reanalyze state edits))
+  let builds = Gate_table.builds () and derived = Gate_table.derivations () in
+  let o = ok_exn (Impact.reanalyze state edits) in
+  let moves =
+    List.length
+      (List.filter
+         (fun (e : Edit.edit) ->
+           match e.Edit.op with Edit.Move _ -> true | _ -> false)
+         edits)
+  in
+  check_int (label ^ ": an edit builds no gate table") builds
+    (Gate_table.builds ());
+  check_int (label ^ ": entries derived = moved cells") moves
+    (Gate_table.derivations () - derived);
+  check_carried label (Impact.design_of state) o;
+  check_gates label state o
 
 let parse script = ok_exn (Edit.parse_string_res script)
 
@@ -496,7 +542,15 @@ let test_carried_graph_scripts () =
   check_true "redrive refuses a primary input"
     (match Graph.redrive graph circuit drives ~changed:[ 0 ] with
     | _ -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true);
+  (* A what-if patches a table it drops; a corner delta builds one. *)
+  let table = Impact.gate_table state in
+  ignore (ok_exn (Impact.what_if state (script "resize %s 1.9" name)));
+  check_true "a what-if leaves the state's table" (Impact.gate_table state == table);
+  let builds = Gate_table.builds () in
+  let o = ok_exn (Impact.reanalyze state (parse "set corner-k 2.5")) in
+  check_int "a corner delta builds one table" (builds + 1) (Gate_table.builds ());
+  check_gates "corner delta" state o
 
 let qcheck_carried_graph =
   qcheck ~count:25 "carried graph equals a fresh build on random circuits"
@@ -512,6 +566,7 @@ let qcheck_carried_graph =
       List.for_all
         (fun e ->
           let o = ok_exn (Impact.reanalyze state [ e ]) in
+          check_gates "random edit" state o;
           carried_mismatch (Impact.design_of state)
             o.Impact.report.Methodology.sta
           = None)

@@ -131,6 +131,115 @@ let test_protocol_decode_errors () =
   decode_err ~kind:"budget-exceeded"
     ({|{"op":"run","id":"big"|} ^ String.make 8192 ' ' ^ "}")
 
+(* Every field of every op, tried absent, with the wrong JSON type,
+   below/at/above each range bound, as a huge integer and as a
+   non-integer where an integer is expected.  Each case decodes, or
+   fails with a structural error naming the field — never anything
+   else.  The kinds below are this test's own statement of the
+   protocol; every field [Protocol.ops] lists must have one. *)
+type field_kind =
+  | Int of int * int
+  | Float of float * float
+  | Deadline
+  | Bool
+  | Enum of string list
+  | Text  (* a non-empty string *)
+  | Texts  (* a list of strings *)
+
+let field_kinds =
+  [ ("quality_intra", Int (4, 4096)); ("quality_inter", Int (4, 4096));
+    ("confidence", Float (0.0, 10.0)); ("max_paths", Int (1, 10_000_000));
+    ("deadline", Deadline); ("max_cells", Int (16, 100_000_000));
+    ("retry", Bool); ("full", Bool); ("engine", Enum [ "path"; "block" ]);
+    ("max_policy", Enum [ "clark" ]); ("endpoint", Text); ("only", Texts);
+    ("path_limit", Int (0, 1_000_000)); ("top", Int (1, 1_000_000));
+    ("edits", Text) ]
+
+let required = function
+  | "query" -> [ ("endpoint", {|"n1"|}) ]
+  | "edit" | "what-if" -> [ ("edits", {|"resize n1 1.5"|}) ]
+  | _ -> []
+
+(* (value, decodes) pairs for one field; [None] is the absent field. *)
+let field_cases kind =
+  let num x = Printf.sprintf "%.17g" x in
+  let huge = [ (Some "1e300", false); (Some "9007199254740993", false) ] in
+  match kind with
+  | Int (lo, hi) ->
+      [ (Some {|"7"|}, false); (Some "true", false); (Some "[1]", false);
+        (Some (string_of_int (lo - 1)), false); (Some (string_of_int lo), true);
+        (Some (string_of_int hi), true); (Some (string_of_int (hi + 1)), false);
+        (Some (num (float_of_int lo +. 0.5)), false) ]
+      @ huge
+  | Float (lo, hi) ->
+      [ (Some {|"1"|}, false); (Some "null", false);
+        (Some (num (lo -. 1e-9)), false); (Some (num lo), true);
+        (Some (num hi), true); (Some (num (hi +. 1e-6)), false) ]
+      @ huge
+  | Deadline ->
+      [ (Some "true", false); (Some "[1]", false); (Some "0", false);
+        (Some "1e-9", true); (Some "86400", true); (Some "86400.5", false);
+        (Some {|"500ms"|}, true); (Some {|"86401s"|}, false);
+        (Some {|"abc"|}, false); (Some {|"-1s"|}, false); (Some {|""|}, false) ]
+      @ huge
+  | Bool -> [ (Some "1", false); (Some {|"true"|}, false); (Some "false", true) ]
+  | Enum values ->
+      (Some "1", false) :: (Some {|"nope"|}, false)
+      :: List.map (fun v -> (Some (Printf.sprintf "%S" v), true)) values
+  | Text -> [ (Some "5", false); (Some "null", false); (Some {|""|}, false) ]
+  | Texts ->
+      [ (Some {|"x"|}, false); (Some "[1]", false); (Some "[]", true);
+        (Some {|["a","b"]|}, true) ]
+
+let test_protocol_decode_boundaries () =
+  let cases = ref 0 in
+  List.iter
+    (fun (op, fields) ->
+      List.iter
+        (fun field ->
+          let kind =
+            match List.assoc_opt field field_kinds with
+            | Some k -> k
+            | None -> Alcotest.failf "field %S of op %S has no kind" field op
+          in
+          let req = required op in
+          List.iter
+            (fun (value, decodes) ->
+              let others = List.remove_assoc field req in
+              let members =
+                (("op", Printf.sprintf "%S" op) :: others)
+                @ match value with Some v -> [ (field, v) ] | None -> []
+              in
+              let line =
+                "{"
+                ^ String.concat ","
+                    (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) members)
+                ^ "}"
+              in
+              incr cases;
+              match decode line, decodes with
+              | Ok _, true -> ()
+              | Ok _, false -> Alcotest.failf "%s: decoded, expected an error" line
+              | Error e, false ->
+                  Alcotest.(check string) (line ^ ": kind") "structural"
+                    (Err.kind_name e);
+                  let quoted = Printf.sprintf "%S" field in
+                  let msg = Err.to_string e in
+                  let rec names i =
+                    i + String.length quoted <= String.length msg
+                    && (String.sub msg i (String.length quoted) = quoted
+                       || names (i + 1))
+                  in
+                  check_true (Printf.sprintf "%s: the error names %s (%s)" line
+                                quoted msg)
+                    (names 0)
+              | Error e, true ->
+                  Alcotest.failf "%s: %s" line (Err.to_string e))
+            ((None, not (List.mem_assoc field req)) :: field_cases kind))
+        fields)
+    Protocol.ops;
+  check_true (Printf.sprintf "%d boundary cases" !cases) (!cases >= 200)
+
 let test_protocol_render () =
   Alcotest.(check string) "render"
     {|{"id":"x","status":"ok","k":true}|}
@@ -544,6 +653,169 @@ let test_error_replies_echo_id () =
    at a wall-clock boundary) must be byte-identical across the two
    orders. *)
 
+(* ----- the served image's gate table ----- *)
+
+module Gate_table = Ssta_correlation.Gate_table
+module Impact = Ssta_check.Impact
+
+(* A warm repeat run or query builds no gate table, in either engine;
+   an edit builds none once the incremental image exists, and derives
+   exactly the entries of the cells it moved. *)
+let test_gate_table_lifetime () =
+  let t, circuit = make_server () in
+  let out = Netlist.node_name circuit circuit.Netlist.outputs.(0) in
+  let run = {|{"op":"run","id":"r","max_paths":4}|} in
+  let query = Printf.sprintf {|{"op":"query","id":"q","endpoint":"%s"}|} out in
+  let block = {|{"op":"run","id":"b","engine":"block"}|} in
+  let warm_repeats label =
+    let builds = Gate_table.builds () in
+    List.iter
+      (fun line ->
+        Alcotest.(check string) (label ^ ": ok") "ok" (status_of (ask t line)))
+      [ run; query; block; run; query ];
+    check_int (label ^ ": warm repeats build no table") builds
+      (Gate_table.builds ())
+  in
+  ignore (ask t run);
+  warm_repeats "fresh image";
+  let gate =
+    Netlist.node_name circuit
+      (circuit.Netlist.gates.(Array.length circuit.Netlist.gates / 2)).Netlist.id
+  in
+  let edit script =
+    ask t (Printf.sprintf {|{"op":"edit","id":"e","edits":"%s"}|} script)
+  in
+  Alcotest.(check string) "first edit" "ok" (status_of (edit ("resize " ^ gate ^ " 1.3")));
+  warm_repeats "edited image";
+  List.iter
+    (fun (script, moves) ->
+      let builds = Gate_table.builds () and derived = Gate_table.derivations () in
+      Alcotest.(check string) script "ok" (status_of (edit script));
+      check_int (script ^ ": no table built") builds (Gate_table.builds ());
+      check_int (script ^ ": entries derived = moved cells") moves
+        (Gate_table.derivations () - derived);
+      warm_repeats script)
+    [ ("resize " ^ gate ^ " 0.8", 0); ("move " ^ gate ^ " 1 1", 1);
+      ("set confidence 0.1", 0) ]
+
+(* A long-lived served c7552 session that interleaves edits (resize,
+   retype, move), what-ifs, queries and runs answers every query, run
+   and what-if exactly as a fresh server started on the edited netlist
+   and placement does.  The fresh server reaches the same drive-aware
+   image through one edit that sets every resized gate's drive (a
+   no-op resize when there is none); what-if answers are compared
+   without their cache-traffic counts, which depend on history. *)
+let test_served_session_matches_fresh_server () =
+  let spec = Option.get (Iscas85.by_name "c7552") in
+  let circuit, placement = Iscas85.build_placed spec in
+  let config =
+    { (Config.with_quality Config.default ~intra:16 ~inter:8) with
+      Config.max_paths = 8 }
+  in
+  let serve circuit placement =
+    Server.create ~config
+      ~reload:(fun () -> Ok (circuit, placement))
+      circuit placement
+  in
+  let long_lived = serve circuit placement in
+  let design = ref (Impact.design ~placement ~config circuit) in
+  let pick kind =
+    List.find
+      (fun (e : Ssta_circuit.Edit.edit) ->
+        match e.Ssta_circuit.Edit.op, kind with
+        | Ssta_circuit.Edit.Resize _, `Resize
+        | Ssta_circuit.Edit.Retype _, `Retype
+        | Ssta_circuit.Edit.Move _, `Move -> true
+        | _ -> false)
+      (Impact.random_edits ~rng:(Ssta_prob.Rng.create 11) ~count:40 !design)
+  in
+  let script e = Ssta_circuit.Edit.to_string [ e ] in
+  let request op fields =
+    Json.to_string
+      (Json.Obj (("op", Json.String op) :: ("id", Json.String op) :: fields))
+  in
+  let edits_req op e = request op [ ("edits", Json.String (script e)) ] in
+  let outs = circuit.Netlist.outputs in
+  let query i =
+    request "query"
+      [ ("endpoint", Json.String (Netlist.node_name circuit outs.(i))) ]
+  in
+  let masked line =
+    match Json.parse line with
+    | Ok (Json.Obj fields) ->
+        Json.to_string
+          (Json.Obj
+             (List.filter
+                (fun (k, _) ->
+                  not (List.mem k [ "invalidated"; "reused"; "reanalyzed" ]))
+                fields))
+    | _ -> line
+  in
+  let fresh_answer line =
+    let d = !design in
+    let fresh = serve d.Impact.circuit d.Impact.placement in
+    let resizes =
+      List.filter_map
+        (fun (g : Netlist.gate) ->
+          let id = g.Netlist.id in
+          if d.Impact.drives.(id) <> 1.0 then
+            Some
+              (Printf.sprintf "resize %s %.17g"
+                 (Netlist.node_name d.Impact.circuit id)
+                 d.Impact.drives.(id))
+          else None)
+        (Array.to_list d.Impact.circuit.Netlist.gates)
+    in
+    let resizes =
+      if resizes = [] then
+        [ Printf.sprintf "resize %s 1"
+            (Netlist.node_name d.Impact.circuit
+               d.Impact.circuit.Netlist.gates.(0).Netlist.id) ]
+      else resizes
+    in
+    Alcotest.(check string) "fresh server reaches the drives" "ok"
+      (status_of
+         (ask fresh
+            (request "edit" [ ("edits", Json.String (String.concat "\n" resizes)) ])));
+    ask fresh line
+  in
+  let commit e =
+    Alcotest.(check string) ("edit " ^ script e) "ok"
+      (status_of (ask long_lived (edits_req "edit" e)));
+    (* The design the server holds: the edit as its script reads. *)
+    design :=
+      Impact.apply !design
+        (match
+           Result.bind
+             (Ssta_circuit.Edit.parse_string_res (script e))
+             (Impact.resolve !design)
+         with
+        | Ok changes -> changes
+        | Error err -> Alcotest.failf "resolve: %s" (Err.to_string err))
+  in
+  let compare ?(mask = Fun.id) line =
+    let a = ask long_lived line in
+    Alcotest.(check string) (line ^ ": ok") "ok" (status_of a);
+    Alcotest.(check string) (line ^ ": same as a fresh server") (mask a)
+      (mask (fresh_answer line))
+  in
+  let run = request "run" [] in
+  let block = request "run" [ ("engine", Json.String "block") ] in
+  commit (pick `Resize);
+  compare (query 0);
+  compare ~mask:masked (edits_req "what-if" (pick `Move));
+  compare run;
+  commit (pick `Retype);
+  compare (query 1);
+  compare block;
+  commit (pick `Move);
+  compare block;
+  compare (query 2);
+  compare ~mask:masked (edits_req "what-if" (pick `Resize));
+  commit (pick `Resize);
+  compare run;
+  compare (query 0)
+
 let chaos_corpus circuit =
   let items = ref [] in
   let add ?(det = true) line = items := (line, det) :: !items in
@@ -681,6 +953,11 @@ let suite =
       case "protocol decodes every op" test_protocol_decode_ok;
       case "protocol rejects malformed requests" test_protocol_decode_errors;
       case "protocol rendering" test_protocol_render;
+      case "protocol decode: every field at its boundaries"
+        test_protocol_decode_boundaries;
+      slow_case "warm requests build no gate table" test_gate_table_lifetime;
+      slow_case "served edit session = fresh server on the edited design"
+        test_served_session_matches_fresh_server;
       case "bounded request queue" test_supervisor;
       case "a blocked take wakes on submit and on shutdown"
         test_supervisor_take_wakes;

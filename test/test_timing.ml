@@ -60,6 +60,63 @@ let test_graph_grads () =
   check_true "the resized table follows the new electricals"
     (not (same_grad (Graph.grads resized).(gate) (Graph.grads g).(gate)))
 
+(* The graph builders evaluate the nominal point's factors once
+   ([Elmore.delay_at], [Derivatives.gradient_at]); every delay and
+   gradient must equal the per-gate forms bit for bit, on all ten
+   ISCAS85 circuits and on random_layered ones, and [gradient_at] must
+   equal [gradient] at the corner points too. *)
+let test_hoisted_factors_bit_identical () =
+  let module Params = Ssta_tech.Params in
+  let module Corner = Ssta_tech.Corner in
+  let points =
+    [ Params.nominal; Corner.point Corner.Worst; Corner.point Corner.Best;
+      Corner.point ~k:1.0 Corner.Worst ]
+  in
+  let check name g =
+    check_grads_table name g;
+    for id = 0 to Graph.num_nodes g - 1 do
+      if not (Graph.is_input g id) then begin
+        let e = Graph.electrical_exn g id in
+        if
+          not
+            (Int64.equal
+               (Int64.bits_of_float g.Graph.delay.(id))
+               (Int64.bits_of_float (Ssta_tech.Elmore.nominal_delay e)))
+        then Alcotest.failf "%s: node %d nominal delay differs" name id;
+        List.iter
+          (fun p ->
+            if
+              not
+                (same_grad
+                   (Ssta_tech.Derivatives.gradient_at p e)
+                   (Ssta_tech.Derivatives.gradient e p))
+            then Alcotest.failf "%s: node %d gradient_at differs" name id)
+          points
+      end
+    done
+  in
+  let circuits =
+    List.map (fun spec -> fst (Iscas85.build_placed spec)) Iscas85.all
+    @ List.map
+        (fun seed ->
+          Generators.random_layered ~name:"r" ~inputs:8 ~outputs:4 ~gates:80
+            ~depth:9 ~seed ())
+        [ 1; 2; 3 ]
+  in
+  List.iter
+    (fun c ->
+      let n = Netlist.num_nodes c in
+      let name = c.Netlist.name in
+      check (name ^ " of_netlist") (Graph.of_netlist c);
+      check (name ^ " with_drives")
+        (Graph.with_drives c
+           (Array.init n (fun id -> 0.6 +. (0.1 *. float_of_int (id mod 9)))));
+      check (name ^ " with_wire_caps")
+        (Graph.with_wire_caps c
+           (Array.init n (fun id -> 1e-15 *. float_of_int (id mod 5))));
+      check (name ^ " of_placed") (Graph.of_placed c (Placement.place c)))
+    circuits
+
 let test_graph_grads_race () =
   let g = Graph.of_netlist (small_random ()) in
   let spawn () = Domain.spawn (fun () -> Graph.grads g) in
@@ -408,6 +465,8 @@ let suite =
       case "fanout increases loading" test_graph_fanout_loading;
       case "gradient table per graph" test_graph_grads;
       case "gradient table under a first-call race" test_graph_grads_race;
+      slow_case "hoisted nominal factors = per-gate forms, bit for bit"
+        test_hoisted_factors_bit_identical;
       case "max-plus suffix" test_suffix;
       case "electrical_exn on inputs" test_electrical_exn;
       case "chain labels monotone" test_chain_labels;
