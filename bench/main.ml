@@ -1035,9 +1035,11 @@ let dim_block_cell ~circuit ~placement ~confidence ~q ~cache ~max_paths =
    gate count and worst corner in one pass) against the reference walks
    it replaced ([Path_coeffs.of_path] plus [Paths.worst_case_delay] and
    [Paths.path_gate_count]), over the ranked paths of one capped run.
-   Each timed call walks the set once.  The cell also
-   counts the gate tables a served design builds over warm repeats of
-   the same request. *)
+   Each timed call walks the set once.  The cell also serves the same
+   request to a fresh server, then repeats it warm: it counts the gate
+   tables and the fresh path analyses the warm repeats make (the path
+   cache answers every path, so both must be 0) and times the cold
+   request against the fastest warm repeat. *)
 type walk_cell = {
   w_name : string;
   w_cap : int;
@@ -1049,13 +1051,17 @@ type walk_cell = {
   w_reference_words : float;
   w_build_s : float;  (* one table build, min of the repeats *)
   w_warm_builds : int;  (* tables built by the warm repeats *)
+  w_warm_fresh : int;  (* paths the warm repeats analyzed afresh *)
+  w_cold_wall : float;  (* the first request to a fresh server *)
+  w_warm_wall : float;  (* the fastest warm repeat *)
 }
 
 let dim_walk_caps = [ ("c1355", 200); ("c6288", 100) ]
 let dim_walk_confidence = 0.1
 let dim_walk_repeats = 31
-let dim_walk_warm_requests = 3
+let dim_walk_warm_requests = 5
 let dim_walk_ratio_max = 0.6
+let dim_walk_warm_ratio_max = 0.5
 
 let dim_walk_cell (name, cap) =
   let module Gate_table = Ssta_correlation.Gate_table in
@@ -1109,19 +1115,34 @@ let dim_walk_cell (name, cap) =
       ~reload:(fun () -> Ok (circuit, placement))
       circuit placement
   in
-  let request () =
-    match
-      Ssta_server.Protocol.decode ~max_bytes:max_int
-        (Printf.sprintf {|{"op":"run","max_paths":%d,"confidence":%g}|} cap
-           dim_walk_confidence)
-    with
-    | Ok env -> ignore (Ssta_server.Server.dispatch server env)
+  let ask line =
+    match Ssta_server.Protocol.decode ~max_bytes:max_int line with
+    | Ok env -> Ssta_server.Server.dispatch server env
     | Error _ -> invalid_arg "dim_walk_cell: bad request"
   in
-  request ();
-  let builds = Gate_table.builds () in
+  let timed_request () =
+    let t0 = Unix.gettimeofday () in
+    ignore
+      (ask
+         (Printf.sprintf {|{"op":"run","max_paths":%d,"confidence":%g}|} cap
+            dim_walk_confidence));
+    Unix.gettimeofday () -. t0
+  in
+  let misses () =
+    let member k v = Option.get (Ssta_runtime.Json.member k v) in
+    match Ssta_runtime.Json.parse (ask {|{"op":"health"}|}) with
+    | Ok v ->
+        let pc = member "path_cache" v in
+        let count k = Option.get (Ssta_runtime.Json.to_int (member k pc)) in
+        count "lookups" - count "hits"
+    | Error _ -> invalid_arg "dim_walk_cell: bad health answer"
+  in
+  Gc.full_major ();
+  let cold_wall = timed_request () in
+  let builds = Gate_table.builds () and missed = misses () in
+  let warm_wall = ref infinity in
   for _ = 1 to dim_walk_warm_requests do
-    request ()
+    warm_wall := Float.min !warm_wall (timed_request ())
   done;
   { w_name = name;
     w_cap = cap;
@@ -1133,7 +1154,10 @@ let dim_walk_cell (name, cap) =
     w_table_words = table_words;
     w_reference_words = reference_words;
     w_build_s = build_s;
-    w_warm_builds = Gate_table.builds () - builds }
+    w_warm_builds = Gate_table.builds () - builds;
+    w_warm_fresh = misses () - missed;
+    w_cold_wall = cold_wall;
+    w_warm_wall = !warm_wall }
 
 let walk_ns_per_visit w wall =
   wall *. 1e9 /. float_of_int (Int.max 1 w.w_visits)
@@ -1351,22 +1375,25 @@ let dim () =
         (name, grid, q_points, q_exp, paths_points, paths_exp, vs_seed))
       specs
   in
-  Fmt.pr "  %-7s %4s %5s %7s %11s %11s %6s %11s %11s %9s %6s@." "walk" "cap"
-    "paths" "visits" "table-ns/v" "ref-ns/v" "ratio" "table-w/p" "ref-w/p"
-    "build(s)" "warm";
+  Fmt.pr "  %-7s %4s %5s %7s %11s %11s %6s %11s %11s %9s %6s %6s %9s %9s@."
+    "walk" "cap" "paths" "visits" "table-ns/v" "ref-ns/v" "ratio" "table-w/p"
+    "ref-w/p" "build(s)" "warm" "fresh" "cold(s)" "warm(s)";
   let walks =
     List.map
       (fun cell ->
         let w = dim_walk_cell cell in
         let ratio = w.w_table_wall /. w.w_reference_wall in
-        Fmt.pr "  %-7s %4d %5d %7d %11.2f %11.2f %6.3f %11.1f %11.1f %9.5f %6d@."
+        Fmt.pr
+          "  %-7s %4d %5d %7d %11.2f %11.2f %6.3f %11.1f %11.1f %9.5f %6d %6d \
+           %9.5f %9.5f@."
           w.w_name w.w_cap w.w_paths w.w_visits
           (walk_ns_per_visit w w.w_table_wall)
           (walk_ns_per_visit w w.w_reference_wall)
           ratio
           (walk_words_per_path w w.w_table_words)
           (walk_words_per_path w w.w_reference_words)
-          w.w_build_s w.w_warm_builds;
+          w.w_build_s w.w_warm_builds w.w_warm_fresh w.w_cold_wall
+          w.w_warm_wall;
         if !assert_ then begin
           if ratio > dim_walk_ratio_max then
             fail "%s/%d: table walk %.4fs is %.2fx the reference walk %.4fs \
@@ -1375,7 +1402,15 @@ let dim () =
               dim_walk_ratio_max;
           if w.w_warm_builds <> 0 then
             fail "%s/%d: %d warm repeat requests built %d gate tables"
-              w.w_name w.w_cap dim_walk_warm_requests w.w_warm_builds
+              w.w_name w.w_cap dim_walk_warm_requests w.w_warm_builds;
+          if w.w_warm_fresh <> 0 then
+            fail "%s/%d: %d warm repeat requests analyzed %d paths afresh"
+              w.w_name w.w_cap dim_walk_warm_requests w.w_warm_fresh;
+          if w.w_warm_wall > dim_walk_warm_ratio_max *. w.w_cold_wall then
+            fail "%s/%d: warm repeat %.5fs is over %.2fx the cold request \
+                  %.5fs"
+              w.w_name w.w_cap w.w_warm_wall dim_walk_warm_ratio_max
+              w.w_cold_wall
         end;
         w)
       dim_walk_caps
@@ -1437,14 +1472,18 @@ let dim () =
          \"table_ns_per_visit\":%.2f,\"reference_ns_per_visit\":%.2f,\
          \"table_to_reference\":%.3f,\"table_minor_words_per_path\":%.1f,\
          \"reference_minor_words_per_path\":%.1f,\"table_build_s\":%.5f,\
-         \"warm_repeat_requests\":%d,\"warm_repeat_table_builds\":%d}%s\n"
+         \"warm_repeat_requests\":%d,\"warm_repeat_table_builds\":%d,\
+         \"warm_repeat_fresh_analyses\":%d,\"cold_request_s\":%.5f,\
+         \"warm_request_s\":%.5f,\"warm_to_cold\":%.3f}%s\n"
         w.w_name w.w_cap dim_walk_confidence w.w_paths w.w_visits
         (walk_ns_per_visit w w.w_table_wall)
         (walk_ns_per_visit w w.w_reference_wall)
         (w.w_table_wall /. w.w_reference_wall)
         (walk_words_per_path w w.w_table_words)
         (walk_words_per_path w w.w_reference_words)
-        w.w_build_s dim_walk_warm_requests w.w_warm_builds
+        w.w_build_s dim_walk_warm_requests w.w_warm_builds w.w_warm_fresh
+        w.w_cold_wall w.w_warm_wall
+        (w.w_warm_wall /. w.w_cold_wall)
         (if i = List.length walks - 1 then "" else ","))
     walks;
   out "]}\n";

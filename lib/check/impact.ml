@@ -10,6 +10,7 @@ module Paths = Ssta_timing.Paths
 module Config = Ssta_core.Config
 module Methodology = Ssta_core.Methodology
 module Path_analysis = Ssta_core.Path_analysis
+module Path_cache = Ssta_core.Path_cache
 module Health = Ssta_runtime.Health
 module Err = Ssta_runtime.Ssta_error
 module Rng = Ssta_prob.Rng
@@ -258,33 +259,14 @@ let cone_of d changes =
 
 (* --- incremental state ------------------------------------------------ *)
 
-module Path_key = struct
-  type t = int array * float
-
-  let equal (a, da) (b, db) =
-    Int64.equal (Int64.bits_of_float da) (Int64.bits_of_float db)
-    && Array.length a = Array.length b
-    && Array.for_all2 Int.equal a b
-
-  (* Every node id, not the prefix [Hashtbl.hash] stops at, folded
-     FNV-style, then mixed so the low bits the table indexes by depend
-     on all of them. *)
-  let hash (nodes, delay) =
-    Hashtbl.hash
-      (Array.fold_left
-         (fun h id -> (h lxor id) * 0x100000001b3)
-         (Int64.to_int (Int64.bits_of_float delay))
-         nodes)
-end
-
-module Path_table = Hashtbl.Make (Path_key)
+module Path_table = Path_cache.Table
 
 type state = {
   mutable design : design;
   mutable sta : Sta.t;
   mutable gates : Gate_table.t;
   mutable warm : Path_analysis.warm;
-  cache : (Path_analysis.t * Health.t) Path_table.t;
+  cache : Path_cache.entry Path_table.t;
   lifetime : Health.t;
 }
 
@@ -307,7 +289,7 @@ let gates_of d (sta : Sta.t) =
     ~corner_k:d.config.Config.corner_k
 
 let record_into cache p pa ledger =
-  Path_table.replace cache (p.Paths.nodes, p.Paths.delay) (pa, ledger)
+  Path_table.replace cache (Path_cache.Key.of_path p) (pa, ledger)
 
 let init ?pool ?(ledger = Health.create ()) d =
   match
@@ -410,7 +392,7 @@ let run_edit ~commit ?pool s edits =
             if stale p.Paths.nodes then None
             else
               match
-                Path_table.find_opt s.cache (p.Paths.nodes, p.Paths.delay)
+                Path_table.find_opt s.cache (Path_cache.Key.of_path p)
               with
               | Some _ as hit ->
                   incr reused;

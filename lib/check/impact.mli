@@ -142,18 +142,11 @@ val cone_of : design -> change list -> cone
 
 (** {2 Incremental re-analysis} *)
 
-module Path_key : Hashtbl.HashedType with type t = int array * float
-(** The path cache's key: a path's node ids and its delay.  Equal when
-    the ids are equal and the delays have the same bits; the hash folds
-    every node id and the delay's bits (the polymorphic
-    [Hashtbl.hash] reads only a prefix of the ids, which gave 24
-    distinct hashes for c6288's 20,000 paths). *)
-
 type state
 (** A warm incremental-analysis image: the current design, its timing
     graph and static timing, the warm inter-table/kernel-cache state,
-    and the per-path analysis cache keyed by (path nodes, path
-    delay).  Built once by {!init}, advanced
+    and the per-path analysis cache ({!Ssta_core.Path_cache.Table},
+    keyed by path nodes and delay bits).  Built once by {!init}, advanced
     by {!reanalyze}, probed without commitment by {!what_if}. *)
 
 val init :

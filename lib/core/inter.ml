@@ -115,8 +115,9 @@ let compute ?arena t ~acol ~bcol ~alpha_low ~alpha_high ~beta_low ~beta_high =
     | Some a -> Ssta_prob.Arena.borrow a n
     | None -> Array.make n 0.0
   in
-  (* dep.(0) holds the deposited mass unboxed across the triple loop. *)
-  let dep = [| 0.0 |] in
+  (* Only whether any mass was deposited matters, so a flag stands in
+     for the sum of deposits. *)
+  let deposited = ref false in
   let nv = Pdf.size t.vdd and nn = Pdf.size t.vtn and np = Pdf.size t.vtp in
   let mass_vtn = t.mass_vtn and mass_vtp = t.mass_vtp in
   for i = 0 to nv - 1 do
@@ -143,7 +144,12 @@ let compute ?arena t ~acol ~bcol ~alpha_low ~alpha_high ~beta_low ~beta_high =
             if m > 0.0 then begin
               let x = base +. Array.unsafe_get bcol k in
               let u = ((x -. lo) /. step) -. 0.5 in
-              let iu = int_of_float (Float.floor u) in
+              (* [Combine.floor_int u], written out: a call across the
+                 module boundary would box [u]. *)
+              let iu =
+                let i = int_of_float u in
+                if float_of_int i > u then i - 1 else i
+              in
               let frac = u -. float_of_int iu in
               let m0 = m *. (1.0 -. frac) in
               if m0 > 0.0 then begin
@@ -156,15 +162,14 @@ let compute ?arena t ~acol ~bcol ~alpha_low ~alpha_high ~beta_low ~beta_high =
                 let c = if i1 < 0 then 0 else if i1 >= n then n - 1 else i1 in
                 Array.unsafe_set cells c (Array.unsafe_get cells c +. m1)
               end;
-              Array.unsafe_set dep 0 (Array.unsafe_get dep 0 +. m)
+              deposited := true
             end
           done
         end
       done
     end
   done;
-  let deposited = Array.unsafe_get dep 0 in
-  if not (deposited > 0.0) then begin
+  if not !deposited then begin
     (match arena with Some a -> Ssta_prob.Arena.release a cells | None -> ());
     invalid_arg "Combine.to_pdf: no mass deposited"
   end;
@@ -215,7 +220,9 @@ let quantize40 x =
 type cache = {
   c_tables : tables;  (* kernels are only valid for the tables they were built from *)
   kernels : (key, Pdf.t) Hashtbl.t;
-  seen : (key, unit) Hashtbl.t;  (* never cleared: distinct-direction set *)
+  seen : (key, unit) Hashtbl.t option;
+      (* never cleared: distinct-direction set, kept only by caches
+         that live for one run *)
   mutable lookups : int;
   mutable builds : int;
   max_entries : int;
@@ -225,10 +232,10 @@ type cache = {
 
 let default_max_entries = 512
 
-let cache_create ?(max_entries = default_max_entries) t =
+let cache_create ?(max_entries = default_max_entries) ?(distinct = true) t =
   { c_tables = t;
     kernels = Hashtbl.create 64;
-    seen = Hashtbl.create 64;
+    seen = (if distinct then Some (Hashtbl.create 64) else None);
     lookups = 0;
     builds = 0;
     max_entries = Int.max 1 max_entries;
@@ -249,8 +256,13 @@ type cache_stats = {
   cs_shards : int;
 }
 
+(* Without a direction set, every build stands for one distinct
+   direction (a direction rebuilt after an eviction counts again). *)
+let distinct_of c =
+  match c.seen with Some seen -> Hashtbl.length seen | None -> c.builds
+
 let cache_stats c =
-  let distinct = Hashtbl.length c.seen in
+  let distinct = distinct_of c in
   { cs_lookups = c.lookups;
     cs_distinct = distinct;
     cs_hits = c.lookups - distinct;
@@ -283,7 +295,9 @@ let pdf_dual_cached c ~alpha_low ~alpha_high ~beta_low ~beta_high =
       Int64.bits_of_float qb_high )
   in
   c.lookups <- c.lookups + 1;
-  if not (Hashtbl.mem c.seen key) then Hashtbl.add c.seen key ();
+  (match c.seen with
+  | Some seen when not (Hashtbl.mem seen key) -> Hashtbl.add seen key ()
+  | _ -> ());
   let kernel =
     match Hashtbl.find_opt c.kernels key with
     | Some k -> k
@@ -349,10 +363,15 @@ type caches = {
   mutable shards : (int * cache) list;
   lock : Mutex.t;
   cc_max_entries : int;
+  cc_distinct : bool;
 }
 
-let caches_create ?(max_entries = default_max_entries) t =
-  { cc_tables = t; shards = []; lock = Mutex.create (); cc_max_entries = max_entries }
+let caches_create ?(max_entries = default_max_entries) ?(distinct = true) t =
+  { cc_tables = t;
+    shards = [];
+    lock = Mutex.create ();
+    cc_max_entries = max_entries;
+    cc_distinct = distinct }
 
 let caches_get cc =
   let id = (Domain.self () :> int) in
@@ -360,7 +379,10 @@ let caches_get cc =
       match List.assoc_opt id cc.shards with
       | Some c -> c
       | None ->
-          let c = cache_create ~max_entries:cc.cc_max_entries cc.cc_tables in
+          let c =
+            cache_create ~max_entries:cc.cc_max_entries
+              ~distinct:cc.cc_distinct cc.cc_tables
+          in
           cc.shards <- (id, c) :: cc.shards;
           c)
 
@@ -373,9 +395,11 @@ let caches_stats cc =
           lookups := !lookups + c.lookups;
           builds := !builds + c.builds;
           entries := !entries + Hashtbl.length c.kernels;
-          Hashtbl.iter (fun k () -> Hashtbl.replace union k ()) c.seen)
+          Option.iter
+            (Hashtbl.iter (fun k () -> Hashtbl.replace union k ()))
+            c.seen)
         cc.shards;
-      let distinct = Hashtbl.length union in
+      let distinct = if cc.cc_distinct then Hashtbl.length union else !builds in
       { cs_lookups = !lookups;
         cs_distinct = distinct;
         cs_hits = !lookups - distinct;

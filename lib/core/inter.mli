@@ -45,18 +45,29 @@ type cache
 (** A single-domain kernel cache bound to the {!tables} it was created
     from (using it with different tables raises [Invalid_argument]). *)
 
-val cache_create : ?max_entries:int -> tables -> cache
+val cache_create : ?max_entries:int -> ?distinct:bool -> tables -> cache
 (** Fresh cache.  [max_entries] (default 512) bounds resident kernels;
-    reaching the bound evicts everything (statistics keep counting). *)
+    reaching the bound evicts everything (statistics keep counting).
+
+    With [distinct] (the default) the cache also keeps the set of every
+    direction it was asked for, so {!cache_stats} counts distinct
+    directions exactly — what a per-run report needs, for a cache that
+    dies with its run.  A long-lived cache (a served design's warm
+    state) passes [~distinct:false]: the set would grow by every new
+    direction forever, so it keeps none, holds at most [max_entries]
+    keys, and counts builds in place of distinct directions. *)
 
 type cache_stats = {
   cs_lookups : int;  (** cached calls; scheduling-independent *)
   cs_distinct : int;
       (** distinct normalized directions ever looked up (union over
-          shards); scheduling-independent *)
+          shards); scheduling-independent.  Under [~distinct:false]: the
+          kernels built, which counts a direction again when it is
+          rebuilt after an eviction. *)
   cs_hits : int;
       (** [lookups - distinct]: the hits a single shared cache would have
-          served; scheduling-independent, safe for reports *)
+          served; scheduling-independent, safe for reports.  Under
+          [~distinct:false]: the lookups a resident kernel answered. *)
   cs_builds : int;
       (** kernels actually built; with several shards this depends on
           scheduling — keep it out of deterministic artifacts *)
@@ -69,7 +80,8 @@ val cache_stats : cache -> cache_stats
 type caches
 (** A family of per-domain cache shards for parallel fan-outs. *)
 
-val caches_create : ?max_entries:int -> tables -> caches
+val caches_create : ?max_entries:int -> ?distinct:bool -> tables -> caches
+(** Per-domain shards created as by {!cache_create}. *)
 
 val caches_get : caches -> cache
 (** The calling domain's shard (created on first use). *)

@@ -119,7 +119,8 @@ let warm config =
   { w_config = config;
     w_tables = tables;
     w_caches =
-      (if config.Config.inter_cache then Some (Inter.caches_create tables)
+      (if config.Config.inter_cache then
+         Some (Inter.caches_create ~distinct:false tables)
        else None) }
 
 let warm_cache_stats w = Option.map Inter.caches_stats w.w_caches

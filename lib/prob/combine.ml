@@ -1,3 +1,13 @@
+(* [int_of_float (Float.floor u)] without the libm call: truncate, then
+   step down for a negative non-integer.  Bit-identical for every finite
+   |u| < 2^62 and for NaN (both give [min_int]); the call it replaces
+   spilled every live float of the deposit loops around it.  [deposit]
+   keeps the libm floor: it is the reference the fast kernels are
+   checked against. *)
+let[@inline] floor_int u =
+  let i = int_of_float u in
+  if float_of_int i > u then i - 1 else i
+
 type accumulator = {
   acc_lo : float;
   acc_step : float;
@@ -199,7 +209,7 @@ let binop_core ~op ?expected ?n ?arena f px py =
                if v < lo || v > grid_hi then
                  Array.unsafe_set acc 1 (Array.unsafe_get acc 1 +. mass);
                let u = ((v -. lo) /. step) -. 0.5 in
-               let iu = int_of_float (Float.floor u) in
+               let iu = floor_int u in
                let frac = u -. float_of_int iu in
                let m0 = mass *. (1.0 -. frac) in
                if m0 > 0.0 then begin
@@ -273,7 +283,7 @@ let sum ?n ?arena px py =
             if v < lo || v > grid_hi then
               Array.unsafe_set acc 1 (Array.unsafe_get acc 1 +. mass);
             let u = ((v -. lo) /. step) -. 0.5 in
-            let iu = int_of_float (Float.floor u) in
+            let iu = floor_int u in
             let frac = u -. float_of_int iu in
             let m0 = mass *. (1.0 -. frac) in
             if m0 > 0.0 then begin

@@ -13,6 +13,12 @@
     accumulated, and the mass clamped at the grid boundary — the raw
     material for the PDF sanitizer. *)
 
+val floor_int : float -> int
+(** [int_of_float (Float.floor u)] in two instructions and a compare, no
+    libm call: bit-identical for every finite [|u| < 2^62] and for NaN.
+    The deposit loops (here and in the inter kernel) locate a mass's
+    lower cell with it. *)
+
 type accumulator
 (** A mass-accumulation grid onto which weighted samples are deposited
     before being normalized into a {!Pdf.t}. *)

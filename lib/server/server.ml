@@ -6,6 +6,7 @@ module Paths = Ssta_timing.Paths
 module Config = Ssta_core.Config
 module Methodology = Ssta_core.Methodology
 module Path_analysis = Ssta_core.Path_analysis
+module Path_cache = Ssta_core.Path_cache
 module Ranking = Ssta_core.Ranking
 module Report = Ssta_core.Report
 module Inter = Ssta_core.Inter
@@ -40,6 +41,10 @@ type t = {
   mutable gates : Gate_table.t option;
       (* the served image's gate table, built on first use, taken from
          the impact state on every committed edit, dropped on reload *)
+  paths : Path_cache.t;
+      (* the last path-engine run's analyses, bound to the gate table
+         and analysis configuration they were computed under; dropped
+         on every committed edit and reload *)
   mutable impact : Impact.state option;
       (* warm incremental image for edit/what-if, built lazily on first
          use, dropped on reload *)
@@ -50,6 +55,7 @@ let create ?(config = Config.default) ?pool ?default_deadline_s
     ?(retry_degraded = false) ?(backoff = Backoff.none) ?cancel ~reload
     circuit placement =
   let cancel = match cancel with Some c -> c | None -> Cancel.create () in
+  let lifetime = Health.create () in
   { base_config = config;
     pool;
     default_deadline_s;
@@ -62,8 +68,9 @@ let create ?(config = Config.default) ?pool ?default_deadline_s
     sta = Sta.analyze circuit;
     warm = None;
     gates = None;
+    paths = Path_cache.create ~ledger:lifetime ();
     impact = None;
-    lifetime = Health.create () }
+    lifetime }
 
 let lifetime t = t.lifetime
 let count t name = Health.counter_add t.lifetime name 1
@@ -154,11 +161,20 @@ let run_status m =
 
 (* --- operations ------------------------------------------------------- *)
 
+(* A path's analysis depends only on the path, the gate table and the
+   analysis fields of the configuration, so a run reuses every path the
+   previous run under the same table and fields analyzed; the cache
+   then holds this run's analyses.  The budget's cell cap may lower
+   both PDF resolutions, so the warm tables and the cache binding follow
+   the clamped configuration. *)
 let analyze_once t cfg budget =
-  Methodology.analyze ~config:cfg ~budget
-    ~cancelled:(cancelled_hook t)
-    ~placement:t.placement ?pool:t.pool ~sta:t.sta ~warm:(get_warm t cfg)
-    ~gates:(get_gates t cfg) t.circuit
+  let acfg = Methodology.analysis_config cfg budget in
+  let gates = get_gates t cfg in
+  Path_cache.with_run t.paths ~gates acfg (fun ~reuse ~record ->
+      Methodology.analyze ~config:cfg ~budget
+        ~cancelled:(cancelled_hook t)
+        ~placement:t.placement ?pool:t.pool ~sta:t.sta ~warm:(get_warm t acfg)
+        ~gates ~reuse ~record t.circuit)
 
 (* Retry with degradation: a deadline-degraded run is re-run once at
    halved PDF quality with no deadline — a complete low-resolution
@@ -317,15 +333,23 @@ let do_query t id endpoint (p : Protocol.run_params) =
           ("q999_s", Json.Number (Pdf.quantile ep.Block_engine.pdf 0.999)) ]
   | Some nid ->
       let cfg = effective_config t p in
-      let warm = get_warm t cfg in
-      let health = Health.create () in
-      let ctx =
-        Path_analysis.context ~health ~warm ~gates:(get_gates t cfg) cfg
-          t.sta.Sta.graph t.placement
-      in
+      let gates = get_gates t cfg in
       let path = endpoint_path t.sta nid in
-      let pa = Path_analysis.analyze ctx path in
-      Health.merge ~into:t.lifetime health;
+      let pa =
+        match Path_cache.find t.paths ~gates cfg path with
+        | Some (pa, ledger) ->
+            Health.merge ~into:t.lifetime ledger;
+            pa
+        | None ->
+            let health = Health.create () in
+            let ctx =
+              Path_analysis.context ~health ~warm:(get_warm t cfg) ~gates cfg
+                t.sta.Sta.graph t.placement
+            in
+            let pa = Path_analysis.analyze ctx path in
+            Health.merge ~into:t.lifetime health;
+            pa
+      in
       count t "requests-ok";
       let total = pa.Path_analysis.total_pdf in
       Protocol.render ?id ~status:Protocol.Ok_
@@ -410,11 +434,23 @@ let do_health t id =
         match Path_analysis.warm_cache_stats w with
         | None -> Json.Null
         | Some st ->
+            (* The warm cache keeps no distinct-direction set (it
+               would grow forever), so it reports resident kernels
+               instead, and [hits] counts lookups a resident kernel
+               answered. *)
             Json.Obj
               [ ("lookups", Json.int st.Inter.cs_lookups);
-                ("distinct", Json.int st.Inter.cs_distinct);
                 ("hits", Json.int st.Inter.cs_hits);
-                ("builds", Json.int st.Inter.cs_builds) ])
+                ("builds", Json.int st.Inter.cs_builds);
+                ("entries", Json.int st.Inter.cs_entries) ])
+  in
+  let path_cache =
+    let st = Path_cache.stats t.paths in
+    Json.Obj
+      [ ("lookups", Json.int st.Path_cache.lookups);
+        ("hits", Json.int st.Path_cache.hits);
+        ("entries", Json.int st.Path_cache.entries);
+        ("drops", Json.int st.Path_cache.drops) ]
   in
   (* Between requests every worker domain parks on the pool's condition
      variable, so an idle server burns no CPU; the health answer exposes
@@ -439,7 +475,8 @@ let do_health t id =
              (Health.counters t.lifetime))
       );
       ("pool", pool);
-      ("cache", cache) ]
+      ("cache", cache);
+      ("path_cache", path_cache) ]
 
 (* --- incremental edit / what-if --------------------------------------- *)
 
@@ -522,6 +559,7 @@ let do_edit t id script =
       t.placement <- d.Impact.placement;
       t.sta <- o.Impact.report.Methodology.sta;
       t.gates <- Some (Impact.gate_table state);
+      Path_cache.invalidate t.paths;
       count t "requests-ok";
       Protocol.render ?id ~status:Protocol.Ok_
         (("circuit", Json.String t.circuit.Netlist.name) :: impact_fields o)
@@ -559,6 +597,7 @@ let do_reload t id =
       t.sta <- Sta.analyze circuit;
       t.warm <- None;
       t.gates <- None;
+      Path_cache.invalidate t.paths;
       t.impact <- None;
       count t "reloads";
       count t "requests-ok";

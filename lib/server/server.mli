@@ -33,6 +33,15 @@
     - {e graceful shutdown}: a ["shutdown"] request, end of input, or a
       cancellation latch (SIGTERM) stops admissions, drains accepted
       requests, and flushes a statistics summary.
+    - {e path-analysis cache}: a path's analysis is a pure function of
+      the path, the served design's gate table and the analysis fields
+      of the configuration ({!Ssta_core.Path_cache}), so a [run]
+      reuses every path the previous run under the same table and
+      fields analyzed, replaying each one's Guard events, and a
+      [query] reads its endpoint path from the same cache.  After each
+      path-engine run the cache holds exactly that run's analyses;
+      every committed edit and reload drops it.  Its counters
+      (lookups, hits, entries, drops) appear only in [health].
     - {e incremental edits}: the [edit] op applies an
       {!Ssta_circuit.Edit} script to a warm incremental image
       ({!Ssta_check.Impact}) — lint pre-validation refuses bad scripts
@@ -45,9 +54,13 @@
     Determinism: responses for [run]/[query]/[check]/[criticality] are
     byte-identical for identical requests whatever the arrival order,
     the queue state or the worker count — per-request reports exclude
-    every history-dependent statistic (warm-cache hit counters are
-    surfaced only by the [health] request, whose answer is explicitly
-    lifetime-dependent). *)
+    every history-dependent statistic (warm-cache and path-cache
+    counters are surfaced only by the [health] request, whose answer is
+    explicitly lifetime-dependent).  The [health] answer's ["cache"]
+    object reports the warm kernel cache's [lookups], [hits] (lookups
+    a resident kernel answered), [builds] and resident [entries]; its
+    ["path_cache"] object the path cache's [lookups], [hits],
+    [entries] and [drops]. *)
 
 type t
 

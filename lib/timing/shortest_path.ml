@@ -106,4 +106,5 @@ let enumerate_near_min ?(max_paths = 200_000) g ~labels ~slack =
     critical_delay = fastest;
     slack;
     explored = !count;
-    deadline_hit = false }
+    deadline_hit = false;
+    pops = 0 }

@@ -673,7 +673,7 @@ let test_check_impact_equivalence () =
    prefix (c6288's 20,000 paths gave 24 distinct polymorphic hashes)
    still spread over the table. *)
 let test_path_key_hash () =
-  let key = Impact.Path_key.hash in
+  let key = Ssta_core.Path_cache.Key.hash in
   let nodes = Array.init 24 (fun i -> 3 * i) in
   for k = 10 to 23 do
     let other = Array.copy nodes in
@@ -685,7 +685,7 @@ let test_path_key_hash () =
   check_true "delays hash differently"
     (key (nodes, 1e-9) <> key (nodes, Float.succ 1e-9));
   check_true "equal keys are equal"
-    (Impact.Path_key.equal (nodes, 1e-9) (Array.copy nodes, 1e-9));
+    (Ssta_core.Path_cache.Key.equal (nodes, 1e-9) (Array.copy nodes, 1e-9));
   let circuit, _ =
     Iscas85.build_placed (Option.get (Iscas85.by_name "c6288"))
   in

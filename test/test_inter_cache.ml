@@ -145,6 +145,133 @@ let test_arena_cached_bit_identical () =
   check_true "cache miss bit-identical" (pdf_bits_equal miss_p miss_a);
   check_true "cache hit bit-identical" (pdf_bits_equal hit_p hit_a)
 
+(* ---------------- The inline floor and the frozen kernel ---------------- *)
+
+let test_floor_int_edges () =
+  let two62 = Float.ldexp 1.0 62 in
+  let edges =
+    [ 0.0; -0.0; 0.5; -0.5; 1.0; -1.0; 1.5; -1.5; 2.0 -. epsilon_float;
+      -.(2.0 -. epsilon_float); Float.pred 1.0; -.Float.pred 1.0;
+      Float.min_float; -.Float.min_float; 4.9e-324; -4.9e-324;
+      Float.pred 0.5; -.Float.pred 0.5; 4503599627370495.5;
+      -4503599627370495.5; 4503599627370496.0; -4503599627370497.0;
+      Float.pred two62; -.Float.pred two62; 1e15 +. 0.25; -1e15 -. 0.25;
+      Float.nan; -.Float.nan ]
+  in
+  List.iter
+    (fun u ->
+      check_int (Printf.sprintf "floor_int %h" u)
+        (int_of_float (Float.floor u))
+        (Ssta_prob.Combine.floor_int u))
+    edges;
+  let rng = Ssta_prob.Rng.create 5 in
+  for _ = 1 to 10_000 do
+    let u =
+      Float.ldexp (Ssta_prob.Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
+        (Ssta_prob.Rng.int rng 62)
+    in
+    check_int (Printf.sprintf "floor_int %h" u)
+      (int_of_float (Float.floor u))
+      (Ssta_prob.Combine.floor_int u)
+  done
+
+(* Both inter-RV shapes that reach the kernel with distinct grids, at a
+   small and the default inter quality. *)
+let frozen_configs =
+  lazy
+    (List.map
+       (fun (shape, q) ->
+         let c =
+           Config.with_inter_shape
+             (Config.with_quality Config.default ~intra:40 ~inter:q)
+             shape
+         in
+         (c, Inter.tables c, Inter_reference.tables c))
+       [ (Ssta_prob.Shape.Gaussian, 16); (Ssta_prob.Shape.Gaussian, 50);
+         (Ssta_prob.Shape.Triangular, 24) ])
+
+let qcheck_kernel_matches_frozen =
+  qcheck ~count:64 "inter kernel == frozen kernel, bitwise"
+    QCheck.(pair coeff_gen (float_range 0.02 40.0))
+    (fun ((al, ah, bl, bh), c) ->
+      let al = c *. al and ah = c *. ah and bl = c *. bl and bh = c *. bh in
+      List.for_all
+        (fun (_, t, r) ->
+          let arena = Ssta_prob.Arena.create () in
+          let dual ?cache ?arena () =
+            Inter.pdf_dual ?cache ?arena t ~alpha_low:al ~alpha_high:ah
+              ~beta_low:bl ~beta_high:bh
+          in
+          let frozen =
+            Inter_reference.compute r ~alpha_low:al ~alpha_high:ah
+              ~beta_low:bl ~beta_high:bh
+          in
+          let frozen_cached =
+            Inter_reference.pdf_dual_cached r ~alpha_low:al ~alpha_high:ah
+              ~beta_low:bl ~beta_high:bh
+          in
+          let single = Inter.pdf t ~alpha_sum:(al +. ah) ~beta_sum:(bl +. bh) in
+          let frozen_single =
+            Inter_reference.compute r ~alpha_low:(al +. ah) ~alpha_high:0.0
+              ~beta_low:(bl +. bh) ~beta_high:0.0
+          in
+          pdf_bits_equal frozen (dual ())
+          && pdf_bits_equal frozen (dual ~arena ())
+          && pdf_bits_equal frozen_cached (dual ~cache:(Inter.cache_create t) ())
+          && pdf_bits_equal frozen_single single)
+        (Lazy.force frozen_configs))
+
+(* ---------------- A long-lived cache stays bounded ---------------- *)
+
+let test_warm_cache_bounded () =
+  let t = Lazy.force tables in
+  let max_entries = 64 in
+  let call cache i =
+    (* alpha/beta ratio 1 + i/1000: every call a new direction *)
+    ignore
+      (Inter.pdf_dual ~cache t
+         ~alpha_low:(1.0 +. (float_of_int i /. 1000.0))
+         ~alpha_high:0.0 ~beta_low:1.0 ~beta_high:0.0)
+  in
+  let warm = Inter.cache_create ~max_entries ~distinct:false t in
+  (* Each time the cache has just evicted everything and holds one
+     kernel, it must hold exactly what it held the previous time: a
+     structure that grows by direction would show here. *)
+  let words_at_one_kernel = ref None in
+  for i = 1 to 2_000 do
+    call warm i;
+    let st = Inter.cache_stats warm in
+    if st.Inter.cs_entries > max_entries then
+      Alcotest.failf "after %d directions the warm cache holds %d kernels" i
+        st.Inter.cs_entries;
+    if st.Inter.cs_entries = 1 then begin
+      let words = Obj.reachable_words (Obj.repr warm) in
+      match !words_at_one_kernel with
+      | None -> words_at_one_kernel := Some words
+      | Some w ->
+          if words <> w then
+            Alcotest.failf
+              "after %d directions the warm cache holds %d words, %d before" i
+              words w
+    end
+  done;
+  let st = Inter.cache_stats warm in
+  check_int "lookups" 2_000 st.Inter.cs_lookups;
+  check_int "every direction built" 2_000 st.Inter.cs_builds;
+  check_int "distinct counts builds" 2_000 st.Inter.cs_distinct;
+  check_int "no hits" 0 st.Inter.cs_hits;
+  call warm 2_000;
+  check_int "a resident kernel answers" 1 (Inter.cache_stats warm).Inter.cs_hits;
+  (* A per-run cache keeps its exact distinct count past eviction. *)
+  let per_run = Inter.cache_create ~max_entries t in
+  for i = 1 to 200 do
+    call per_run i;
+    call per_run i
+  done;
+  let st = Inter.cache_stats per_run in
+  check_int "per-run distinct is exact" 200 st.Inter.cs_distinct;
+  check_int "per-run hits" 200 st.Inter.cs_hits
+
 (* ---------------- Whole-flow A/B and parallel determinism ---------------- *)
 
 let quick_config = { fast_config with Config.max_paths = 100 }
@@ -315,6 +442,11 @@ let suite =
       case "cache hit is an exact rescale" test_hit_is_exact_rescale_of_same_direction;
       case "counters distinguish directions" test_counters_distinguish_directions;
       case "cache rejects foreign tables" test_cache_rejects_foreign_tables;
+      case "floor_int = int_of_float (Float.floor u) on edge values"
+        test_floor_int_edges;
+      qcheck_kernel_matches_frozen;
+      case "a warm cache retains at most max_entries keys"
+        test_warm_cache_bounded;
       qcheck_arena_kernel_bit_identical;
       case "arena invisible through the cache" test_arena_cached_bit_identical;
       case "cache on/off reports equal modulo flag" test_cache_on_off_reports_equal;

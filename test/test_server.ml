@@ -816,6 +816,223 @@ let test_served_session_matches_fresh_server () =
   compare run;
   compare (query 0)
 
+(* ----- the path-analysis cache ----- *)
+
+let path_cache_member t name =
+  match Json.parse (ask t {|{"op":"health","id":"h"}|}) with
+  | Ok v ->
+      Json.member "path_cache" v |> Option.get |> Json.member name
+      |> Option.get |> Json.to_int |> Option.get
+  | Error _ -> Alcotest.fail "health response unparsable"
+
+(* A served c880 session mixes runs at three confidences and two caps, a
+   quality override, a budget-clamped run, queries, a what-if, an edit,
+   a reload and the same runs again.  Every answer equals a fresh
+   server's on that design state; after each run the cache holds one
+   analysis per distinct reported path; repeated runs and queries
+   hit. *)
+let test_path_cache_session () =
+  let spec = Option.get (Iscas85.by_name "c880") in
+  let circuit, placement = Iscas85.build_placed spec in
+  let config =
+    { (Config.with_quality Config.default ~intra:24 ~inter:12) with
+      Config.max_paths = 40 }
+  in
+  let serve () =
+    Server.create ~config
+      ~reload:(fun () -> Ok (circuit, placement))
+      circuit placement
+  in
+  let long_lived = serve () in
+  let committed = ref [] in
+  let fresh_answer line =
+    let fresh = serve () in
+    List.iter
+      (fun edit ->
+        Alcotest.(check string) "fresh server replays the edit" "ok"
+          (status_of (ask fresh edit)))
+      (List.rev !committed);
+    ask fresh line
+  in
+  let masked line =
+    match Json.parse line with
+    | Ok (Json.Obj fields) ->
+        Json.to_string
+          (Json.Obj
+             (List.filter
+                (fun (k, _) ->
+                  not (List.mem k [ "invalidated"; "reused"; "reanalyzed" ]))
+                fields))
+    | _ -> line
+  in
+  let compare ?(mask = Fun.id) line =
+    let a = ask long_lived line in
+    Alcotest.(check string) (line ^ ": same as a fresh server") (mask a)
+      (mask (fresh_answer line));
+    a
+  in
+  (* Reconvergent fan-ins repeat node sequences in the enumeration; the
+     cache holds one analysis per distinct path. *)
+  let distinct_paths resp =
+    let member k v = Option.get (Json.member k v) in
+    match Json.parse resp with
+    | Ok v -> (
+        match member "paths" (member "report" v) with
+        | Json.List ps ->
+            List.length
+              (List.sort_uniq String.compare
+                 (List.map
+                    (fun p -> Json.to_string (member "nodes" (member "analysis" p)))
+                    ps))
+        | _ -> Alcotest.fail "report has no path list")
+    | Error _ -> Alcotest.fail "run response unparsable"
+  in
+  let run ?(extra = "") conf cap =
+    Printf.sprintf {|{"op":"run","id":"r","confidence":%g,"max_paths":%d%s}|}
+      conf cap extra
+  in
+  let full_run = {|{"op":"run","id":"full","max_paths":40}|} in
+  let runs =
+    List.concat_map
+      (fun cap -> List.map (fun conf -> run conf cap) [ 0.05; 0.1; 0.02 ])
+      [ 40; 8 ]
+  in
+  let check_runs label =
+    List.iter
+      (fun line ->
+        let resp = compare line in
+        check_int (label ^ ": entries = the run's distinct paths")
+          (distinct_paths resp)
+          (path_cache_member long_lived "entries"))
+      runs;
+    ignore (compare full_run)
+  in
+  let sta = Ssta_timing.Sta.analyze circuit in
+  let critical_out =
+    let p = sta.Ssta_timing.Sta.critical_path.Ssta_timing.Paths.nodes in
+    p.(Array.length p - 1)
+  in
+  let queries =
+    List.map
+      (fun id ->
+        Printf.sprintf {|{"op":"query","id":"q","endpoint":"%s"}|}
+          (Netlist.node_name circuit id))
+      [ critical_out; circuit.Netlist.outputs.(0); circuit.Netlist.outputs.(3) ]
+  in
+  let gate =
+    Netlist.node_name circuit
+      circuit.Netlist.gates.(Array.length circuit.Netlist.gates / 2).Netlist.id
+  in
+  check_runs "cold";
+  let hits = path_cache_member long_lived "hits" in
+  check_true "repeated confidences hit" (hits > 0);
+  List.iter (fun q -> ignore (compare q)) queries;
+  check_true "the critical endpoint's query hits"
+    (path_cache_member long_lived "hits" > hits);
+  ignore (compare (run ~extra:{|,"quality_intra":16|} 0.05 40));
+  ignore (compare (run ~extra:{|,"max_cells":10|} 0.05 40));
+  check_runs "after overrides";
+  ignore
+    (compare ~mask:masked
+       (Printf.sprintf {|{"op":"what-if","id":"w","edits":"resize %s 1.4"}|}
+          gate));
+  check_runs "after a what-if";
+  let edit =
+    Printf.sprintf {|{"op":"edit","id":"e","edits":"resize %s 1.3"}|} gate
+  in
+  ignore (compare ~mask:masked edit);
+  committed := [ edit ];
+  check_int "an edit drops the cache" 0 (path_cache_member long_lived "entries");
+  check_runs "edited";
+  List.iter (fun q -> ignore (compare q)) queries;
+  Alcotest.(check string) "reload" "ok"
+    (status_of (ask long_lived {|{"op":"reload","id":"rl"}|}));
+  committed := [];
+  check_int "a reload drops the cache" 0
+    (path_cache_member long_lived "entries");
+  check_runs "reloaded";
+  List.iter (fun q -> ignore (compare q)) queries
+
+(* Cached reuse is bit for bit a fresh [Path_analysis.analyze] of the
+   path in a fresh context, ledger included, under random analysis
+   configurations on random circuits. *)
+let qcheck_cached_reuse_is_fresh =
+  let module Path_cache = Ssta_core.Path_cache in
+  let module Path_analysis = Ssta_core.Path_analysis in
+  let module Methodology = Ssta_core.Methodology in
+  let module Ranking = Ssta_core.Ranking in
+  let module Health = Ssta_runtime.Health in
+  let module Sta = Ssta_timing.Sta in
+  qcheck ~count:8 "cached reuse = fresh Path_analysis.analyze, bit for bit"
+    QCheck.(
+      quad (int_range 1 1_000_000) (int_range 12 40) (int_range 8 16) bool)
+    (fun (seed, qi, qe, inter_cache) ->
+      let circuit =
+        Ssta_circuit.Generators.random_layered ~name:"pc" ~inputs:10
+          ~outputs:6 ~gates:120 ~depth:10 ~seed ()
+      in
+      let placement = Ssta_circuit.Placement.place circuit in
+      let config =
+        { (Config.with_quality Config.default ~intra:qi ~inter:qe) with
+          Config.inter_cache;
+          max_paths = 60 }
+      in
+      let sta = Sta.analyze circuit in
+      let gates =
+        Ssta_correlation.Gate_table.build sta.Sta.graph placement
+          (Config.layers_for config placement)
+          ~corner_k:config.Config.corner_k
+      in
+      let warm = Path_analysis.warm config in
+      let cache = Path_cache.create () in
+      let run confidence =
+        let config = Config.with_confidence config confidence in
+        match
+          Path_cache.with_run cache ~gates config (fun ~reuse ~record ->
+              Methodology.analyze ~config ~placement ~sta ~warm ~gates ~reuse
+                ~record circuit)
+        with
+        | Ok m -> m
+        | Error e -> Alcotest.failf "run: %s" (Err.to_string e)
+      in
+      ignore (run 0.2);
+      let m = run 0.1 in
+      let bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      Array.for_all
+        (fun (r : Ranking.ranked) ->
+          let pa = r.Ranking.analysis in
+          let p = pa.Path_analysis.path in
+          match Path_cache.find cache ~gates config p with
+          | None -> Alcotest.fail "a reported path is not cached"
+          | Some (cached, ledger) ->
+              let h = Health.create () in
+              let fresh =
+                Path_analysis.analyze ~health:h
+                  (Path_analysis.context config sta.Sta.graph placement)
+                  p
+              in
+              cached == pa
+              && Health.events ledger = Health.events h
+              && cached.Path_analysis.gate_count = fresh.Path_analysis.gate_count
+              && cached.Path_analysis.coeffs = fresh.Path_analysis.coeffs
+              && List.for_all2 bits
+                   Path_analysis.
+                     [ cached.det_delay; cached.mean; cached.std;
+                       cached.intra_sigma; cached.inter_sigma;
+                       cached.confidence_point; cached.worst_case ]
+                   Path_analysis.
+                     [ fresh.det_delay; fresh.mean; fresh.std;
+                       fresh.intra_sigma; fresh.inter_sigma;
+                       fresh.confidence_point; fresh.worst_case ]
+              && pdf_bits_equal cached.Path_analysis.intra_pdf
+                   fresh.Path_analysis.intra_pdf
+              && pdf_bits_equal cached.Path_analysis.inter_pdf
+                   fresh.Path_analysis.inter_pdf
+              && pdf_bits_equal cached.Path_analysis.total_pdf
+                   fresh.Path_analysis.total_pdf)
+        m.Methodology.ranked
+      && (Path_cache.stats cache).Path_cache.hits > 0)
+
 let chaos_corpus circuit =
   let items = ref [] in
   let add ?(det = true) line = items := (line, det) :: !items in
@@ -958,6 +1175,9 @@ let suite =
       slow_case "warm requests build no gate table" test_gate_table_lifetime;
       slow_case "served edit session = fresh server on the edited design"
         test_served_session_matches_fresh_server;
+      slow_case "path cache: served session = fresh server"
+        test_path_cache_session;
+      qcheck_cached_reuse_is_fresh;
       case "bounded request queue" test_supervisor;
       case "a blocked take wakes on submit and on shutdown"
         test_supervisor_take_wakes;
