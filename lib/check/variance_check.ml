@@ -81,7 +81,7 @@ let check_path ?(tol_exact = 1e-9) ?(tol_grid = 0.05) (config : Config.t)
   let layers = Budget.layers b in
   let quad_levels = config.Config.quad_levels in
   let pc = pa.Path_analysis.coeffs in
-  let v = pc.Path_coeffs.coeffs and random_sq = pc.Path_coeffs.random_sq in
+  let v = Path_coeffs.to_dense pc and random_sq = pc.Path_coeffs.random_sq in
   (* Vector validity: one slot per quad-tree RV of the configured
      layering, nothing on the inter-die layer 0 (inter stays nonlinear),
      finite coefficients, and five non-negative random-layer sums of

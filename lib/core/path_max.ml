@@ -14,6 +14,7 @@ type result = {
 let canonical_of_analysis (config : Config.t) graph (a : Path_analysis.t) =
   let coeffs = a.Path_analysis.coeffs in
   let quad_levels = coeffs.Path_coeffs.quad_levels in
+  let dense = Path_coeffs.to_dense coeffs in
   let terms = Hashtbl.create 64 in
   (* Intra layer RVs carry the Eq. (13) coefficients verbatim: the
      quad-tree ones from the dense vector ... *)
@@ -22,7 +23,7 @@ let canonical_of_analysis (config : Config.t) graph (a : Path_analysis.t) =
       List.iter
         (fun rv ->
           let key = { Slots.rv; layer; partition } in
-          let c = coeffs.Path_coeffs.coeffs.(Slots.slot key) in
+          let c = dense.(Slots.slot key) in
           if c <> 0.0 then Hashtbl.replace terms key c)
         Params.all_rvs
     done

@@ -8,9 +8,13 @@
     this is exactly how the layering model carries spatial correlation
     into the variance of Eq. (14).
 
-    The quad-tree coefficients live in the dense {!Slots} layout the
-    block engine uses, so Eq. (14) is one sigma^2-weighted dot product
-    over a fixed slot order.  The random layer's RVs are per gate, so a
+    The quad-tree coefficients are indexed by the dense {!Slots} layout
+    the block engine uses, so Eq. (14) is one sigma^2-weighted sum over
+    a fixed slot order.  A path crosses one partition per layer and
+    gate, so only a few of the slots are non-zero (70 of 425 on each of
+    c6288's 20,000 longest paths): a {!t} keeps just the partitions it
+    crosses, which keeps a long-lived set of analyses (a server's path
+    cache) small.  The random layer's RVs are per gate, so a
     path never shares one between two of its gates: its share of
     Eq. (14) is [sum_r (sum over gates of d_r^2) * sigma_rand,r^2], and
     only the five inner sums are kept.
@@ -31,9 +35,16 @@ type t = {
           gates — the linearized sensitivity of the whole path, used for
           analytic path-to-path covariances *)
   quad_levels : int;  (** quad-tree layers of the layering, random excluded *)
-  coeffs : float array;
-      (** summed delay derivatives by {!Slots.slot}, over [quad_levels]
-          layers; the layer-0 (inter-die) slots are always 0 *)
+  parts : int array;
+      (** the partitions holding a non-zero summed delay derivative, in
+          increasing order, each as its {!Slots} partition index
+          [layer_offset layer + partition]; layer 0 (inter-die) never
+          appears *)
+  part_coeffs : float array;
+      (** five summed delay derivatives per entry of [parts], RV-minor:
+          slot [5 * parts.(i) + r] of the dense vector holds
+          [part_coeffs.(5 * i + r)], every other slot is 0 (see
+          {!to_dense}) *)
   random_sq : float array;
       (** per-RV (index {!Ssta_tech.Params.rv_index}) sum of squared
           delay derivatives over the path's gates — the random layer,
@@ -76,10 +87,16 @@ val of_table : Gate_table.t -> Ssta_timing.Paths.path -> t * float
     of re-deriving them; every sum adds the same values in the same
     order as {!of_path}. *)
 
+val to_dense : t -> float array
+(** The coefficients by {!Slots.slot}, over [quad_levels] layers
+    (longer if [parts] reaches past them): [Slots.num_slots
+    ~quad_levels] entries, 0 outside [parts]. *)
+
 val intra_variance : t -> Budget.t -> float
 (** Eq. (14): [sum coeff^2 * sigma_layer^2] over the quad-tree slots
     plus the random layer's share, with per-layer sigmas from the budget
-    and {!Ssta_tech.Params.sigma}. *)
+    and {!Ssta_tech.Params.sigma}; the quad-tree part is
+    {!Slots.sq_norm} over [parts]. *)
 
 val layer_variances : t -> Budget.t -> float array
 (** Per-layer decomposition of {!intra_variance}: element [u] (for

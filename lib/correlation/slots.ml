@@ -113,32 +113,37 @@ let combine_into budget c ~wa a ~wb b =
    zero slot (either sign) adds the term +0.0, which leaves both [sum]
    and [comp] as they were — neither is ever -0.0, as every term is
    non-negative (a budget's variances are finite and non-negative) —
-   so it is skipped; a path touches 70-84 of the 425 slots. *)
-let sq_norm budget ?layer v =
-  let n = Array.length v in
-  let first, last =
-    match layer with Some l -> (l, l) | None -> (0, max_int)
-  in
-  let sum = ref 0.0 and comp = ref 0.0 and l = ref first in
-  while !l <= last && num_rvs * layer_offset !l < n do
-    let hi = Int.min n (num_rvs * layer_offset (!l + 1)) in
-    for r = 0 to num_rvs - 1 do
-      let w = var budget ~layer:!l r in
-      let i = ref ((num_rvs * layer_offset !l) + r) in
-      while !i < hi do
-        let c = v.(!i) in
-        if c <> 0.0 then begin
-          let x = c *. c *. w in
-          let s = !sum in
-          let t = s +. x in
-          comp :=
-            !comp
-            +. if Float.abs s >= Float.abs x then s -. t +. x else x -. t +. s;
-          sum := t
-        end;
-        i := !i + num_rvs
-      done
+   so it is skipped, and so are the partitions missing from [parts]:
+   the sum is the dense chain's, layer by layer, RV by RV, partitions
+   in increasing order. *)
+let sq_norm budget ?layer ~parts coeffs =
+  let n = Array.length parts in
+  let sum = ref 0.0 and comp = ref 0.0 in
+  let first = ref 0 and l = ref 0 in
+  while !first < n do
+    while layer_offset (!l + 1) <= parts.(!first) do
+      incr l
     done;
-    incr l
+    let last = ref !first in
+    while !last < n && parts.(!last) < layer_offset (!l + 1) do
+      incr last
+    done;
+    if match layer with Some u -> u = !l | None -> true then
+      for r = 0 to num_rvs - 1 do
+        let w = var budget ~layer:!l r in
+        for i = !first to !last - 1 do
+          let c = coeffs.((num_rvs * i) + r) in
+          if c <> 0.0 then begin
+            let x = c *. c *. w in
+            let s = !sum in
+            let t = s +. x in
+            comp :=
+              !comp
+              +. if Float.abs s >= Float.abs x then s -. t +. x else x -. t +. s;
+            sum := t
+          end
+        done
+      done;
+    first := !last
   done;
   !sum +. !comp

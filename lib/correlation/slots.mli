@@ -56,13 +56,19 @@ val combine_into :
     is written, so [c] may be [a] or [b] itself.  [Array.length c] is
     checked as in {!dot}. *)
 
-val sq_norm : Budget.t -> ?layer:int -> float array -> float
-(** [dot budget v v], or the part of it on one layer, summed with
-    Neumaier compensation.  Its error is within one rounding of the
+val sq_norm :
+  Budget.t -> ?layer:int -> parts:int array -> float array -> float
+(** [sq_norm budget ~parts coeffs] is [dot budget v v], or the part of
+    it on one layer, for the vector [v] whose partition [parts.(i)]
+    ([layer_offset layer + partition], strictly increasing) holds
+    [coeffs.(5 * i) .. coeffs.(5 * i + 4)] and whose other slots are 0;
+    a dense vector is every partition in order.  Summed with Neumaier
+    compensation.  Its error is within one rounding of the
     exact sum plus O(n u^2), so it does not depend on which slots hold
     which terms except when the exact sum sits on a rounding boundary:
     two paths that are the same sum of RVs over mirrored partitions get
     bit-identical variances (and rank as exact ties), which the plain
-    in-order {!dot} does not guarantee.  Zero slots are skipped: they
-    would add +0.0, which changes no bit of the sum or its
-    compensation, so the result is the dense chain's bit for bit. *)
+    in-order {!dot} does not guarantee.  Zero slots and absent
+    partitions are skipped: they would add +0.0, which changes no bit
+    of the sum or its compensation, so the result is the dense chain's
+    bit for bit. *)

@@ -23,8 +23,8 @@ let relabel t graph ~changed =
 let analyze ?wire_cap c = of_graph (Graph.of_netlist ?wire_cap c)
 let analyze_placed ?wire c pl = of_graph (Graph.of_placed ?wire c pl)
 
-let near_critical ?max_paths ?should_stop ?prune ?pool t ~slack =
-  Paths.enumerate ?max_paths ?should_stop ?prune ?pool t.graph
+let near_critical ?max_paths ?should_stop ?prune t ~slack =
+  Paths.enumerate ?max_paths ?should_stop ?prune t.graph
     ~labels:t.labels ~slack
 
 let pp_summary fmt t =

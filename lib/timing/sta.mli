@@ -38,14 +38,11 @@ val near_critical :
   ?max_paths:int ->
   ?should_stop:(unit -> bool) ->
   ?prune:(int -> bool) ->
-  ?pool:Ssta_parallel.Pool.t ->
   t ->
   slack:float ->
   Paths.enumeration
 (** Paths within [slack] of the critical delay, ranked by nominal delay
     (deterministic rank = 1-based position in this list).  [should_stop]
-    imposes a caller-side deadline; [pool] parallelizes per-endpoint
-    stream prefetching without changing any output bit; see
-    {!Paths.enumerate}. *)
+    imposes a caller-side deadline; see {!Paths.enumerate}. *)
 
 val pp_summary : Format.formatter -> t -> unit

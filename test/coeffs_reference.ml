@@ -76,7 +76,10 @@ let table_walk_mismatch (tb : Gate_table.t) (path : Paths.path) =
     Array.length a = Array.length b && Array.for_all2 same a b
   in
   let quad_levels = layers.Layers.quad_levels in
+  let dense = Path_coeffs.to_dense pc in
   let slots_ok =
+    Array.length dense = Slots.num_slots ~quad_levels
+    &&
     List.for_all
       (fun layer ->
         List.for_all
@@ -88,7 +91,7 @@ let table_walk_mismatch (tb : Gate_table.t) (path : Paths.path) =
                   if layer = 0 then 0.0
                   else Option.value ~default:0.0 (Hashtbl.find_opt oracle key)
                 in
-                same expected pc.Path_coeffs.coeffs.(Slots.slot key))
+                same expected dense.(Slots.slot key))
               Params.all_rvs)
           (List.init (1 lsl (2 * layer)) Fun.id))
       (List.init quad_levels Fun.id)
@@ -119,7 +122,23 @@ let table_walk_mismatch (tb : Gate_table.t) (path : Paths.path) =
               (Params.get reference.Path_coeffs.grad_sum rv))
           Params.all_rvs );
       ("quad_levels", pc.Path_coeffs.quad_levels = reference.Path_coeffs.quad_levels);
-      ("coeffs", same_floats pc.Path_coeffs.coeffs reference.Path_coeffs.coeffs);
+      ( "parts",
+        pc.Path_coeffs.parts = reference.Path_coeffs.parts
+        && same_floats pc.Path_coeffs.part_coeffs
+             reference.Path_coeffs.part_coeffs );
+      ( "parts increasing, each with a non-zero slot",
+        let parts = pc.Path_coeffs.parts in
+        Array.length pc.Path_coeffs.part_coeffs
+        = Slots.num_rvs * Array.length parts
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun i p ->
+                  (i = 0 || parts.(i - 1) < p)
+                  && Array.exists
+                       (fun c -> c <> 0.0)
+                       (Array.sub pc.Path_coeffs.part_coeffs
+                          (Slots.num_rvs * i) Slots.num_rvs))
+                parts) );
       ( "random_sq",
         same_floats pc.Path_coeffs.random_sq reference.Path_coeffs.random_sq );
       ("worst case", worst_ok) ]

@@ -337,8 +337,9 @@ let test_injection_ids_distinct () =
   check_int "three distinct diagnostic ids" 3
     (List.length (List.sort_uniq String.compare rules))
 
-(* A tampered coefficient vector: too short for the layering, a
-   non-zero inter-die (layer 0) slot and a negative random-layer sum.
+(* A tampered coefficient vector: two quad-tree layers short of the
+   layering, a non-zero inter-die (layer 0) slot and a negative
+   random-layer sum.
    The key check names the defects; the conservation check sees the
    layer-0 term counted by the reported variance but by no layer. *)
 let test_variance_check_tampered () =
@@ -354,17 +355,32 @@ let test_variance_check_tampered () =
   let check pa = Variance_check.check_path Config.default ~label:"p" pa in
   assert_no_errors "untampered path" (check pa);
   let pc = pa.Path_analysis.coeffs in
-  let coeffs = Array.sub pc.Path_coeffs.coeffs 0 105 in
-  (* Copy a layer-1 partition the path crosses onto layer 0. *)
-  let crossed =
-    List.find (fun p -> coeffs.(5 * (1 + p)) <> 0.0) [ 0; 1; 2; 3 ]
+  (* Keep layers 0-2 (partitions below 21), then copy the layer-1
+     partition the path crosses (the first kept) onto layer 0. *)
+  let kept =
+    List.filter
+      (fun i -> pc.Path_coeffs.parts.(i) < 21)
+      (List.init (Array.length pc.Path_coeffs.parts) Fun.id)
   in
-  Array.blit coeffs (5 * (1 + crossed)) coeffs 0 5;
+  let kept = List.hd kept :: kept in
+  let parts =
+    Array.of_list
+      (0 :: List.map (fun i -> pc.Path_coeffs.parts.(i)) (List.tl kept))
+  in
+  let part_coeffs =
+    Array.concat
+      (List.map (fun i -> Array.sub pc.Path_coeffs.part_coeffs (5 * i) 5) kept)
+  in
   let random_sq = Array.copy pc.Path_coeffs.random_sq in
   random_sq.(1) <- -1.0e-30;
   let tampered =
     { pa with
-      Path_analysis.coeffs = { pc with Path_coeffs.coeffs; random_sq } }
+      Path_analysis.coeffs =
+        { pc with
+          Path_coeffs.quad_levels = 3;
+          parts;
+          part_coeffs;
+          random_sq } }
   in
   let ds = check tampered in
   check_true "check-var-key fires" (fires "check-var-key" ds);

@@ -272,7 +272,7 @@ let test_coeffs_accumulate () =
 let test_coeffs_layer_structure () =
   let g, pl, layers, path = context () in
   let pc = Path_coeffs.of_path g pl layers path in
-  let v = pc.Path_coeffs.coeffs in
+  let v = Path_coeffs.to_dense pc in
   check_int "one slot per quad-tree RV"
     (Slots.num_slots ~quad_levels:layers.Layers.quad_levels)
     (Array.length v);
@@ -291,13 +291,14 @@ let test_coeffs_level1_sum_equals_gradient_sum () =
      them over partitions recovers the total derivative sum. *)
   let g, pl, layers, path = context () in
   let pc = Path_coeffs.of_path g pl layers path in
+  let v = Path_coeffs.to_dense pc in
   List.iter
     (fun rv ->
       let total_by_partition = ref 0.0 in
       for partition = 0 to 3 do
         total_by_partition :=
           !total_by_partition
-          +. pc.Path_coeffs.coeffs.(Slots.slot { Slots.rv; layer = 1; partition })
+          +. v.(Slots.slot { Slots.rv; layer = 1; partition })
       done;
       let total_direct =
         Array.fold_left
@@ -361,7 +362,9 @@ let test_of_path_fast_options_bit_identical () =
           = Ssta_tech.Params.get reference.Path_coeffs.grad_sum rv))
       Ssta_tech.Params.all_rvs;
     check_true (what ^ ": coefficient vector")
-      (same_floats fast.Path_coeffs.coeffs reference.Path_coeffs.coeffs);
+      (fast.Path_coeffs.parts = reference.Path_coeffs.parts
+      && same_floats fast.Path_coeffs.part_coeffs
+           reference.Path_coeffs.part_coeffs);
     check_true (what ^ ": random-layer sums")
       (same_floats fast.Path_coeffs.random_sq reference.Path_coeffs.random_sq)
   in
@@ -409,7 +412,8 @@ let prop_dense_matches_reference =
                     let expected =
                       Option.value ~default:0.0 (Hashtbl.find_opt oracle key)
                     in
-                    bits_equal expected pc.Path_coeffs.coeffs.(Slots.slot key))
+                    bits_equal expected
+                      (Path_coeffs.to_dense pc).(Slots.slot key))
                   Ssta_tech.Params.all_rvs)
               (List.init (1 lsl (2 * layer)) Fun.id))
           (List.init quad_levels Fun.id)
@@ -422,6 +426,54 @@ let prop_dense_matches_reference =
       && rel_close
            (Path_coeffs.intra_variance pc budget)
            (Coeffs_reference.intra_variance oracle budget))
+
+(* The sparse Eq. (14) against the dense Neumaier chain on the dense
+   vector, on arbitrary partition sets (layer 0 included, zero slots
+   inside a kept partition): the whole quad-tree sum and every layer's
+   share agree bit for bit. *)
+let prop_sparse_sq_norm_matches_dense =
+  qcheck ~count:200 "sparse Eq. 14 = dense Neumaier chain, bit for bit"
+    QCheck.(triple (int_range 1 5) (int_range 0 200) (int_range 1 1_000_000))
+    (fun (quad_levels, density, seed) ->
+      let st = Random.State.make [| seed |] in
+      let nparts = Slots.layer_offset quad_levels in
+      let parts =
+        List.filter
+          (fun _ -> Random.State.int st 200 < density)
+          (List.init nparts Fun.id)
+      in
+      let value () =
+        match Random.State.int st 4 with
+        | 0 -> 0.0
+        | 1 -> -.Random.State.float st 1e-9
+        | _ -> Random.State.float st 1e-9
+      in
+      let part_coeffs =
+        Array.init (Slots.num_rvs * List.length parts) (fun _ -> value ())
+      in
+      let pc =
+        { Path_coeffs.alpha_sum = 0.0;
+          beta_sum = 0.0;
+          gate_count = 0;
+          nominal_delay = 0.0;
+          grad_sum = Ssta_tech.Params.zero;
+          quad_levels;
+          parts = Array.of_list parts;
+          part_coeffs;
+          random_sq = [||] }
+      in
+      let budget =
+        Budget.inter_intra ~inter_fraction:0.3 ~layers:(quad_levels + 1)
+      in
+      let dense = Path_coeffs.to_dense pc in
+      bits_equal (Path_coeffs.intra_variance pc budget)
+        (Slots_reference.sq_norm budget dense +. 0.0)
+      && List.for_all
+           (fun u ->
+             bits_equal
+               (Path_coeffs.layer_variances pc budget).(u)
+               (Slots_reference.sq_norm budget ~layer:u dense))
+           (List.init (quad_levels - 1) (fun u -> u + 1)))
 
 let test_correlation_increases_variance () =
   (* Two gates in the same partition add coefficients before squaring:
@@ -502,6 +554,25 @@ let test_table_walk_iscas85 () =
       in
       walk_agrees spec.Iscas85.name tb (some_paths ~max_paths:40 g))
     Iscas85.all
+
+(* The table walk accumulates into a per-domain scratch vector: a walk
+   that raises part-way (a node id past the graph) must leave no
+   partial sums for the next walks, which still agree with the
+   reference. *)
+let test_table_walk_after_raise () =
+  let c = small_random () in
+  let g = Graph.of_netlist c in
+  let pl = Placement.place c in
+  let tb = Gate_table.build g pl (Layers.of_placement pl) ~corner_k:3.5 in
+  let paths = some_paths g in
+  let p = List.hd paths in
+  let bad =
+    { p with Paths.nodes = Array.append p.Paths.nodes [| Graph.num_nodes g |] }
+  in
+  (match Path_coeffs.of_table tb bad with
+  | _ -> Alcotest.fail "a node id past the graph was accepted"
+  | exception Invalid_argument _ -> ());
+  walk_agrees "after a raising walk" tb paths
 
 (* A patch re-derives the moved cells only: after moving a cell and
    re-driving a gate, the patched table equals a fresh build bit for
@@ -594,19 +665,24 @@ let prop_sq_norm_zero_skip =
       in
       let bits = Int64.bits_of_float in
       let same a b = Int64.equal (bits a) (bits b) in
+      (* The dense vector as every partition in order. *)
+      let sq_norm ?layer v =
+        Slots.sq_norm budget ?layer
+          ~parts:(Array.init (Array.length v / Slots.num_rvs) Fun.id)
+          v
+      in
       let agrees v =
-        same (Slots.sq_norm budget v) (Slots_reference.sq_norm budget v)
+        same (sq_norm v) (Slots_reference.sq_norm budget v)
         && List.for_all
              (fun l ->
-               same
-                 (Slots.sq_norm budget ~layer:l v)
+               same (sq_norm ~layer:l v)
                  (Slots_reference.sq_norm budget ~layer:l v))
              (List.init (layers + 1) Fun.id)
       in
       let m = mirror layers v in
       agrees v && agrees m
       && same (Slots_reference.sq_norm budget v) (Slots_reference.sq_norm budget m)
-         = same (Slots.sq_norm budget v) (Slots.sq_norm budget m))
+         = same (sq_norm v) (sq_norm m))
 
 let suite =
   ( "correlation",
@@ -638,10 +714,13 @@ let suite =
       case "of_path grads/workspace options are bit-identical"
         test_of_path_fast_options_bit_identical;
       prop_dense_matches_reference;
+      prop_sparse_sq_norm_matches_dense;
       case "spatial correlation increases path variance"
         test_correlation_increases_variance;
       prop_table_walk_matches_reference;
       slow_case "table walk = reference walk on ISCAS85, bit for bit"
         test_table_walk_iscas85;
+      case "walks after a raising table walk agree with the reference"
+        test_table_walk_after_raise;
       case "patched gate table = fresh build" test_table_patch_equals_build;
       prop_sq_norm_zero_skip ] )
