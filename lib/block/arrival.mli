@@ -22,6 +22,19 @@
       Clark's max re-matches a Gaussian anyway.  Grids appear only when
       an arrival is concretized ({!total_pdf}, at endpoints).
 
+    {b Supports.}  A gate's delay depends only on the layer RVs of the
+    partitions it sits in, so an arrival's vector is zero wherever its
+    fan-in cone has no gate.  Every arrival carries its support: on each
+    layer, the span (hull) of the partitions that may hold a non-zero
+    slot ({!Ssta_correlation.Slots.spans}).  The invariant is that every
+    slot outside the support is [+0.0].  The covariance of two arrivals
+    walks the intersection of their spans and a blend walks their
+    union, which is bit for bit the dense arithmetic: a skipped term
+    would add [+0.0] or [-0.0] to a sum that is never [-0.0], and every
+    coefficient is finite.  A pooled vector keeps stale slots only
+    inside its own spans, and a step that reuses it zeroes those the new
+    support leaves out.
+
     An arrival's cached shared-layer variance is computed under the
     variance budget of the configuration that built it; all operators
     of one analysis must use that configuration.  Arrivals are
@@ -93,6 +106,11 @@ val recycle : pool -> t -> unit
     nothing reads [a] afterwards: the caller gives up [a].  Empty
     vectors are ignored. *)
 
+val walked : pool -> int
+(** The partitions the slot kernels have walked for the pool's sweep: a
+    deterministic work count (a dense pass walks every partition of the
+    vector, 85 at the default 4 layers). *)
+
 val max_fold : pool -> Ssta_core.Config.t -> t array -> int array -> t
 (** [max_fold pool config arrivals ids] is bit for bit the left fold of
     {!max} over [arrivals.(ids.(0))], [arrivals.(ids.(1))], ....  It
@@ -125,6 +143,17 @@ val step :
     blends and the gate's own sensitivities are written into it in
     place, and a fold result that is one of the stored arrivals (a
     single fan-in, or a Clark early return) is copied into it once.
+
+    {b The fused step.}  The last Clark blend of a gate with two or more
+    fan-ins also adds the gate's sensitivities, in the same pass
+    ({!Ssta_correlation.Slots.blend_gate_spans}).  That pass keeps two
+    sums in slot order: the variance of the blend before the add, from
+    which Clark's residual is taken, and the variance after it, which is
+    the arrival's.  So a two-input gate costs one covariance pass and
+    one blend pass, instead of a third pass for the final variance.  A
+    Clark early return, and a single fan-in, copy the stored arrival's
+    spans into the step's vector, add the sensitivities and sum the
+    variance over the result's spans.
     The vector comes from [pool] when it holds one of the right length.
     The step writes only into that vector — never into an operand — so
     the immutability contract above holds:
@@ -162,3 +191,4 @@ val total_pdf : Ssta_core.Config.t -> t -> Ssta_prob.Pdf.t
     Gaussian of the shared plus residual variance (a sum of independent
     Gaussians is Gaussian), shifted by the mean.  Degenerate arrivals
     concretize to a point mass. *)
+

@@ -79,7 +79,8 @@ let propagate config gates ~outputs pool =
   done;
   arrivals
 
-let analyze ?(config = Config.default) ?placement ?sta ?gates circuit =
+let analyze ?(config = Config.default) ?placement ?sta ?gates
+    ?(pool = Arrival.pool ()) circuit =
   let started = Unix.gettimeofday () in
   let sta = match sta with Some s -> s | None -> Sta.analyze circuit in
   let graph = sta.Sta.graph in
@@ -100,7 +101,6 @@ let analyze ?(config = Config.default) ?placement ?sta ?gates circuit =
   let outputs = circuit.Netlist.outputs in
   if Array.length outputs = 0 then
     invalid_arg "Engine.analyze: circuit has no outputs";
-  let pool = Arrival.pool () in
   let arrivals = propagate config gates ~outputs pool in
   let arrival = Arrival.max_fold pool config arrivals outputs in
   let endpoints =

@@ -6,11 +6,14 @@
     this engine visits every gate exactly once at O(slots) per visit
     (425 shared-layer slots at the default 4 quad-tree layers; Q-point
     grids only at the endpoints) — the crossover is measured per
-    benchmark by the [blockcross] bench artifact.  A gate with k fan-ins costs 2k - 1 passes over its
-    vector (a covariance and a blend per Clark merge, one final
-    variance), each a slot-order sum with the sigma^2 read from the
-    budget's table; the vector comes from a free list of the sweep's
-    dead arrivals, so the sweep allocates about one vector per primary
+    benchmark by the [blockcross] bench artifact.  A gate with k >= 2
+    fan-ins costs 2k - 2 passes (a covariance and a blend per Clark
+    merge, the last blend also adding the gate's sensitivities and
+    summing the final variance); a single fan-in costs one.  Each pass
+    walks only the arrivals' supports, one span of partitions per layer
+    ({!Arrival}), in slot order with the sigma^2 read from the budget's
+    table; the vector comes from a free list of the sweep's dead
+    arrivals, so the sweep allocates about one vector per primary
     output plus its peak frontier.  The price is approximation at
     reconvergent fan-out (Clark's Gaussian max); the
     [check-block-vs-path] checker cross-validates the result against
@@ -51,6 +54,7 @@ val analyze :
   ?placement:Ssta_circuit.Placement.t ->
   ?sta:Ssta_timing.Sta.t ->
   ?gates:Ssta_correlation.Gate_table.t ->
+  ?pool:Arrival.pool ->
   Ssta_circuit.Netlist.t ->
   t
 (** [analyze circuit] runs deterministic STA plus one statistical
@@ -64,9 +68,11 @@ val analyze :
     every step reads the gate's partitions; it must
     {!Ssta_correlation.Gate_table.fits} the graph, placement and
     [config]'s layering and corner (raises [Invalid_argument]
-    otherwise), and without it the call builds one.  The sweep's vector free list is local to the call, so
-    concurrent calls share nothing mutable.  Raises [Invalid_argument]
-    if the circuit has no outputs. *)
+    otherwise), and without it the call builds one.  The sweep's vector
+    free list is a fresh {!Arrival.pool} unless [pool] is given (say,
+    to read {!Arrival.walked} afterwards); a pool serves one call at a
+    time, so concurrent calls share nothing mutable.  Raises
+    [Invalid_argument] if the circuit has no outputs. *)
 
 val json : t -> Ssta_runtime.Json.t
 (** Machine-readable report: engine name (["block"]), max policy,

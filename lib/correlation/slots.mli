@@ -46,16 +46,6 @@ val dot : Budget.t -> float array -> float array -> float
     layers the budget has variances for, else [Invalid_argument] —
     and the loop then reads without bounds checks. *)
 
-val combine_into :
-  Budget.t -> float array -> wa:float -> float array -> wb:float ->
-  float array -> float
-(** [combine_into budget c ~wa a ~wb b] writes [wa * a + wb * b] into
-    every slot of [c], reading the operands as zero-padded to
-    [Array.length c], and returns the result's variance, summed in slot
-    order like {!dot} [c c] — in one pass.  Each slot is read before it
-    is written, so [c] may be [a] or [b] itself.  [Array.length c] is
-    checked as in {!dot}. *)
-
 val sq_norm :
   Budget.t -> ?layer:int -> parts:int array -> float array -> float
 (** [sq_norm budget ~parts coeffs] is [dot budget v v], or the part of
@@ -72,3 +62,76 @@ val sq_norm :
     partitions are skipped: they would add +0.0, which changes no bit
     of the sum or its compensation, so the result is the dense chain's
     bit for bit. *)
+
+(** {1 Supports}
+
+    A coefficient vector built from gates' sensitivities is zero on
+    every partition its gates do not sit in.  Its {e support} gives each
+    layer one span of partitions ([layer_offset layer + partition]):
+    the hull of the partitions that may hold a non-zero slot, with
+    every slot outside it [+0.0].  The [_spans] kernels walk one span
+    per layer and are bit for bit the dense kernels whenever every slot
+    they skip is [+0.0] in the vectors they read (and in [c], for the
+    blend): a skipped term adds [+0.0] or [-0.0] to a sum that is never
+    [-0.0], which changes no bit, as long as every coefficient is
+    finite. *)
+
+type spans = int array
+(** One span per layer: [s.(2l)] to [s.(2l + 1) - 1] are the partitions
+    of layer [l] in the span ([s.(2l) = s.(2l + 1)] when it is empty);
+    [Array.length s / 2] layers. *)
+
+val empty_spans : layers:int -> spans
+(** Empty spans over [layers] layers (each at its layer's start). *)
+
+val union_spans : spans -> spans -> spans -> unit
+(** [union_spans dst a b] sets each of [dst]'s layers to the hull of
+    [a]'s and [b]'s spans there (a support with fewer layers is empty on
+    the ones it lacks).  [dst] may be [a] or [b]. *)
+
+val inter_spans : spans -> spans -> spans -> unit
+(** [inter_spans dst a b]: the per-layer intersection, as
+    {!union_spans}. *)
+
+val widen_spans : spans -> int array -> unit
+(** [widen_spans s parts] widens layer [l]'s span of [s] to hold
+    partition [parts.(l)], for every [l < Array.length parts].  Raises
+    [Invalid_argument] on a partition outside its layer. *)
+
+val clear_outside : float array -> spans -> spans -> unit
+(** [clear_outside c old nw] zeroes the slots of [c] on the partitions
+    [old] covers and [nw] does not: what makes a reused vector, stale
+    inside its old spans, +0.0 outside its new ones. *)
+
+val spans_of_parts : layers:int -> int list -> spans
+(** The spans over [layers] layers that hull a set of partitions (any
+    order, repeats allowed).  Raises [Invalid_argument] on a partition
+    outside the layers. *)
+
+val dot_spans :
+  Budget.t -> spans -> float array -> float array -> int array -> float
+(** [dot_spans budget walk a b work] is {!dot}[ budget a b] summed over
+    the partitions of [walk] only, in slot order, and adds their number
+    to [work.(0)]: bit for bit {!dot} when every slot the walk skips is
+    [+0.0] in [a] or in [b].  Raises [Invalid_argument] when a span
+    leaves its layer or reaches past the shorter vector, or when the
+    walk has more layers than the budget. *)
+
+val blend_gate_spans :
+  Budget.t -> spans -> float array -> wa:float -> float array -> wb:float ->
+  float array -> gate:int array -> Ssta_tech.Params.t -> int array ->
+  float array -> unit
+(** [blend_gate_spans budget walk c ~wa a ~wb b ~gate d work out]
+    writes [wa * a + wb * b] into the partitions of [walk] in [c]
+    (shorter operands read as zero-padded; [c] may be [a] or [b]) and
+    adds the five sensitivities [d] (in {!Ssta_tech.Params.rv_index}
+    order) to partition [gate.(l)] of every layer [l < Array.length
+    gate] that it walks, in the same pass.  It writes the variance of
+    the blend before the add into [out.(0)] and that of the result into
+    [out.(1)], each summed in slot order like {!dot}, and adds the
+    partitions walked to [work.(0)].  With [wa, wb >= 0], and a walk
+    that covers the gate's partitions and every partition where [a],
+    [b] or [c] holds a slot other than [+0.0], [c] ends up bit for bit
+    the dense blend written into every slot followed by adding [d] in
+    place, [out.(0)] is {!dot} of the blend with itself and [out.(1)]
+    is {!dot}[ c c].  The walk must lie inside [c]. *)

@@ -9,9 +9,24 @@ let truncated_gaussian ?(n = 200) ?(bound = 6.0) ~mu ~sigma () =
     invalid_arg "Dist.truncated_gaussian: sigma must be positive";
   if bound <= 0.0 then
     invalid_arg "Dist.truncated_gaussian: bound must be positive";
+  if n <= 0 then invalid_arg "Pdf.of_fun: n must be positive";
   let span = bound *. sigma in
-  Pdf.of_fun ~lo:(mu -. span) ~hi:(mu +. span) ~n (fun x ->
-      Erf.normal_pdf ~mu ~sigma x)
+  let lo = mu -. span and hi = mu +. span in
+  if not (hi > lo) then invalid_arg "Pdf.of_fun: hi must exceed lo";
+  (* [Pdf.of_fun lo hi n (Erf.normal_pdf ~mu ~sigma)] written out: the
+     same cell centres and the same density expression, in one loop
+     that boxes nothing (the closure version boxes every cell's float
+     twice).  The denominator is loop-invariant, so hoisting it changes
+     no bit. *)
+  let step = (hi -. lo) /. float_of_int n in
+  let denom = sigma *. Erf.sqrt_2pi in
+  let density = Array.create_float n in
+  for i = 0 to n - 1 do
+    let x = lo +. ((float_of_int i +. 0.5) *. step) in
+    let z = (x -. mu) /. sigma in
+    Array.unsafe_set density i (exp (-0.5 *. z *. z) /. denom)
+  done;
+  Pdf.make_owned ~lo ~step density
 
 let uniform ?(n = 100) ~lo ~hi () =
   if not (hi > lo) then invalid_arg "Dist.uniform: hi must exceed lo";

@@ -20,7 +20,11 @@ val normal_cdf : ?mu:float -> ?sigma:float -> float -> float
 
 val normal_pdf : ?mu:float -> ?sigma:float -> float -> float
 (** [normal_pdf ~mu ~sigma x] is the density of the normal distribution at
-    [x]. *)
+    [x]: [exp (-0.5 *. z *. z) /. (sigma *. sqrt_2pi)] with
+    [z = (x -. mu) /. sigma]. *)
+
+val sqrt_2pi : float
+(** [sqrt (2 pi)], the constant of {!normal_pdf}'s denominator. *)
 
 val inverse_normal_cdf : float -> float
 (** [inverse_normal_cdf p] is the standard-normal quantile function

@@ -31,18 +31,26 @@ let traced ~op ?expected ?mass_in ?(clamped = 0.0) p =
           trace_output = p });
   p
 
+(* Plain loops with the sum in an unboxed scratch slot, in cell order:
+   without flambda, [Array.fold_left]/[Array.iter] box every element
+   and the accumulator. *)
 let total_unnormalized step density =
-  Array.fold_left (fun acc d -> acc +. (d *. step)) 0.0 density
+  let acc = [| 0.0 |] in
+  for i = 0 to Array.length density - 1 do
+    Array.unsafe_set acc 0
+      (Array.unsafe_get acc 0 +. (Array.unsafe_get density i *. step))
+  done;
+  Array.unsafe_get acc 0
 
 let validate_density ~step density =
   let n = Array.length density in
   if n = 0 then invalid_arg "Pdf.make: empty density";
   if not (step > 0.0) then invalid_arg "Pdf.make: step must be positive";
-  Array.iter
-    (fun d ->
-      if d < 0.0 || Float.is_nan d then
-        invalid_arg "Pdf.make: density entries must be non-negative")
-    density;
+  for i = 0 to n - 1 do
+    let d = Array.unsafe_get density i in
+    if d < 0.0 || Float.is_nan d then
+      invalid_arg "Pdf.make: density entries must be non-negative"
+  done;
   let mass = total_unnormalized step density in
   if not (mass > 0.0) then invalid_arg "Pdf.make: zero total mass";
   mass
@@ -174,13 +182,20 @@ let density_at p x =
   if x < p.lo || x >= hi p then 0.0
   else p.density.(int_of_float ((x -. p.lo) /. p.step))
 
+(* The sanitizer event of [affine p ~mul ~add] for its result [q].  The
+   input mass is summed only when a hook will read it. *)
+let traced_affine p ~mul ~add q =
+  if not (trace_active ()) then q
+  else begin
+    let expected =
+      if mul > 0.0 then ((p.lo *. mul) +. add, (hi p *. mul) +. add)
+      else ((hi p *. mul) +. add, (p.lo *. mul) +. add)
+    in
+    traced ~op:"pdf.affine" ~expected ~mass_in:(total_mass p) q
+  end
+
 let affine p ~mul ~add =
   if mul = 0.0 then invalid_arg "Pdf.affine: mul must be non-zero";
-  let expected =
-    if mul > 0.0 then ((p.lo *. mul) +. add, (hi p *. mul) +. add)
-    else ((hi p *. mul) +. add, (p.lo *. mul) +. add)
-  in
-  let mass_in = total_mass p in
   let q =
     (* Explicit loops rather than Array.map/init: the closures box every
        element without flambda, and [scale] sits on the inter-cache hit
@@ -204,9 +219,17 @@ let affine p ~mul ~add =
       { lo = (hi p *. mul) +. add; step = p.step *. -.mul; density }
     end
   in
-  traced ~op:"pdf.affine" ~expected ~mass_in q
+  traced_affine p ~mul ~add q
 
 let shift p c = affine p ~mul:1.0 ~add:c
+
+(* [affine p ~mul:1.0 ~add:c] keeps every bit of the grid ([x *. 1.0]
+   and [x /. 1.0] are [x] for finite [x]), so an owned grid is moved
+   instead of copied. *)
+let shift_owned p c =
+  traced_affine p ~mul:1.0 ~add:c
+    { lo = (p.lo *. 1.0) +. c; step = p.step; density = p.density }
+
 let scale p a = affine p ~mul:a ~add:0.0
 
 let resample p ~n =

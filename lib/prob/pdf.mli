@@ -88,6 +88,11 @@ val density_at : t -> float -> float
 val shift : t -> float -> t
 (** [shift p c] is the distribution of X + c. *)
 
+val shift_owned : t -> float -> t
+(** Bit-identical to {!shift}, with the same sanitizer event, but the
+    result shares [p]'s density array instead of copying it.  For a [p]
+    the caller built and gives up, as {!make_owned} takes its array. *)
+
 val scale : t -> float -> t
 (** [scale p a] is the distribution of a*X for [a <> 0]. *)
 

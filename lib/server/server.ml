@@ -201,9 +201,12 @@ let maybe_retry t (p : Protocol.run_params) cfg m =
     | Error _ -> (m, false)
   end
 
-(* Block-mode run: one topological sweep on the warm image.  The sweep
-   is cheap enough (no path enumeration) that nothing is cached between
-   requests; deadlines and retry do not apply. *)
+(* Block-mode run: one topological sweep on the warm image, reading the
+   design state's STA and gate table.  The sweep walks only the
+   arrivals' supports and fuses each gate's last Clark merge with its
+   own sensitivities, and the endpoint grids are built without
+   closures, so nothing else is cached between requests; deadlines and
+   retry do not apply. *)
 let do_run_block t id (p : Protocol.run_params) cfg =
   let r =
     Block_engine.analyze ~config:cfg ~placement:t.placement ~sta:t.sta

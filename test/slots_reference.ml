@@ -1,8 +1,8 @@
 (* The slot kernels written plainly: one checked read per slot, in slot
    order, each RV's variance squared from [Budget.sigma_of_layer] on the
-   spot.  [Slots.dot] and [Slots.combine_into] read their variances from
-   the budget's table without bounds checks, five slots per step; they
-   are checked against these bit for bit. *)
+   spot.  [Slots.dot] and the span kernels read their variances from the
+   budget's table without bounds checks, five slots per step; they are
+   checked against these bit for bit. *)
 
 module Params = Ssta_tech.Params
 module Budget = Ssta_correlation.Budget

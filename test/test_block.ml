@@ -472,6 +472,46 @@ let test_step_matches_reference_iscas85 () =
         [ Config.default.Config.confidence_sigma; 2.0; 4.5 ])
     Iscas85.all
 
+(* The dense oracle's report and the engine's: the same bytes. *)
+let dense_reports config placement circuit =
+  ( Engine.json_report (Block_dense_reference.analyze config placement circuit),
+    Engine.json_report (Engine.analyze ~config ~placement circuit) )
+
+let test_sweep_matches_dense_iscas85 () =
+  List.iter
+    (fun (spec : Iscas85.spec) ->
+      let circuit, placement = Iscas85.build_placed spec in
+      let want, got = dense_reports Config.default placement circuit in
+      Alcotest.(check string)
+        (Printf.sprintf "%s: span sweep = dense oracle" spec.Iscas85.name)
+        want got)
+    Iscas85.all
+
+let test_sweep_matches_dense_random =
+  qcheck ~count:30 "span sweep = dense oracle on random circuits"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let circuit =
+        Generators.random_layered ~name:"rand" ~inputs:8 ~outputs:4 ~gates:60
+          ~depth:8 ~seed ()
+      in
+      let want, got =
+        dense_reports fast_config (Placement.place circuit) circuit
+      in
+      String.equal want got)
+
+(* The kernels walk fewer partitions than dense passes would: on c432,
+   whose cones each cover a corner of the die, under half of the 85
+   partitions per pass. *)
+let test_sweep_walks_supports () =
+  let spec = Option.get (Iscas85.by_name "c432") in
+  let circuit, placement = Iscas85.build_placed spec in
+  let pool = Arrival.pool () in
+  ignore (Engine.analyze ~placement ~pool circuit);
+  let walked = Arrival.walked pool in
+  check_true (Printf.sprintf "walked %d partitions" walked)
+    (walked > 0 && walked < 85 * 3 * Netlist.num_gates circuit / 2)
+
 (* A random DAG in which about two gates in five read one node on two
    of their inputs. *)
 let random_repeat_circuit seed =
@@ -676,4 +716,8 @@ let suite =
       case "pooled sweep = composite when outputs feed gates"
         test_pooled_sweep_outputs_feed_gates;
       case "the step never writes into an operand"
-        test_step_leaves_operands_alone ] )
+        test_step_leaves_operands_alone;
+      slow_case "span sweep = dense oracle on ISCAS85"
+        test_sweep_matches_dense_iscas85;
+      test_sweep_matches_dense_random;
+      case "the kernels walk the supports only" test_sweep_walks_supports ] )

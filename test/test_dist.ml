@@ -64,6 +64,20 @@ let prop_gaussian_mean_matches =
       let p = Dist.truncated_gaussian ~mu ~sigma () in
       Float.abs (Pdf.mean p -. mu) < 1e-6 *. (1.0 +. Float.abs mu))
 
+(* The loop in [truncated_gaussian] is [Pdf.of_fun] with
+   [Erf.normal_pdf] written out: the same grid, bit for bit. *)
+let prop_truncated_gaussian_is_of_fun =
+  qcheck ~count:300 "truncated gaussian = of_fun normal_pdf, bitwise"
+    QCheck.(
+      quad (int_range 1 400) (float_range 0.5 8.0) (float_range (-1e3) 1e3)
+        (float_range 1e-12 10.0))
+    (fun (n, bound, mu, sigma) ->
+      let span = bound *. sigma in
+      pdf_bits_equal
+        (Dist.truncated_gaussian ~n ~bound ~mu ~sigma ())
+        (Pdf.of_fun ~lo:(mu -. span) ~hi:(mu +. span) ~n (fun x ->
+             Erf.normal_pdf ~mu ~sigma x)))
+
 let suite =
   ( "dist",
     [ case "gaussian constructor" test_gaussian;
@@ -75,4 +89,5 @@ let suite =
       case "triangular" test_triangular;
       case "triangular edge modes" test_triangular_degenerate_edges;
       case "exponential" test_exponential;
-      prop_gaussian_mean_matches ] )
+      prop_gaussian_mean_matches;
+      prop_truncated_gaussian_is_of_fun ] )
