@@ -1,428 +1,67 @@
-(* Benchmark harness: regenerates every table and figure of the paper
-   (printing the same rows/series it reports) and then times one
-   representative kernel per artifact with Bechamel.
+(* Measurement harness: each section times one layer of the analysis,
+   checks its relative invariants and writes one BENCH_*.json artifact
+   into the current directory.  The paper's tables and figures come
+   from the CLI (`ssta table2`, `ssta figures`, ...), not from here.
 
-     dune exec bench/main.exe                 # everything
-     dune exec bench/main.exe -- table2 fig5  # a subset
-     dune exec bench/main.exe -- --no-bechamel *)
+     dune exec bench/main.exe                          # every section
+     dune exec bench/main.exe -- screening incremental # a subset
+     dune exec bench/main.exe -- dim --only=c432,c499 --assert
+
+   [--only=c432,c499] restricts the circuits, [--assert] turns each
+   section's invariants into hard failures.  An unknown section, flag or
+   circuit name is a usage error (exit 2). *)
 
 module Iscas85 = Ssta_circuit.Iscas85
-module Sensitivity = Ssta_tech.Sensitivity
-module Convexity = Ssta_tech.Convexity
-module Elmore = Ssta_tech.Elmore
 module Sta = Ssta_timing.Sta
-module Pdf = Ssta_prob.Pdf
-module Dist = Ssta_prob.Dist
-module Combine = Ssta_prob.Combine
-module Stats = Ssta_prob.Stats
-module Rng = Ssta_prob.Rng
 module Pool = Ssta_parallel.Pool
 open Ssta_core
 
 let section name = Fmt.pr "@.=== %s ===@." name
-
-(* Cache methodology runs so figures reuse the Table 2 work. *)
-let runs : (string, Methodology.t) Hashtbl.t = Hashtbl.create 16
-
-let run_benchmark ?(max_paths = 2000) (spec : Iscas85.spec) =
-  let key = Printf.sprintf "%s/%d" spec.Iscas85.name max_paths in
-  match Hashtbl.find_opt runs key with
-  | Some m -> m
-  | None ->
-      let circuit, placement = Iscas85.build_placed spec in
-      let config =
-        Config.with_confidence Config.default
-          spec.Iscas85.paper.Iscas85.confidence
-      in
-      let config = { config with Config.max_paths } in
-      let m = Methodology.run ~config ~placement circuit in
-      Hashtbl.replace runs key m;
-      m
 
 let spec_exn name =
   match Iscas85.by_name name with
   | Some s -> s
   | None -> Fmt.failwith "missing benchmark %s" name
 
-(* ------------------------------------------------------------------ *)
-(* Table 1: gate delay sensitivities.                                  *)
-
-let table1 () =
-  section "Table 1: sensitivity of the Elmore delay (1-sigma impacts)";
-  Sensitivity.pp_table Fmt.stdout (Sensitivity.table1 ());
-  Fmt.pr "(paper, 2-NAND column: t_ox 0.587, L_eff 2.061, V_dd 0.360, \
-          V_Tn 0.071, |V_Tp| 0.088 ps)@."
-
-(* ------------------------------------------------------------------ *)
-(* Table 2: the benchmark suite.                                       *)
-
-let table2 () =
-  section "Table 2: deterministic vs probabilistic analysis, ISCAS85 suite";
-  Report.pp_table2_header Fmt.stdout ();
-  let rows =
-    List.map
-      (fun spec ->
-        let m = run_benchmark spec in
-        let row = Report.table2_row m in
-        Report.pp_table2_row Fmt.stdout row;
-        (spec, row))
-      Iscas85.all
-  in
-  Fmt.pr "@.shape comparison against the published table:@.";
-  List.iter
-    (fun ((spec : Iscas85.spec), row) ->
-      Report.pp_table2_comparison Fmt.stdout ~paper:spec.Iscas85.paper row)
-    rows;
-  let avg =
-    List.fold_left (fun a (_, r) -> a +. r.Report.overestimation_pct) 0.0 rows
-    /. float_of_int (List.length rows)
-  in
-  Fmt.pr "@.average worst-case overestimation: %.1f%% (paper: 55%%)@." avg
-
-(* ------------------------------------------------------------------ *)
-(* Table 3: inter/intra split on c432.                                 *)
-
-let table3 () =
-  section "Table 3: inter- and intra-die variation split (c432, C = 0.2)";
-  let circuit, placement = Iscas85.build_placed (spec_exn "c432") in
-  let base = Config.with_confidence Config.default 0.2 in
-  Report.pp_table3_header Fmt.stdout ();
-  List.iter
-    (fun (scenario, inter_fraction) ->
-      let config = Config.with_budget_split base ~inter_fraction in
-      let m = Methodology.run ~config ~placement circuit in
-      Report.pp_table3_row Fmt.stdout
-        (Report.table3_row ~scenario ~inter_fraction m))
-    [ ("only intra-die", 0.0); ("50% inter, 50% intra", 0.5);
-      ("75% inter, 25% intra", 0.75) ];
-  Fmt.pr "(paper: sigma 19.95 -> 35.58 -> 41.39 ps; paths 20 -> 54 -> 76)@."
-
-(* ------------------------------------------------------------------ *)
-(* Fig. 3: delay PDFs of the 1st / middle / last ranked paths (c1355). *)
-
-let fig3 () =
-  section "Fig. 3: delay PDFs of ranked near-critical paths of c1355";
-  let m = run_benchmark (spec_exn "c1355") in
-  let n = Methodology.num_critical_paths m in
-  let describe rank =
-    let r = Methodology.find_rank m ~prob_rank:rank in
-    let a = r.Ranking.analysis in
-    Fmt.pr "  path #%-5d mean %8.3f ps  sigma %7.3f ps  3-sigma %8.3f ps@."
-      rank
-      (Elmore.ps a.Path_analysis.mean)
-      (Elmore.ps a.Path_analysis.std)
-      (Elmore.ps a.Path_analysis.confidence_point)
-  in
-  describe 1;
-  describe ((n + 1) / 2);
-  describe n;
-  let first = (Methodology.find_rank m ~prob_rank:1).Ranking.analysis in
-  let last = (Methodology.find_rank m ~prob_rank:n).Ranking.analysis in
-  let spread =
-    first.Path_analysis.confidence_point
-    -. last.Path_analysis.confidence_point
-  in
-  Fmt.pr "  3-sigma spread across %d paths: %.3f ps (%.2f%% of mean) — the \
-          PDFs nearly coincide, as in the paper's figure@."
-    n (Elmore.ps spread)
-    (spread /. first.Path_analysis.mean *. 100.0)
-
-(* ------------------------------------------------------------------ *)
-(* Fig. 4: intra / inter / total PDFs of c432's critical path.         *)
-
-let fig4 () =
-  section "Fig. 4: intra-, inter- and total delay PDFs (c432 critical path)";
-  let m = run_benchmark (spec_exn "c432") in
-  let d = m.Methodology.det_critical in
-  let show name p =
-    Fmt.pr "  %-6s mean %8.3f ps  sigma %7.3f ps  [%8.3f .. %8.3f] ps@." name
-      (Elmore.ps (Pdf.mean p))
-      (Elmore.ps (Pdf.std p))
-      (Elmore.ps p.Pdf.lo)
-      (Elmore.ps (Pdf.hi p))
-  in
-  show "intra" d.Path_analysis.intra_pdf;
-  show "inter" d.Path_analysis.inter_pdf;
-  show "total" d.Path_analysis.total_pdf;
-  Fmt.pr "  3-sigma point %.3f ps vs worst-case %.3f ps (%.1f%% \
-          overestimation; paper: 56.6%%)@."
-    (Elmore.ps d.Path_analysis.confidence_point)
-    (Elmore.ps d.Path_analysis.worst_case)
-    (Path_analysis.overestimation_pct d)
-
-(* ------------------------------------------------------------------ *)
-(* Figs. 5/6: probabilistic vs deterministic ranks.                    *)
-
-let rank_figure name =
-  let m = run_benchmark (spec_exn name) in
-  let ranked = m.Methodology.ranked in
-  let pairs = Ranking.rank_pairs ~first:100 ranked in
-  Fmt.pr "  first 10 (det_rank, prob_rank) pairs:";
-  Array.iteri (fun i (d, p) -> if i < 10 then Fmt.pr " (%d,%d)" d p) pairs;
-  Fmt.pr "@.  Spearman %.4f, max rank change %d, det rank of prob-critical \
-          %d@."
-    (Ranking.rank_correlation ranked)
-    (Ranking.max_rank_change ranked)
-    (Ranking.det_rank_of_prob_critical ranked)
-
-let fig5 () =
-  section "Fig. 5: probabilistic vs deterministic rank, c1355 (large churn)";
-  rank_figure "c1355"
-
-let fig6 () =
-  section "Fig. 6: probabilistic vs deterministic rank, c7552 (small churn)";
-  rank_figure "c7552"
-
-(* ------------------------------------------------------------------ *)
-(* QUALITY trade-off (Section 4, on c499).                             *)
-
-let quality () =
-  section "QUALITY accuracy/run-time trade-off (c499 critical path)";
-  let circuit, _ = Iscas85.build_placed (spec_exn "c499") in
-  let sweep = Quality_sweep.run circuit in
-  Quality_sweep.pp Fmt.stdout sweep;
-  let k = Quality_sweep.knee sweep in
-  Fmt.pr "knee: Qintra=%d Qinter=%d (err %.4f%%) — the paper picks \
-          (100, 50)@."
-    k.Quality_sweep.quality_intra k.Quality_sweep.quality_inter
-    k.Quality_sweep.error_pct
-
-(* ------------------------------------------------------------------ *)
-(* Convexity claim (Section 2.5).                                      *)
-
-let convexity () =
-  section "Convexity analysis (Section 2.5)";
-  Convexity.pp_table Fmt.stdout
-    (List.map (fun g -> Convexity.analyze g) Sensitivity.table1_gates)
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: analytic PDF vs exact Monte-Carlo.                        *)
-
-let mc_validation () =
-  section "Ablation: Taylor/grid PDF vs exact Monte-Carlo (c432 critical)";
-  let circuit, placement = Iscas85.build_placed (spec_exn "c432") in
-  let sta = Sta.analyze circuit in
-  let ctx = Path_analysis.context Config.default sta.Sta.graph placement in
-  let a = Path_analysis.analyze ctx sta.Sta.critical_path in
-  let sampler = Monte_carlo.sampler Config.default sta.Sta.graph placement in
-  let rng = Rng.create 1 in
-  let v = Monte_carlo.validate_path ~n:40_000 sampler rng a in
-  Fmt.pr "  analytic mean %.3f ps std %.3f ps | sampled mean %.3f ps std \
-          %.3f ps@."
-    (Elmore.ps a.Path_analysis.mean)
-    (Elmore.ps a.Path_analysis.std)
-    (Elmore.ps v.Monte_carlo.sampled.Stats.mean)
-    (Elmore.ps v.Monte_carlo.sampled.Stats.std);
-  Fmt.pr "  |mean err| %.4f ps (%.3f%%), |std err| %.4f ps, KS %.4f@."
-    (Elmore.ps v.Monte_carlo.mean_err)
-    (v.Monte_carlo.mean_err /. a.Path_analysis.mean *. 100.0)
-    (Elmore.ps v.Monte_carlo.std_err)
-    v.Monte_carlo.ks;
-  (* second-order intra refinement: recovers the intra Jensen shift the
-     first-order model misses *)
-  let corr = Second_order.of_path Config.default sta.Sta.graph placement
-      sta.Sta.critical_path in
-  let corrected = Second_order.corrected_mean a corr in
-  Fmt.pr "  second-order intra correction: mean shift %+.4f ps, corrected \
-          |mean err| %.4f ps, intra skewness %.4f@."
-    (Elmore.ps corr.Second_order.mean_shift)
-    (Elmore.ps
-       (Float.abs (v.Monte_carlo.sampled.Stats.mean -. corrected)))
-    corr.Second_order.skewness;
-  Fmt.pr "  (MC standard error of the mean at 40k samples: %.3f ps; over \
-          250k samples the corrected error is ~0.006 ps vs ~0.55 ps \
-          first-order)@."
-    (Elmore.ps (v.Monte_carlo.sampled.Stats.std /. 200.0))
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: path-based vs block-based (Clark) vs Monte-Carlo.         *)
-
-let block_based () =
-  section "Ablation: block-based (Clark) full-chip SSTA vs Monte-Carlo (c432)";
-  let circuit, placement = Iscas85.build_placed (spec_exn "c432") in
-  let bb = Block_based.analyze ~placement circuit in
-  let sta = Sta.analyze circuit in
-  let sampler = Monte_carlo.sampler Config.default sta.Sta.graph placement in
-  let rng = Rng.create 424242 in
-  let mc = Monte_carlo.circuit_delay_samples sampler ~n:2_000 rng in
-  let s = Stats.summarize mc in
-  let m = run_benchmark (spec_exn "c432") in
-  let path3s =
-    m.Methodology.prob_critical.Ranking.analysis.Path_analysis.confidence_point
-  in
-  Fmt.pr "  block-based: mean %.3f ps std %.3f ps 3-sigma %.3f ps (%.3f s)@."
-    (Elmore.ps bb.Block_based.mean)
-    (Elmore.ps bb.Block_based.std)
-    (Elmore.ps bb.Block_based.confidence_point)
-    bb.Block_based.runtime_s;
-  Fmt.pr "  Monte-Carlo: mean %.3f ps std %.3f ps 3-sigma %.3f ps@."
-    (Elmore.ps s.Stats.mean)
-    (Elmore.ps s.Stats.std)
-    (Elmore.ps (Stats.sigma_point mc 3.0));
-  Fmt.pr "  path-based prob-critical 3-sigma: %.3f ps@." (Elmore.ps path3s);
-  let pm = Path_max.statistical_max m in
-  Fmt.pr "  correlated path-max (Clark over %d paths): mean %.3f ps std \
-          %.3f ps 3-sigma %.3f ps@."
-    pm.Path_max.paths_used (Elmore.ps pm.Path_max.mean)
-    (Elmore.ps pm.Path_max.std)
-    (Elmore.ps pm.Path_max.confidence_point);
-  let fc = Full_chip.analyze circuit in
-  Fmt.pr "  independence-assuming full-chip: mean %.3f ps std %.3f ps \
-          3-sigma %.3f ps@."
-    (Elmore.ps fc.Full_chip.mean)
-    (Elmore.ps fc.Full_chip.std)
-    (Elmore.ps fc.Full_chip.confidence_point);
-  Fmt.pr "  (neglecting correlations collapses the spread — the paper's \
-          critique of its refs [2,3,8], quantified)@." 
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: non-Gaussian inter-die distributions.                     *)
-
-let shapes () =
-  section "Ablation: inter-die distribution shape (c432 critical path)";
-  let circuit, placement = Iscas85.build_placed (spec_exn "c432") in
-  let sta = Sta.analyze circuit in
-  Fmt.pr "  %-12s %10s %10s %12s %12s@." "shape" "mean(ps)" "sigma(ps)"
-    "3sig pt(ps)" "q99.99(ps)";
-  List.iter
-    (fun shape ->
-      let config = Config.with_inter_shape Config.default shape in
-      let ctx = Path_analysis.context config sta.Sta.graph placement in
-      let a = Path_analysis.analyze ctx sta.Sta.critical_path in
-      Fmt.pr "  %-12s %10.3f %10.3f %12.3f %12.3f@."
-        (Ssta_prob.Shape.name shape)
-        (Elmore.ps a.Path_analysis.mean)
-        (Elmore.ps a.Path_analysis.std)
-        (Elmore.ps a.Path_analysis.confidence_point)
-        (Elmore.ps (Pdf.quantile a.Path_analysis.total_pdf 0.9999)))
-    Ssta_prob.Shape.all;
-  Fmt.pr "  (moments match by construction; bounded shapes trim the \
-          extreme tail — the numeric engine is not Gaussian-bound)@."
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: placement-aware interconnect loading.                     *)
-
-let wires () =
-  section "Ablation: fixed wire cap vs placement-aware loading (c432)";
-  let circuit, placement = Iscas85.build_placed (spec_exn "c432") in
-  let plain = Methodology.run ~placement circuit in
-  let wired =
-    Methodology.run ~placement ~wire:Ssta_tech.Wire.default circuit
-  in
-  let line label (m : Methodology.t) =
-    Fmt.pr "  %-18s det %9.3f ps  3sig %9.3f ps  paths %d@." label
-      (Elmore.ps m.Methodology.sta.Sta.critical_delay)
-      (Elmore.ps
-         m.Methodology.prob_critical.Ranking.analysis
-           .Path_analysis.confidence_point)
-      (Methodology.num_critical_paths m)
-  in
-  line "fixed 1 fF" plain;
-  line "placement-aware" wired
-
-(* ------------------------------------------------------------------ *)
-(* Yield and criticality (the paper's motivation, quantified).         *)
-
-let yield_criticality () =
-  section "Yield and criticality (c432)";
-  let _, placement = Iscas85.build_placed (spec_exn "c432") in
-  let m = run_benchmark (spec_exn "c432") in
-  let d = m.Methodology.det_critical in
-  let sampler =
-    Monte_carlo.sampler Config.default m.Methodology.sta.Sta.graph placement
-  in
-  let rng = Rng.create 31415 in
-  let samples = Monte_carlo.circuit_delay_samples sampler ~n:2_000 rng in
-  List.iter
-    (fun target ->
-      let clock =
-        Yield.clock_for_yield
-          m.Methodology.prob_critical.Ranking.analysis.Path_analysis.total_pdf
-          ~yield:target
-      in
-      Fmt.pr "  clock for %6.2f%% yield: %9.3f ps | MC yield %.4f | \
-              worst-case overdesign +%.1f%%@."
-        (target *. 100.0) (Elmore.ps clock)
-        (Yield.of_samples samples ~clock)
-        ((d.Path_analysis.worst_case -. clock) /. clock *. 100.0))
-    [ 0.90; 0.99; 0.9987 ];
-  let paths =
-    Array.to_list m.Methodology.ranked
-    |> List.filteri (fun i _ -> i < 8)
-    |> List.map (fun r -> r.Ranking.analysis.Path_analysis.path)
-  in
-  let crit = Criticality.estimate sampler ~n:2_000 rng paths in
-  Fmt.pr "  criticality of the top %d paths (entropy %.3f):" (List.length paths)
-    crit.Criticality.entropy;
-  Array.iter (fun p -> Fmt.pr " %.3f" p) crit.Criticality.probabilities;
-  Fmt.pr "@."
-
-(* ------------------------------------------------------------------ *)
-(* Dual-Vt leakage optimization (the ref [13] application).            *)
-
-let dual_vt () =
-  section "Dual-Vt leakage optimization under a 3-sigma timing target (c432)";
-  let circuit, placement = Iscas85.build_placed (spec_exn "c432") in
-  let m = run_benchmark (spec_exn "c432") in
-  let base3 =
-    m.Methodology.prob_critical.Ranking.analysis.Path_analysis
-    .confidence_point
-  in
-  List.iter
-    (fun headroom ->
-      let target = (1.0 +. headroom) *. base3 in
-      let r = Methodology.run ~placement circuit in
-      ignore r;
-      let d = Dual_vt.optimize ~placement ~target circuit in
-      Fmt.pr "  +%2.0f%% timing headroom: %3d/%3d gates high-Vt, leakage \
-              -%.1f%%, 3-sigma %.3f ps (target %.3f)%s@."
-        (headroom *. 100.0) d.Dual_vt.high_count d.Dual_vt.gate_count
-        ((d.Dual_vt.leakage_all_low -. d.Dual_vt.leakage_final)
-        /. d.Dual_vt.leakage_all_low *. 100.0)
-        (Elmore.ps d.Dual_vt.sigma3_final)
-        (Elmore.ps target)
-        (if d.Dual_vt.met then "" else " [NOT MET]"))
-    [ 0.02; 0.05; 0.10 ]
-
-(* ------------------------------------------------------------------ *)
-(* Sequential: pipelined multiplier clock-period study.                *)
-
-let pipeline () =
-  section "Sequential: statistical clock period of the pipelined c6288 \
-           (16x16 multiplier)";
-  let comb =
-    Ssta_circuit.Generators.array_multiplier ~name:"mult16" ~bits:16 ()
-  in
-  let config =
-    { (Config.with_quality Config.default ~intra:60 ~inter:24) with
-      Config.max_paths = 300 }
-  in
-  let baseline =
-    Clocking.analyze ~config (Ssta_circuit.Sequential.of_netlist comb)
-  in
-  Fmt.pr "  %6s %10s %12s %12s %14s %9s@." "stages" "registers" "det clk(ps)"
-    "3sig clk(ps)" "worst clk(ps)" "speedup";
-  List.iter
-    (fun stages ->
-      let s = Ssta_circuit.Sequential.pipeline ~stages comb in
-      let s, _ = Clocking.fix_hold s in
-      let c = Clocking.analyze ~config s in
-      Fmt.pr "  %6d %10d %12.1f %12.1f %14.1f %8.2fx@." stages
-        (Ssta_circuit.Sequential.num_registers s)
-        (Elmore.ps c.Clocking.det_min_clock)
-        (Elmore.ps c.Clocking.stat_min_clock)
-        (Elmore.ps c.Clocking.worst_case_clock)
-        (Clocking.speedup ~baseline c))
-    [ 1; 2; 4; 8 ];
-  Fmt.pr "  (hold violations of the register chains repaired by buffer \
-          insertion; corner sign-off overdesigns every pipeline by the \
-          paper's ~55%%)@."
-
-(* Shared flags of the A/B sections below: [--only=c432,c499] restricts
-   the circuits, [--assert] turns their relative invariants into hard
-   failures. *)
-let only : string list ref = ref []
+(* The shared flags, set from the command line before any section runs. *)
+let only : Iscas85.spec list ref = ref []
 let assert_ = ref false
+
+(* The circuits a section runs: [--only]'s, or [default]. *)
+let selected default = match !only with [] -> default | specs -> specs
+
+(* The shared cell runner: [f] run [repeats] times, each after a full
+   major cycle and inside [within] (untimed set-up such as a fresh
+   pool, handed to [f]), returning the last result, the minimum wall
+   and the minor words of that fastest run.  The full cycle isolates cells from
+   each other's garbage: without it the dead major heap left by earlier
+   (uncached, high-Q) cells slows later ones by 20-40%, which poisons
+   the exponent fits.  A full major cycle (not a compaction) keeps the
+   heap pages mapped, so the timed region does not pay re-growth
+   faults. *)
+let dim_min_of ~within ~repeats f =
+  let best_wall = ref infinity and best_minor = ref 0.0 in
+  let last = ref None in
+  for _ = 1 to repeats do
+    Gc.full_major ();
+    within (fun env ->
+        let mw0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        let r = f env in
+        let wall = Unix.gettimeofday () -. t0 in
+        let minor = Gc.minor_words () -. mw0 in
+        if wall < !best_wall then begin
+          best_wall := wall;
+          best_minor := minor
+        end;
+        last := Some r)
+  done;
+  match !last with
+  | Some r -> (r, !best_wall, !best_minor)
+  | None -> invalid_arg "dim_min_of: repeats must be positive"
+
+(* [within] for cells that need no set-up. *)
+let dim_direct k = k ()
 
 (* ------------------------------------------------------------------ *)
 (* Screening: the affine path-screener A/B harness.                    *)
@@ -433,7 +72,8 @@ let assert_ = ref false
    provably sub-threshold subtrees), while the pruned run saves frontier
    work.  It also times what the screen itself costs: the packaged
    max-plus screen `run` pays ([wall_screen_s]) next to the affine
-   fixpoints it stands in for ([wall_affine_s]), both min-of-N.  Written
+   fixpoints it stands in for ([wall_affine_s]).  Every wall is a
+   min-of-N cell of the shared runner ({!dim_min_of}).  Written
    to BENCH_screening.json as the screening artifact. *)
 let render_enumeration (e : Ssta_timing.Paths.enumeration) =
   let module Paths = Ssta_timing.Paths in
@@ -466,30 +106,22 @@ type screen_row = {
   s_equal : bool;
 }
 
-let min_wall repeats f =
-  let best = ref infinity in
-  for _ = 1 to repeats do
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    best := Float.min !best (Unix.gettimeofday () -. t0)
-  done;
-  !best
-
 (* The packaged screen must cost at most this share of the affine
    analysis on every circuit of at least [screen_gate_nodes] nodes. *)
 let screen_gate_ratio = 0.1
 let screen_gate_nodes = 1000
+
+(* Repeats of the screen, affine and enumeration cells. *)
+let screening_repeats_screen = 20
+let screening_repeats_affine = 5
+let screening_repeats_enum = 3
 
 let screening () =
   section "Screening: affine suffix-bound path pruning A/B (jobs=1)";
   let module Affine = Ssta_check.Affine in
   let module Paths = Ssta_timing.Paths in
   let max_paths = 2000 in
-  let specs =
-    match !only with
-    | [] -> Iscas85.all
-    | names -> List.filter_map Iscas85.by_name names
-  in
+  let specs = selected Iscas85.all in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   Fmt.pr "  %-7s %7s %7s %9s %12s %11s %10s %10s %6s %5s@." "name" "nodes"
@@ -515,22 +147,23 @@ let screening () =
           | Error msg -> Fmt.failwith "%s: affine analysis failed: %s" name msg
         in
         let sc = Affine.screen aff sta ~slack in
-        let wall_screen =
-          min_wall 20 (fun () -> Affine.methodology_screen config ~sta ~slack)
+        let cell repeats f =
+          dim_min_of ~within:dim_direct ~repeats f
         in
-        let wall_affine =
-          min_wall 5 (fun () -> Affine.compute config sta.Sta.graph)
+        let _, wall_screen, _ =
+          cell screening_repeats_screen (fun () ->
+              Affine.methodology_screen config ~sta ~slack)
         in
-        let time_run f =
-          let t0 = Unix.gettimeofday () in
-          let e = f () in
-          (e, Unix.gettimeofday () -. t0)
+        let _, wall_affine, _ =
+          cell screening_repeats_affine (fun () ->
+              Affine.compute config sta.Sta.graph)
         in
-        let base, wall_base =
-          time_run (fun () -> Sta.near_critical ~max_paths sta ~slack)
+        let base, wall_base, _ =
+          cell screening_repeats_enum (fun () ->
+              Sta.near_critical ~max_paths sta ~slack)
         in
-        let pruned, wall_pruned =
-          time_run (fun () ->
+        let pruned, wall_pruned, _ =
+          cell screening_repeats_enum (fun () ->
               Sta.near_critical ~max_paths ~prune:(Affine.prune_hook sc) sta
                 ~slack)
         in
@@ -604,20 +237,22 @@ let screening () =
    one whose dirty set ({g} + fanins) covers the fewest enumerated
    near-critical paths — the representative local ECO (fixing a buffer
    off the critical region), deterministic per circuit.  Timings are
-   the min of two runs.  [gates_retimed] counts the gates whose
-   electricals the committed edit re-derived (the graph is carried
-   across edits, so --assert holds it to the gate plus its fan-ins).
+   cells of the shared runner ({!dim_min_of}): the incremental wall is
+   the faster of the uncommitted what-if (min of [incremental_repeats])
+   and the one committing re-analysis, the full wall the min of
+   [incremental_repeats] from-scratch runs.  [gates_retimed] counts the
+   gates whose electricals the committed edit re-derived (the graph is
+   carried across edits, so --assert holds it to the gate plus its
+   fan-ins).
    Written to BENCH_incremental.json as the edit-to-answer artifact. *)
+let incremental_repeats = 2
+
 let incremental () =
   section "Incremental: dependence-cone re-analysis after one edit (jobs=1)";
   let module Impact = Ssta_check.Impact in
   let module Netlist = Ssta_circuit.Netlist in
   let max_paths = 2000 in
-  let specs =
-    match !only with
-    | [] -> Iscas85.all
-    | names -> List.filter_map Iscas85.by_name names
-  in
+  let specs = selected Iscas85.all in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   Fmt.pr "  %-7s %8s %8s %8s %8s %6s %7s %7s %7s %6s@." "name" "init(s)"
@@ -633,10 +268,9 @@ let incremental () =
         in
         let config = { config with Config.max_paths } in
         let d = Impact.design ~placement ~config circuit in
-        let time f =
-          let t0 = Unix.gettimeofday () in
-          let v = f () in
-          (v, Unix.gettimeofday () -. t0)
+        let time ?(repeats = 1) f =
+          let v, wall, _ = dim_min_of ~within:dim_direct ~repeats f in
+          (v, wall)
         in
         let or_fail = function
           | Ok v -> v
@@ -686,7 +320,8 @@ let incremental () =
                (Printf.sprintf "resize %s 1.25" gate))
         in
         let _, probe_s =
-          time (fun () -> or_fail (Impact.what_if state edit))
+          time ~repeats:incremental_repeats (fun () ->
+              or_fail (Impact.what_if state edit))
         in
         let retimed () =
           Ssta_runtime.Health.counter (Impact.ledger state)
@@ -699,11 +334,10 @@ let incremental () =
         let gates_retimed = retimed () - retimed_before in
         let incr_s = Float.min probe_s commit_s in
         let edited = Impact.design_of state in
-        let m_scratch, full1_s =
-          time (fun () -> or_fail (Impact.scratch edited))
+        let m_scratch, full_s =
+          time ~repeats:incremental_repeats (fun () ->
+              or_fail (Impact.scratch edited))
         in
-        let _, full2_s = time (fun () -> or_fail (Impact.scratch edited)) in
-        let full_s = Float.min full1_s full2_s in
         let identical =
           String.equal
             (Report.json_report o.Impact.report)
@@ -830,46 +464,13 @@ let dim_fit_exponent points =
       if Float.abs d < 1e-12 then nan
       else ((n *. !sxy) -. (!sx *. !sy)) /. d
 
-(* The shared cell runner: [f] run [repeats] times, each after a full
-   major cycle and inside [within] (untimed set-up such as a fresh
-   pool, handed to [f]), returning the last result, the minimum wall
-   and the minor words of that fastest run.  The full cycle isolates cells from
-   each other's garbage: without it the dead major heap left by earlier
-   (uncached, high-Q) cells slows later ones by 20-40%, which poisons
-   the exponent fits.  A full major cycle (not a compaction) keeps the
-   heap pages mapped, so the timed region does not pay re-growth
-   faults. *)
-let dim_min_of ~within ~repeats f =
-  let best_wall = ref infinity and best_minor = ref 0.0 in
-  let last = ref None in
-  for _ = 1 to repeats do
-    Gc.full_major ();
-    within (fun env ->
-        let mw0 = Gc.minor_words () in
-        let t0 = Unix.gettimeofday () in
-        let r = f env in
-        let wall = Unix.gettimeofday () -. t0 in
-        let minor = Gc.minor_words () -. mw0 in
-        if wall < !best_wall then begin
-          best_wall := wall;
-          best_minor := minor
-        end;
-        last := Some r)
-  done;
-  match !last with
-  | Some r -> (r, !best_wall, !best_minor)
-  | None -> invalid_arg "dim_min_of: repeats must be positive"
-
-(* [within] for cells that need no set-up. *)
-let dim_direct k = k ()
-
 (* ------------------------------------------------------------------ *)
 (* Block crossover: path-based vs block-based wall clock.              *)
 
 (* Path-based cost is enumeration-dominated (O(paths * Q^3) after the
    near-critical walk); the block engine visits every gate once.  This
    harness times both engines per benchmark at the paper's settings on
-   the shared cell runner ({!dim_min_of}, defined below: min of
+   the shared cell runner ({!dim_min_of}: min of
    [blockcross_repeats] walls, each after a full major cycle) and
    records where the one-pass engine wins and the statistical gap
    between the two answers.  Two deterministic counts gate the block
@@ -895,11 +496,7 @@ let blockcross () =
   let module Block_engine = Ssta_block.Engine in
   let module Arrival = Ssta_block.Arrival in
   let max_paths = 2000 in
-  let specs =
-    match !only with
-    | [] -> Iscas85.all
-    | names -> List.filter_map Iscas85.by_name names
-  in
+  let specs = selected Iscas85.all in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   Fmt.pr "  %-7s %6s %9s %10s %8s %9s %9s %6s %8s %8s %7s@." "name" "gates"
@@ -1230,11 +827,7 @@ let dim () =
         (host: %d core(s), repeats: %d, strict floors: %s)"
        (Pool.default_jobs ()) dim_repeats (if strict then "on" else "off"));
   let max_paths = 2000 in
-  let specs =
-    match !only with
-    | [] -> Iscas85.all
-    | names -> List.filter_map Iscas85.by_name names
-  in
+  let specs = selected Iscas85.all in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   Fmt.pr "  %-7s %-6s %4s %4s %6s %6s %6s %9s %12s@." "name" "engine" "Q"
@@ -1578,10 +1171,7 @@ let frontend () =
   let module Def_format = Ssta_circuit.Def_format in
   let module Spef = Ssta_circuit.Spef in
   let module Lint = Ssta_lint.Engine in
-  let specs =
-    List.filter_map Iscas85.by_name
-      (match !only with [] -> frontend_designs | names -> names)
-  in
+  let specs = selected (List.map spec_exn frontend_designs) in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let ok = function
@@ -1695,114 +1285,48 @@ let frontend () =
       failwith "frontend assertions failed"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one kernel per artifact.                 *)
 
-let bechamel_suite () =
-  section "Bechamel kernel timings (one representative kernel per artifact)";
-  let open Bechamel in
-  let open Toolkit in
-  (* Pre-built inputs shared by the kernels. *)
-  let c432, pl432 = Iscas85.build_placed (spec_exn "c432") in
-  let sta432 = Sta.analyze c432 in
-  let ctx432 = Path_analysis.context Config.default sta432.Sta.graph pl432 in
-  let tables = Inter.tables Config.default in
-  let coeffs =
-    Ssta_correlation.Path_coeffs.of_path sta432.Sta.graph pl432
-      (Config.layers_for Config.default pl432)
-      sta432.Sta.critical_path
-  in
-  let g1 = Dist.truncated_gaussian ~n:100 ~mu:0.0 ~sigma:1.0 () in
-  let c1355, _ = Iscas85.build_placed (spec_exn "c1355") in
-  let sta1355 = Sta.analyze c1355 in
-  let sampler = Monte_carlo.sampler Config.default sta432.Sta.graph pl432 in
-  let rng = Rng.create 7 in
-  let tests =
-    [ Test.make ~name:"table1-sensitivity"
-        (Staged.stage (fun () -> Sensitivity.table1 ()));
-      Test.make ~name:"table2-path-analysis-c432"
-        (Staged.stage (fun () ->
-             Path_analysis.analyze ctx432 sta432.Sta.critical_path));
-      Test.make ~name:"table3-intra-variance"
-        (Staged.stage (fun () -> Intra.variance Config.default coeffs));
-      Test.make ~name:"fig3-inter-pdf-q50"
-        (Staged.stage (fun () -> Inter.of_coeffs tables coeffs));
-      Test.make ~name:"fig4-convolution-q100"
-        (Staged.stage (fun () -> Combine.sum g1 g1));
-      Test.make ~name:"fig5-bellman-ford-c1355"
-        (Staged.stage (fun () ->
-             Ssta_timing.Longest_path.bellman_ford sta1355.Sta.graph));
-      Test.make ~name:"fig6-near-critical-enum-c1355"
-        (Staged.stage (fun () ->
-             Sta.near_critical ~max_paths:200 sta1355
-               ~slack:(0.001 *. sta1355.Sta.critical_delay)));
-      Test.make ~name:"quality-quantile"
-        (Staged.stage (fun () -> Pdf.quantile g1 0.999));
-      Test.make ~name:"mc-one-path-sample"
-        (Staged.stage (fun () ->
-             Monte_carlo.path_delay_samples sampler ~n:1 rng
-               sta432.Sta.critical_path));
-      Test.make ~name:"block-clark-c432"
-        (Staged.stage (fun () -> Block_based.analyze ~placement:pl432 c432))
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None () in
-  let instances = Instance.[ monotonic_clock ] in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| "run" |]
-  in
-  Fmt.pr "%-35s %15s@." "kernel" "time/run";
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg instances elt in
-          let est = Analyze.one ols Instance.monotonic_clock raw in
-          let pretty =
-            match Analyze.OLS.estimates est with
-            | Some [ ns ] ->
-                if ns > 1e9 then Printf.sprintf "%.3f s" (ns /. 1e9)
-                else if ns > 1e6 then Printf.sprintf "%.3f ms" (ns /. 1e6)
-                else if ns > 1e3 then Printf.sprintf "%.3f us" (ns /. 1e3)
-                else Printf.sprintf "%.1f ns" ns
-            | Some _ | None -> "n/a"
-          in
-          Fmt.pr "%-35s %15s@." (Test.Elt.name elt) pretty)
-        (Test.elements test))
-    tests
-
-(* ------------------------------------------------------------------ *)
-
-let artifacts =
-  [ ("table1", table1); ("table2", table2); ("table3", table3);
-    ("fig3", fig3); ("fig4", fig4); ("fig5", fig5); ("fig6", fig6);
-    ("quality", quality); ("convexity", convexity);
-    ("mc-validation", mc_validation); ("block-based", block_based);
-    ("shapes", shapes); ("wires", wires);
-    ("yield-criticality", yield_criticality); ("dual-vt", dual_vt);
-    ("pipeline", pipeline); ("screening", screening); ("incremental", incremental);
+let sections =
+  [ ("screening", screening); ("incremental", incremental);
     ("blockcross", blockcross); ("dim", dim); ("frontend", frontend) ]
 
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf
+        "bench: %s\nusage: main.exe [SECTION...] [--only=NAME,...] [--assert]\n\
+         sections: %s\n"
+        msg
+        (String.concat " " (List.map fst sections));
+      exit 2)
+    fmt
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let no_bechamel = List.mem "--no-bechamel" args in
-  List.iter
-    (fun a ->
-      if String.length a > 7 && String.sub a 0 7 = "--only=" then
-        only :=
-          String.split_on_char ','
-            (String.sub a 7 (String.length a - 7))
-      else if a = "--assert" then assert_ := true)
-    args;
+  let only_flag = "--only=" in
+  let n = String.length only_flag in
   let wanted =
-    List.filter
-      (fun a -> String.length a < 2 || String.sub a 0 2 <> "--")
-      args
-  in
-  let selected =
-    if wanted = [] then artifacts
-    else List.filter (fun (name, _) -> List.mem name wanted) artifacts
+    List.filter_map
+      (fun a ->
+        if a = "--assert" then (assert_ := true; None)
+        else if String.starts_with ~prefix:only_flag a then begin
+          only :=
+            List.map
+              (fun name ->
+                match Iscas85.by_name name with
+                | Some spec -> spec
+                | None -> usage_error "unknown circuit %S in %s" name a)
+              (String.split_on_char ',' (String.sub a n (String.length a - n)));
+          None
+        end
+        else if String.starts_with ~prefix:"-" a then
+          usage_error "unknown flag %s" a
+        else
+          match List.assoc_opt a sections with
+          | Some f -> Some f
+          | None -> usage_error "unknown section %S" a)
+      (List.tl (Array.to_list Sys.argv))
   in
   let started = Unix.gettimeofday () in
-  List.iter (fun (_, f) -> f ()) selected;
-  if not no_bechamel then bechamel_suite ();
+  List.iter (fun f -> f ())
+    (if wanted = [] then List.map snd sections else wanted);
   Fmt.pr "@.total bench wall-clock: %.1f s@." (Unix.gettimeofday () -. started)

@@ -1051,31 +1051,36 @@ let run_cmd =
 let table2_cmd =
   let action only mp =
     guarded @@ fun () ->
-    let specs =
-      match only with
-      | [] -> Iscas85.all
-      | names ->
-          List.filter_map Iscas85.by_name names
-    in
+    let specs = match only with [] -> Iscas85.all | specs -> specs in
     Report.pp_table2_header Fmt.stdout ();
-    List.iter
-      (fun (spec : Iscas85.spec) ->
-        let circuit, placement = Iscas85.build_placed spec in
-        let config =
-          Config.with_confidence Config.default
-            spec.Iscas85.paper.Iscas85.confidence
-        in
-        let config = { config with Config.max_paths = mp } in
-        let m = Methodology.run ~config ~placement circuit in
-        Report.pp_table2_row Fmt.stdout (Report.table2_row m))
-      specs;
+    let rows =
+      List.map
+        (fun (spec : Iscas85.spec) ->
+          let circuit, placement = Iscas85.build_placed spec in
+          let config =
+            Config.with_confidence Config.default
+              spec.Iscas85.paper.Iscas85.confidence
+          in
+          let config = { config with Config.max_paths = mp } in
+          let m = Methodology.run ~config ~placement circuit in
+          let row = Report.table2_row m in
+          Report.pp_table2_row Fmt.stdout row;
+          (spec.Iscas85.paper, row))
+        specs
+    in
+    Report.pp_table2_paper_comparison Fmt.stdout rows;
     0
   in
+  (* An unknown name is a usage error, not a silently empty table. *)
+  let benchmark =
+    Arg.enum (List.map (fun (s : Iscas85.spec) -> (s.Iscas85.name, s)) Iscas85.all)
+  in
   let only =
-    Arg.(value & opt_all string [] & info [ "only" ] ~docv:"NAME"
+    Arg.(value & opt_all benchmark [] & info [ "only" ] ~docv:"NAME"
            ~doc:"Restrict to the given benchmarks (repeatable).")
   in
-  Cmd.v (Cmd.info "table2" ~doc:"Regenerate Table 2 over the benchmark suite.")
+  Cmd.v (Cmd.info "table2" ~doc:"Regenerate Table 2 over the benchmark suite \
+                                 and compare it with the published rows.")
     Term.(const action $ only $ max_paths_opt)
 
 (* table3 *)
@@ -1397,6 +1402,18 @@ let figures_cmd =
       close_out oc;
       Fmt.pr "wrote %s@." path
     in
+    (* Figs. 5/6 in numbers: the first rank pairs of the scatter and how
+       far the probabilistic order departs from the deterministic one. *)
+    let pp_ranks title (m : Methodology.t) pairs =
+      let ranked = m.Methodology.ranked in
+      Fmt.pr "%s@.  first 10 (det_rank, prob_rank) pairs:" title;
+      Array.iteri (fun i (d, p) -> if i < 10 then Fmt.pr " (%d,%d)" d p) pairs;
+      Fmt.pr "@.  Spearman %.4f, max rank change %d, det rank of \
+              prob-critical %d@."
+        (Ranking.rank_correlation ranked)
+        (Ranking.max_rank_change ranked)
+        (Ranking.det_rank_of_prob_critical ranked)
+    in
     (* Fig. 3: PDFs of selected ranked paths of c1355. *)
     (match Iscas85.by_name "c1355" with
     | None -> ()
@@ -1415,9 +1432,29 @@ let figures_cmd =
         in
         save (Filename.concat out "fig3_c1355_pdfs.csv")
           (Report.pdfs_csv curves);
+        Fmt.pr "Fig. 3: delay PDFs of ranked near-critical paths of c1355@.";
+        List.iter
+          (fun rank ->
+            let a = (pick rank).Ranking.analysis in
+            Fmt.pr "  path #%-5d mean %8.3f ps  sigma %7.3f ps  3-sigma \
+                    %8.3f ps@."
+              rank
+              (Elmore.ps a.Path_analysis.mean)
+              (Elmore.ps a.Path_analysis.std)
+              (Elmore.ps a.Path_analysis.confidence_point))
+          [ 1; (n + 1) / 2; n ];
+        let first = (pick 1).Ranking.analysis in
+        let spread =
+          first.Path_analysis.confidence_point
+          -. (pick n).Ranking.analysis.Path_analysis.confidence_point
+        in
+        Fmt.pr "  3-sigma spread across %d paths: %.3f ps (%.2f%% of mean)@."
+          n (Elmore.ps spread)
+          (spread /. first.Path_analysis.mean *. 100.0);
+        let pairs = Ranking.rank_pairs ~first:100 m.Methodology.ranked in
         save (Filename.concat out "fig5_c1355_ranks.csv")
-          (Report.rank_scatter_csv
-             (Ranking.rank_pairs ~first:100 m.Methodology.ranked)));
+          (Report.rank_scatter_csv pairs);
+        pp_ranks "Fig. 5: probabilistic vs deterministic rank, c1355" m pairs);
     (* Fig. 4: intra/inter/total of c432's critical path. *)
     (match Iscas85.by_name "c432" with
     | None -> ()
@@ -1431,7 +1468,26 @@ let figures_cmd =
                 Ssta_prob.Pdf.shift d.Path_analysis.intra_pdf
                   d.Path_analysis.det_delay);
                ("inter", d.Path_analysis.inter_pdf);
-               ("total", d.Path_analysis.total_pdf) ]));
+               ("total", d.Path_analysis.total_pdf) ]);
+        Fmt.pr "Fig. 4: intra-, inter- and total delay PDFs (c432 critical \
+                path)@.";
+        List.iter
+          (fun (name, p) ->
+            Fmt.pr "  %-6s mean %8.3f ps  sigma %7.3f ps  [%8.3f .. %8.3f] \
+                    ps@."
+              name
+              (Elmore.ps (Ssta_prob.Pdf.mean p))
+              (Elmore.ps (Ssta_prob.Pdf.std p))
+              (Elmore.ps p.Ssta_prob.Pdf.lo)
+              (Elmore.ps (Ssta_prob.Pdf.hi p)))
+          [ ("intra", d.Path_analysis.intra_pdf);
+            ("inter", d.Path_analysis.inter_pdf);
+            ("total", d.Path_analysis.total_pdf) ];
+        Fmt.pr "  3-sigma point %.3f ps vs worst-case %.3f ps (%.1f%% \
+                overestimation; paper: 56.6%%)@."
+          (Elmore.ps d.Path_analysis.confidence_point)
+          (Elmore.ps d.Path_analysis.worst_case)
+          (Path_analysis.overestimation_pct d));
     (* Fig. 6: rank scatter of c7552. *)
     (match Iscas85.by_name "c7552" with
     | None -> ()
@@ -1442,9 +1498,10 @@ let figures_cmd =
         in
         let config = { config with Config.max_paths = mp } in
         let m = Methodology.run ~config ~placement circuit in
+        let pairs = Ranking.rank_pairs ~first:100 m.Methodology.ranked in
         save (Filename.concat out "fig6_c7552_ranks.csv")
-          (Report.rank_scatter_csv
-             (Ranking.rank_pairs ~first:100 m.Methodology.ranked)));
+          (Report.rank_scatter_csv pairs);
+        pp_ranks "Fig. 6: probabilistic vs deterministic rank, c7552" m pairs);
     0
   in
   let out =
@@ -1455,7 +1512,8 @@ let figures_cmd =
     Arg.(value & opt (int_at_least 1) 2_000 & info [ "max-paths" ] ~docv:"N"
            ~doc:"Near-critical enumeration cap.")
   in
-  Cmd.v (Cmd.info "figures" ~doc:"Emit CSV data behind Figs. 3-6.")
+  Cmd.v (Cmd.info "figures" ~doc:"Emit CSV data behind Figs. 3-6 and print \
+                                  their summary lines.")
     Term.(const action $ out $ mp)
 
 (* fault *)

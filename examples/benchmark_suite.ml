@@ -33,20 +33,7 @@ let () =
         let m = Methodology.run ~config ~placement circuit in
         let row = Report.table2_row m in
         Report.pp_table2_row Fmt.stdout row;
-        (spec, row))
+        (spec.Iscas85.paper, row))
       specs
   in
-  Fmt.pr "@.paper comparison (shape, not absolute ps — see EXPERIMENTS.md):@.";
-  List.iter
-    (fun ((spec : Iscas85.spec), row) ->
-      Report.pp_table2_comparison Fmt.stdout ~paper:spec.Iscas85.paper row)
-    rows;
-  let average =
-    let sum =
-      List.fold_left
-        (fun acc (_, r) -> acc +. r.Report.overestimation_pct)
-        0.0 rows
-    in
-    sum /. float_of_int (List.length rows)
-  in
-  Fmt.pr "@.average worst-case overestimation: %.1f%% (paper: 55%%)@." average
+  Report.pp_table2_paper_comparison Fmt.stdout rows

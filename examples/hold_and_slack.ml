@@ -1,5 +1,5 @@
 (* Setup/hold bookkeeping around the statistical analysis: slacks at a
-   chosen clock, violation lists, the fastest (hold-limiting) paths, and
+   chosen clock, violation lists, the fastest (hold-limiting) path, and
    the resize what-if loop a designer actually runs.
 
      dune exec examples/hold_and_slack.exe *)
@@ -31,25 +31,24 @@ let () =
     (List.length (Slack.violations s))
     (Netlist.num_nodes circuit);
 
-  (* Hold side: the fastest input-to-output paths. *)
-  let min_labels = Shortest_path.labels graph in
-  let fastest = Shortest_path.min_delay graph min_labels in
+  (* Hold side: the fastest input-to-output path, from one
+     earliest-arrival pass in node-id (topological) order. *)
+  let earliest = Array.make (Graph.num_nodes graph) 0.0 in
+  for id = 0 to Graph.num_nodes graph - 1 do
+    if not (Graph.is_input graph id) then
+      earliest.(id) <-
+        Array.fold_left
+          (fun a f -> Float.min a earliest.(f))
+          infinity (Graph.fanins graph id)
+        +. graph.Graph.delay.(id)
+  done;
+  let fastest =
+    Array.fold_left
+      (fun a o -> Float.min a earliest.(o))
+      infinity circuit.Netlist.outputs
+  in
   Format.printf "@.fastest path: %.3f ps (%.1fx faster than critical)@."
     (ps fastest) (critical /. fastest);
-  let near_min =
-    Shortest_path.enumerate_near_min graph ~labels:min_labels
-      ~slack:(0.1 *. fastest)
-  in
-  Format.printf "paths within 10%% of the fastest: %d@."
-    (List.length near_min.Paths.paths);
-  (match near_min.Paths.paths with
-  | p :: _ ->
-      Format.printf "  shortest path nodes:";
-      Array.iter
-        (fun id -> Format.printf " %s" (Netlist.node_name circuit id))
-        p.Paths.nodes;
-      Format.printf "@."
-  | [] -> ());
 
   (* What-if loop: upsize the critical path's gates one by one and
      retime after each resize (drive-aware loading, so an upsized gate

@@ -51,13 +51,25 @@ let pp_table2_row fmt r =
     r.prob_mean_ps r.prob_sigma3_ps r.critical_path_gates
     r.det_rank_of_prob_critical r.runtime_s
 
-let pp_table2_comparison fmt ~(paper : Iscas85.paper_row) r =
-  Format.fprintf fmt
-    "%-7s over%%: %.1f (paper %.1f)  paths: %d (paper %d)  det-rank: %d (paper %d)  mean/det shift: %+.3f ps@."
-    r.name r.overestimation_pct paper.Iscas85.overestimation_pct
-    r.num_critical_paths paper.Iscas85.num_critical_paths
-    r.det_rank_of_prob_critical paper.Iscas85.det_rank_of_prob_critical
-    (r.prob_mean_ps -. r.det_delay_ps)
+let pp_table2_paper_comparison fmt rows =
+  if rows <> [] then begin
+    Format.fprintf fmt
+      "@.paper comparison (shape, not absolute ps — see EXPERIMENTS.md):@.";
+    List.iter
+      (fun ((paper : Iscas85.paper_row), r) ->
+        Format.fprintf fmt
+          "%-7s over%%: %.1f (paper %.1f)  paths: %d (paper %d)  det-rank: %d (paper %d)  mean/det shift: %+.3f ps@."
+          r.name r.overestimation_pct paper.Iscas85.overestimation_pct
+          r.num_critical_paths paper.Iscas85.num_critical_paths
+          r.det_rank_of_prob_critical paper.Iscas85.det_rank_of_prob_critical
+          (r.prob_mean_ps -. r.det_delay_ps))
+      rows;
+    let sum =
+      List.fold_left (fun acc (_, r) -> acc +. r.overestimation_pct) 0.0 rows
+    in
+    Format.fprintf fmt "@.average worst-case overestimation: %.1f%% (paper: 55%%)@."
+      (sum /. float_of_int (List.length rows))
+  end
 
 type table3_row = {
   scenario : string;

@@ -38,9 +38,7 @@ type enumeration = {
       (** candidates popped from the per-endpoint heaps, including pops
           buffered ahead of the merge and never consumed: at most
           [explored] plus the number of endpoint streams.  Counts the
-          search's work, not its answer, so it belongs in no report.
-          The depth-first
-          [Shortest_path.enumerate_near_min] pops none. *)
+          search's work, not its answer, so it belongs in no report. *)
 }
 
 val path_gates : Graph.t -> path -> Ssta_tech.Gate.electrical list

@@ -279,6 +279,45 @@ let test_report_csv_shapes () =
   check_true "scatter header"
     (String.length csv3 > 0 && String.sub csv3 0 8 = "det_rank")
 
+(* The measured-vs-paper lines and the average under Table 2, on two
+   fixed rows: every number is formatted from the row or the paper
+   reference beside it, and the average is over the measured rows. *)
+let test_report_table2_paper_comparison () =
+  let row name ~over ~paths ~drank ~det ~mean =
+    { Report.name; num_gates = 100; det_delay_ps = det; worst_case_ps = 0.0;
+      overestimation_pct = over; confidence = 0.05;
+      num_critical_paths = paths; truncated = false; prob_mean_ps = mean;
+      prob_sigma3_ps = 0.0; critical_path_gates = 10;
+      det_rank_of_prob_critical = drank; runtime_s = 0.0 }
+  in
+  let paper ~over ~paths ~drank =
+    { Iscas85.det_delay_ps = 0.0; worst_case_ps = 0.0;
+      overestimation_pct = over; confidence = 0.05;
+      num_critical_paths = paths; prob_mean_ps = 0.0; prob_sigma3_ps = 0.0;
+      critical_path_gates = 0; det_rank_of_prob_critical = drank;
+      runtime_s = 0.0 }
+  in
+  let rows =
+    [ ( paper ~over:56.6 ~paths:32 ~drank:1,
+        row "c432" ~over:55.83 ~paths:8 ~drank:1 ~det:397.228 ~mean:397.363 );
+      ( paper ~over:49.9 ~paths:58 ~drank:40,
+        row "c499" ~over:53.26 ~paths:1280 ~drank:561 ~det:211.0
+          ~mean:210.5 ) ]
+  in
+  let text = Format.asprintf "%a" Report.pp_table2_paper_comparison rows in
+  Alcotest.(check string)
+    "comparison and average"
+    "\npaper comparison (shape, not absolute ps — see EXPERIMENTS.md):\n\
+     c432    over%: 55.8 (paper 56.6)  paths: 8 (paper 32)  det-rank: 1 \
+     (paper 1)  mean/det shift: +0.135 ps\n\
+     c499    over%: 53.3 (paper 49.9)  paths: 1280 (paper 58)  det-rank: \
+     561 (paper 40)  mean/det shift: -0.500 ps\n\
+     \naverage worst-case overestimation: 54.5% (paper: 55%)\n"
+    text;
+  Alcotest.(check string)
+    "no rows, no lines" ""
+    (Format.asprintf "%a" Report.pp_table2_paper_comparison [])
+
 (* Statistically identical near-critical paths must rank as exact ties
    so the stable ranking keeps them in deterministic order: confidence
    points that agree to 1e-12 agree bit for bit.  On c499, whose 1,280
@@ -343,4 +382,6 @@ let suite =
       case "max_paths cap respected" test_methodology_respects_max_paths;
       case "report rows" test_report_rows;
       case "report CSV shapes" test_report_csv_shapes;
+      case "report Table 2 paper comparison"
+        test_report_table2_paper_comparison;
       case "statistically identical paths tie exactly" test_ties_are_exact ] )

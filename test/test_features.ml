@@ -1,78 +1,13 @@
 (* Tests for the production-timer features layered on the paper's core:
-   hold (min-delay) analysis, required-time/slack, structural Verilog,
-   analytic path correlation, drive strengths and the sizing optimizer,
-   and the additional arithmetic generators. *)
+   required-time/slack, structural Verilog, analytic path correlation,
+   drive strengths and the sizing optimizer, and the additional
+   arithmetic generators. *)
 
 open Ssta_circuit
 open Ssta_timing
 open Ssta_correlation
 open Ssta_prob
 open Helpers
-
-(* ---------------- Shortest path / hold ---------------- *)
-
-let test_min_labels_chain () =
-  let g = Graph.of_netlist (tiny_chain ()) in
-  let min_labels = Shortest_path.labels g in
-  let max_labels = Longest_path.bellman_ford g in
-  (* a chain has a single path: min = max *)
-  Array.iteri
-    (fun i x -> check_close ~tol:1e-15 "chain: min = max" max_labels.(i) x)
-    min_labels
-
-let test_min_below_max () =
-  let g = Graph.of_netlist (small_random ()) in
-  let min_labels = Shortest_path.labels g in
-  let max_labels = Longest_path.bellman_ford g in
-  Array.iteri
-    (fun i x -> check_true "min <= max" (x <= max_labels.(i) +. 1e-18))
-    min_labels;
-  check_true "min delay below critical delay"
-    (Shortest_path.min_delay g min_labels
-    <= Longest_path.critical_delay g max_labels)
-
-let test_min_path_consistency () =
-  List.iter
-    (fun c ->
-      let g = Graph.of_netlist c in
-      let labels = Shortest_path.labels g in
-      let path = Shortest_path.min_path g labels in
-      check_true "valid path" (Paths.is_path g path);
-      check_close ~tol:1e-12 "path delay = min delay"
-        (Shortest_path.min_delay g labels)
-        (Paths.recompute_delay g path))
-    [ tiny_chain (); small_adder (); small_random () ]
-
-let test_near_min_enumeration () =
-  let g = Graph.of_netlist (small_adder ()) in
-  let labels = Shortest_path.labels g in
-  let fastest = Shortest_path.min_delay g labels in
-  let e = Shortest_path.enumerate_near_min g ~labels ~slack:(0.2 *. fastest) in
-  check_true "found at least the fastest path"
-    (List.length e.Paths.paths >= 1);
-  (* sorted ascending and all within slack *)
-  let rec walk last = function
-    | [] -> ()
-    | (p : Paths.path) :: rest ->
-        check_true "ascending" (p.Paths.delay >= last -. 1e-15);
-        check_true "within slack"
-          (p.Paths.delay <= fastest +. (0.2 *. fastest) +. 1e-12);
-        walk p.Paths.delay rest
-  in
-  walk 0.0 e.Paths.paths;
-  check_raises_invalid "negative slack" (fun () ->
-      ignore (Shortest_path.enumerate_near_min g ~labels ~slack:(-1.0)))
-
-let test_near_min_vs_near_max_disjoint_ends () =
-  (* For a circuit with unequal path lengths, the fastest path should be
-     shorter (in gates) than the critical one. *)
-  let g = Graph.of_netlist (small_random ()) in
-  let minl = Shortest_path.labels g in
-  let maxl = Longest_path.bellman_ford g in
-  let fast = Shortest_path.min_path g minl in
-  let slow = Longest_path.critical_path g maxl in
-  check_true "fastest path has fewer or equal gates"
-    (Array.length fast <= Array.length slow)
 
 (* ---------------- Slack ---------------- *)
 
@@ -424,12 +359,7 @@ let test_path_report_renders () =
 
 let suite =
   ( "features",
-    [ case "min labels on a chain" test_min_labels_chain;
-      case "min labels below max labels" test_min_below_max;
-      case "min path consistency" test_min_path_consistency;
-      case "near-min enumeration" test_near_min_enumeration;
-      case "fastest vs slowest path" test_near_min_vs_near_max_disjoint_ends;
-      case "slack at the default clock" test_slack_default_clock;
+    [ case "slack at the default clock" test_slack_default_clock;
       case "slack under a tight clock" test_slack_tight_clock;
       case "critical nodes cover the critical path"
         test_slack_critical_nodes_cover_critical_path;

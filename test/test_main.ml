@@ -22,7 +22,6 @@ let () =
       Test_features.suite;
       Test_advanced.suite;
       Test_dual_vt.suite;
-      Test_sequential.suite;
       Test_lint.suite;
       Test_check.suite;
       Test_affine.suite;
